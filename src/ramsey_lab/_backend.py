@@ -1,7 +1,10 @@
-"""Backend selection: numba-jitted kernels by default, plain numpy on demand.
+"""Backend selection for the brute-force coloring sweep.
 
-Set RAMSEY_LAB_BACKEND=numpy to skip jitting (or when numba is missing).
-The choice is made at import time; `BACKEND` records what was picked.
+The search kernel (`_kernels.dpll_step`) is numpy-vectorized and the same
+on every backend.  RAMSEY_LAB_BACKEND picks only the sweep: the
+numba-jitted scalar loop by default, or the vectorized numpy sweep when
+RAMSEY_LAB_BACKEND=numpy or numba is missing.  The choice is made at
+import time; `BACKEND` records what was picked.
 """
 
 import os
@@ -22,9 +25,7 @@ if _requested == "numba":
 
 if HAS_NUMBA:
     BACKEND = "numba"
-    dpll_step = njit(cache=True)(_kernels.dpll_step)
     sweep_colorings = njit(cache=True)(_kernels.sweep_colorings)
 else:
     BACKEND = "numpy"
-    dpll_step = _kernels.dpll_step
     sweep_colorings = _kernels.sweep_colorings_numpy

@@ -52,8 +52,12 @@ class Certificate:
         for key in ("type", "coloring", "payload"):
             if key not in obj:
                 raise ValueError(f"malformed-certificate: missing {key!r}")
+        try:
+            payload, meta = dict(obj["payload"]), dict(obj.get("meta", {}))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed-certificate: {exc}") from exc
         return cls(obj["type"], TwoColoring.from_json_obj(obj["coloring"]),
-                   dict(obj["payload"]), dict(obj.get("meta", {})))
+                   payload, meta)
 
     def save(self, path, explicit_coloring: bool = False) -> None:
         with open(path, "w") as fh:

@@ -474,7 +474,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(report, args, t0)
         print(f"proof-gap: {exc}", file=sys.stderr)
         return EXIT_GAP
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
+        # parse, validation and I/O errors; anything else is a bug and
+        # propagates with its traceback
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -170,14 +170,20 @@ class TwoColoring:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TwoColoring":
-        k = int(obj["k"])
-        N = int(obj["n_vertices"])
-        if obj.get("red_bit", RED) != RED:
+        try:
+            k = int(obj["k"])
+            N = int(obj["n_vertices"])
+            red_bit = obj.get("red_bit", RED)
+            red_edges = obj["red_edges"] if "red_edges" in obj else None
+            hex_bits = obj["bits"] if red_edges is None else None
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed coloring: missing or invalid field {exc}") from exc
+        if red_bit != RED:
             raise ValueError("unsupported red_bit convention")
         n_edges = math.comb(N, k)
-        if "red_edges" in obj:
-            return cls.from_red_edges(k, N, obj["red_edges"])
-        raw = bytes.fromhex(obj["bits"])
+        if red_edges is not None:
+            return cls.from_red_edges(k, N, red_edges)
+        raw = bytes.fromhex(hex_bits)
         if len(raw) != (n_edges + 7) // 8:
             raise ValueError(f"bit payload has {len(raw)} bytes, "
                              f"expected {(n_edges + 7) // 8}")

@@ -5,6 +5,9 @@ copy of the red target contributes an all-negative covering clause, every
 copy of the blue target an all-positive one.  Unit propagation over these
 clauses plus chronological backtracking is complete, so UNSAT verdicts are
 sound; witnesses are re-verified by the embedder before being returned.
+The search runs in `_kernels.dpll_step`, one numpy-vectorized kernel on
+every backend, in chunks of nodes so that node and time budgets are
+checked while it runs.
 
 Branching is deterministic: lowest-rank unassigned edge, red phase first.
 An optional lex-leader restriction under adjacent vertex transpositions
@@ -20,18 +23,21 @@ import json
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from ._backend import BACKEND, dpll_step
+from ._backend import BACKEND
 from .coloring import TwoColoring, all_edges, edge_rank
 from .core import CYCLE, PATH, LooseTemplate, cycle_template, path_template
 from .embedder import copy_rank_matrix, find_embedding
 
-_CHUNK = 1 << 18
+# nodes per kernel call; budgets are checked between calls, and 64 nodes
+# take well under a second even on the largest instances
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -89,73 +95,90 @@ def _template_of(k: int, family: Tuple[str, int]) -> LooseTemplate:
 
 
 def _build_instance(k: int, N: int, red_t: LooseTemplate, blue_t: LooseTemplate):
-    """CSR clause arrays plus per-variable occurrence lists."""
+    """The search kernel's clause arrays, built from the two copy matrices.
+
+    Returns (E, clauses, clen, occ): the int32 literal matrix with red
+    copies first, rows padded with the sentinel variable E; the int32
+    clause lengths; and per variable v the pair of int32 views occ[v][x]
+    into one buffer, listing the clauses containing v that value x
+    satisfies (x = 0 the red copies, x = 1 the blue ones) in ascending
+    order.
+    """
     E = math.comb(N, k)
     red_rows = copy_rank_matrix(N, k, red_t)
     blue_rows = copy_rank_matrix(N, k, blue_t)
-    n_clauses = red_rows.shape[0] + blue_rows.shape[0]
-    lens = np.concatenate([
-        np.full(red_rows.shape[0], red_rows.shape[1], dtype=np.int64),
-        np.full(blue_rows.shape[0], blue_rows.shape[1], dtype=np.int64),
-    ]) if n_clauses else np.zeros(0, dtype=np.int64)
-    cptr = np.zeros(n_clauses + 1, dtype=np.int32)
-    if n_clauses:
-        cptr[1:] = np.cumsum(lens)
-    lits = np.concatenate([red_rows.ravel(), blue_rows.ravel()]).astype(np.int32) \
-        if n_clauses else np.zeros(0, dtype=np.int32)
-    sv = np.concatenate([
-        np.zeros(red_rows.shape[0], dtype=np.int8),
-        np.ones(blue_rows.shape[0], dtype=np.int8),
-    ]) if n_clauses else np.zeros(0, dtype=np.int8)
+    n_red, n_blue = red_rows.shape[0], blue_rows.shape[0]
+    width = max(red_rows.shape[1], blue_rows.shape[1])
+    clauses = np.full((n_red + n_blue, width), E, dtype=np.int32, order="F")
+    clauses[:n_red, :red_rows.shape[1]] = red_rows
+    clauses[n_red:, :blue_rows.shape[1]] = blue_rows
+    clen = np.empty(n_red + n_blue, dtype=np.int32)
+    clen[:n_red] = red_rows.shape[1]
+    clen[n_red:] = blue_rows.shape[1]
 
-    counts = np.bincount(lits, minlength=E) if lits.size else np.zeros(E, dtype=np.int64)
-    occ_ptr = np.zeros(E + 1, dtype=np.int32)
-    occ_ptr[1:] = np.cumsum(counts)
-    occ_cl = np.zeros(lits.size, dtype=np.int32)
-    cursor = occ_ptr[:-1].copy()
-    for ci in range(n_clauses):
-        for p in range(cptr[ci], cptr[ci + 1]):
-            v = lits[p]
-            occ_cl[cursor[v]] = ci
-            cursor[v] += 1
-    return E, lits, cptr, sv, occ_ptr, occ_cl
+    # one scan per variable over the (column-major) matrix keeps every
+    # slice in ascending clause order; the padding never matches
+    occ_cl = np.empty(red_rows.size + blue_rows.size, dtype=np.int32)
+    hit = np.empty(n_red + n_blue, dtype=bool)
+    col_hit = np.empty_like(hit)
+    occ = []
+    pos = 0
+    for v in range(E):
+        np.equal(clauses[:, 0], v, out=hit)
+        for j in range(1, width):
+            hit |= np.equal(clauses[:, j], v, out=col_hit)
+        ids = np.flatnonzero(hit)
+        n_r = int(np.searchsorted(ids, n_red))
+        occ_cl[pos:pos + ids.size] = ids
+        occ.append((occ_cl[pos:pos + n_r], occ_cl[pos + n_r:pos + ids.size]))
+        pos += ids.size
+    return E, clauses, clen, occ
 
 
-def _perm_tables(N: int, k: int) -> np.ndarray:
-    """Edge-rank images under each adjacent vertex transposition (u, u+1)."""
-    E = math.comb(N, k)
-    perm = np.empty((max(N - 1, 1), E), dtype=np.int32)
-    perm[:] = np.arange(E, dtype=np.int32)
+def _perm_tables(N: int, k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(moved, image) per adjacent vertex transposition (u, u+1).
+
+    `moved` lists, ascending, the edge ranks the transposition moves and
+    `image` their images.
+    """
     edges = all_edges(N, k)
+    tables = []
     for g in range(N - 1):
         u, v = g + 1, g + 2
+        moved, image = [], []
         for r, e in enumerate(edges):
             if (u in e) != (v in e):
                 mapped = tuple(sorted((v if x == u else u if x == v else x)
                                       for x in e))
-                perm[g, r] = edge_rank(mapped, N, k)
-    return perm
+                moved.append(r)
+                image.append(edge_rank(mapped, N, k))
+        tables.append((np.array(moved, dtype=np.intp),
+                       np.array(image, dtype=np.intp)))
+    return tables
 
 
 def _solve_single(k: int, N: int, red_fam: Tuple[str, int], blue_fam: Tuple[str, int],
                   assumptions: Sequence[Tuple[int, int]],
-                  max_nodes: Optional[int], max_secs: Optional[float],
+                  max_nodes: Optional[int], deadline: Optional[float],
                   symmetry: bool) -> dict:
-    """One complete (or budgeted) engine run; returns a plain-dict result."""
+    """One complete (or budgeted) engine run; returns a plain-dict result.
+
+    `deadline` is a `time.monotonic()` reading; it is checked before every
+    kernel call of at most _CHUNK nodes.
+    """
     red_t = _template_of(k, red_fam)
     blue_t = _template_of(k, blue_fam)
-    E, lits, cptr, sv, occ_ptr, occ_cl = _build_instance(k, N, red_t, blue_t)
-    n_clauses = sv.shape[0]
+    E, clauses, clen, occ = _build_instance(k, N, red_t, blue_t)
 
-    assign = np.full(E, -1, dtype=np.int8)
+    assign = np.full(E + 1, -1, dtype=np.int8)
+    assign[E] = 0  # the padding sentinel always reads as assigned
     trail = np.zeros(max(E, 1), dtype=np.int32)
     dvar = np.zeros(max(E, 1), dtype=np.int32)
     dflip = np.zeros(max(E, 1), dtype=np.int8)
     dtrail = np.zeros(max(E, 1), dtype=np.int32)
-    sat_cnt = np.zeros(max(n_clauses, 1), dtype=np.int32)
-    ass_cnt = np.zeros(max(n_clauses, 1), dtype=np.int32)
+    cnt = np.negative(clen)
     st = np.zeros(8, dtype=np.int64)
-    perm = _perm_tables(N, k) if symmetry else np.zeros((1, E), dtype=np.int32)
+    sym = _perm_tables(N, k) if symmetry else ()
 
     t0 = time.monotonic()
     status = None
@@ -181,18 +204,13 @@ def _solve_single(k: int, N: int, red_fam: Tuple[str, int], blue_fam: Tuple[str,
                 status = _kernels.PAUSED
                 break
             chunk = min(chunk, remaining)
-        rc = dpll_step(assign, trail, dvar, dflip, dtrail, sat_cnt, ass_cnt,
-                       sv, lits, cptr, occ_ptr, occ_cl, perm,
-                       1 if symmetry else 0, 1, st, chunk)
+        if deadline is not None and time.monotonic() >= deadline:
+            status = _kernels.PAUSED
+            break
+        rc = _kernels.dpll_step(assign, trail, dvar, dflip, dtrail, cnt,
+                                clauses, occ, sym, 1, st, chunk)
         if rc != _kernels.PAUSED:
             status = rc
-            break
-        if max_secs is not None and time.monotonic() - t0 > max_secs:
-            status = _kernels.PAUSED
-            break
-        if max_nodes is not None and int(st[_kernels.ST_NODES]) >= max_nodes:
-            status = _kernels.PAUSED
-            break
 
     wall = time.monotonic() - t0
     out = {
@@ -203,7 +221,8 @@ def _solve_single(k: int, N: int, red_fam: Tuple[str, int], blue_fam: Tuple[str,
         "wall_secs": wall,
     }
     if out["status"] == "SAT":
-        bits = np.where(assign < 0, 1, assign).astype(np.uint8)  # free vars: any value works; pick red
+        # free vars: any value works; pick red
+        bits = np.where(assign[:E] < 0, 1, assign[:E]).astype(np.uint8)
         out["witness_bits"] = bits.tolist()
     return out
 
@@ -229,6 +248,8 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     if threads < 1:
         raise ValueError(f"invalid-parameter: threads={threads}")
 
+    # one deadline for the whole call, shared by every cube
+    deadline = None if max_secs is None else time.monotonic() + max_secs
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
               "symmetry": symmetry, "threads": threads, "backend": BACKEND}
     red_fam = (red_target.kind, red_target.n)
@@ -236,7 +257,7 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     E = math.comb(N, k)
 
     if threads == 1 or E == 0:
-        res = _solve_single(k, N, red_fam, blue_fam, (), max_nodes, max_secs, symmetry)
+        res = _solve_single(k, N, red_fam, blue_fam, (), max_nodes, deadline, symmetry)
         results = [res]
     else:
         s = 1
@@ -246,7 +267,7 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
         for bitsv in range(1 << s):
             assumptions = tuple((i, (bitsv >> i) & 1) for i in range(s))
             tasks.append((k, N, red_fam, blue_fam, assumptions,
-                          max_nodes, max_secs, symmetry))
+                          max_nodes, deadline, symmetry))
         results = []
         sat_res = None
         with ProcessPoolExecutor(max_workers=threads) as ex:
@@ -424,6 +445,17 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
 # certificate verification
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _decoding():
+    """Report a payload field that is missing or of the wrong shape as a
+    malformed certificate; only decoding runs under it, never a check."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"malformed-certificate: missing or invalid field {exc}") from exc
+
+
 def verify_certificate(cert) -> Tuple[bool, dict]:
     """Re-validate a certificate via embedder primitives only.
 
@@ -449,11 +481,13 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
         return payload[key]
 
     if cert.type == "witness-coloring":
-        red = _template_of(c.k, (need("red_target")["kind"],
-                                 need("red_target")["length"]))
-        blue = _template_of(c.k, (need("blue_target")["kind"],
-                                  need("blue_target")["length"]))
-        if int(need("n_vertices")) != c.n_vertices:
+        with _decoding():
+            red = _template_of(c.k, (need("red_target")["kind"],
+                                     need("red_target")["length"]))
+            blue = _template_of(c.k, (need("blue_target")["kind"],
+                                      need("blue_target")["length"]))
+            n_vertices = int(need("n_vertices"))
+        if n_vertices != c.n_vertices:
             reasons.append("host-size-mismatch")
         hit = find_embedding(c, "red", red)
         if hit is not None:
@@ -464,13 +498,15 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             reasons.append("blue-copy-found")
             report["blue_copy"] = hit.to_json_obj()
     elif cert.type == "embedding":
-        emb = Embedding.from_json_obj(need("embedding"))
+        with _decoding():
+            emb = Embedding.from_json_obj(need("embedding"))
         res = verify_embedding(c, emb)
         if not res:
             reasons.append(res.reason)
     elif cert.type == "pair-set":
         from .constructive import BichromaticPair
-        pairs = [BichromaticPair.from_json_obj(o) for o in need("pairs")]
+        with _decoding():
+            pairs = [BichromaticPair.from_json_obj(o) for o in need("pairs")]
         for i, p in enumerate(pairs):
             ok, why = p.validate(c)
             if not ok:
@@ -479,20 +515,23 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             if pairs[0].union & pairs[1].union:
                 reasons.append("pairs-not-disjoint")
     elif cert.type == "join-trace":
-        for i, step in enumerate(need("steps")):
-            e = tuple(sorted(step["edge"]))
-            want = step["color"]
+        with _decoding():
+            steps = [(tuple(sorted(step["edge"])), step["color"])
+                     for step in need("steps")]
+            result = payload.get("result")
+            result = None if result is None else Embedding.from_json_obj(result)
+        for i, (e, want) in enumerate(steps):
             if c.color_of(e) != want:
                 reasons.append("edge-color-mismatch")
                 report.setdefault("bad_steps", []).append(i)
-        if "result" in payload and payload["result"] is not None:
-            emb = Embedding.from_json_obj(payload["result"])
-            res = verify_embedding(c, emb)
+        if result is not None:
+            res = verify_embedding(c, result)
             if not res:
                 reasons.append(f"result:{res.reason}")
     elif cert.type == "configuration":
         from .constructive import GoodConfiguration, validate_good_configuration
-        cfg = GoodConfiguration.from_json_obj(need("configuration"))
+        with _decoding():
+            cfg = GoodConfiguration.from_json_obj(need("configuration"))
         res = validate_good_configuration(c, cfg)
         if not res[0]:
             reasons.append(res[1])

@@ -3,8 +3,9 @@
 Everything here is derived from first principles with different
 algorithms than the package uses: colex order via characteristic
 bitmasks, copy counting via explicit vertex injections, arrowing via
-vectorized enumeration of every coloring, and a tiny standalone DPLL
-for DIMACS text.  No imports from ramsey_lab.
+vectorized enumeration of every coloring, a tiny standalone DPLL for
+DIMACS text, and the library's search rule as a plain-list loop (for
+exact node and propagation counts).  No imports from ramsey_lab.
 """
 
 from __future__ import annotations
@@ -216,3 +217,110 @@ def mini_dpll(n_vars: int, clauses: List[List[int]]) -> Optional[Dict[int, bool]
 def mini_dpll_status(text: str) -> str:
     n_vars, clauses = parse_dimacs(text)
     return "SAT" if mini_dpll(n_vars, clauses) is not None else "UNSAT"
+
+
+# ---------------------------------------------------------------------------
+# the library's search rule as a plain loop: exact node/propagation counts
+# ---------------------------------------------------------------------------
+
+def oracle_transpositions(N: int, k: int) -> List[List[int]]:
+    """Colex-index permutation of the edges under each swap (u, u+1)."""
+    order = oracle_colex_subsets(N, k)
+    index = {e: i for i, e in enumerate(order)}
+    perms = []
+    for u in range(1, N):
+        swap = {u: u + 1, u + 1: u}
+        perms.append([index[tuple(sorted(swap.get(x, x) for x in e))]
+                      for e in order])
+    return perms
+
+
+def counting_dpll(n_vars: int, clauses: List[List[int]],
+                  generators: Sequence[Sequence[int]] = ()):
+    """(status, nodes, propagations, model bits) under the library's rule.
+
+    Every clause must be all-positive or all-negative.  Chronological
+    backtracking branches on the lowest unassigned variable, True first; a
+    node is a decision or a flip.  Propagation walks the trail in order:
+    each variable visits its clauses in clause order, and a clause no
+    propagated literal satisfies with exactly one literal not yet
+    propagated enqueues that literal's variable if it is still unassigned
+    (one propagation).  A clause with every literal propagated false is a
+    conflict, noticed after the variable's clauses are all visited.  After
+    a conflict-free fixpoint, each generator (a permutation of variable
+    indices) prunes when its first moved position that is unassigned or
+    differs from its image reads False against True.
+    """
+    sv = [1 if cl[0] > 0 else 0 for cl in clauses]
+    members = [[abs(lit) - 1 for lit in cl] for cl in clauses]
+    occ: List[List[int]] = [[] for _ in range(n_vars)]
+    for ci, vs in enumerate(members):
+        for v in vs:
+            occ[v].append(ci)
+    sat = [0] * len(clauses)
+    seen = [0] * len(clauses)
+    assign = [-1] * n_vars
+    trail: List[int] = []
+    levels: List[Tuple[int, bool, int]] = []  # (variable, flipped, trail start)
+    qhead = nodes = props = 0
+    while True:
+        conflict = False
+        while qhead < len(trail) and not conflict:
+            v = trail[qhead]
+            qhead += 1
+            for ci in occ[v]:
+                seen[ci] += 1
+                if assign[v] == sv[ci]:
+                    sat[ci] += 1
+                elif sat[ci] == 0:
+                    rem = len(members[ci]) - seen[ci]
+                    if rem == 0:
+                        conflict = True
+                    elif rem == 1:
+                        free = [u for u in members[ci] if assign[u] < 0]
+                        if free:
+                            assign[free[0]] = sv[ci]
+                            trail.append(free[0])
+                            props += 1
+        if not conflict:
+            for perm in generators:
+                for p, q in enumerate(perm):
+                    if p == q:
+                        continue
+                    a, b = assign[p], assign[q]
+                    if a < 0 or b < 0:
+                        break
+                    if a != b:
+                        conflict = a == 0
+                        break
+                if conflict:
+                    break
+        if conflict:
+            while levels:
+                var, flipped, start = levels.pop()
+                for t in range(len(trail) - 1, start - 1, -1):
+                    w = trail[t]
+                    if t < qhead:
+                        for ci in occ[w]:
+                            seen[ci] -= 1
+                            if assign[w] == sv[ci]:
+                                sat[ci] -= 1
+                    assign[w] = -1
+                del trail[start:]
+                qhead = min(qhead, start)
+                if not flipped:
+                    levels.append((var, True, start))
+                    assign[var] = 0
+                    trail.append(var)
+                    nodes += 1
+                    break
+            else:
+                return "UNSAT", nodes, props, None
+            continue
+        free = [v for v in range(n_vars) if assign[v] < 0]
+        if not free:
+            return "SAT", nodes, props, assign
+        levels.append((free[0], False, len(trail)))
+        assign[free[0]] = 1
+        trail.append(free[0])
+        nodes += 1

@@ -147,6 +147,26 @@ def test_usage_errors(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_malformed_coloring_file_is_usage_error(tmp_path):
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"n_vertices": 6, "bits": "00"}))
+    code = main(["extract", "--lemma", "adjacent-pair", "--coloring",
+                 str(cpath), "--dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+
+
+def test_internal_error_is_not_usage_error(tmp_path, monkeypatch):
+    import ramsey_lab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("kernel bug")
+
+    monkeypatch.setattr(cli, "decide_arrowing", broken)
+    with pytest.raises(TypeError, match="kernel bug"):
+        main(["arrow", "--k", "3", "--n-vertices", "6", "--red", "cycle:3",
+              "--blue", "cycle:3", "--dir", str(tmp_path)])
+
+
 def test_report_deterministic_modulo_timings(tmp_path):
     out = tmp_path / "rep.json"
 

@@ -1,7 +1,9 @@
 """Arrowing engine vs complete enumeration, value scans, tables, checker."""
 
+import hashlib
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from ramsey_lab.coloring import (
     split_coloring,
 )
 from ramsey_lab.core import cycle_template, path_template
-from ramsey_lab.embedder import find_embedding
+from ramsey_lab.embedder import copy_rank_matrix, find_embedding
 from ramsey_lab.prover import (
     compute_ramsey,
     decide_arrowing,
@@ -55,6 +57,7 @@ def test_arrowing_budget_unknown():
                         max_nodes=2)
     assert v.status == "UNKNOWN"
     assert v.budget.get("max_nodes") == 2
+    assert (v.stats["nodes"], v.stats["propagations"]) == (2, 0)
 
 
 def test_symmetry_flag_agrees():
@@ -71,6 +74,81 @@ def test_determinism():
     assert a.status == b.status
     assert (a.witness.bits.tobytes() if a.witness is not None else None) == \
            (b.witness.bits.tobytes() if b.witness is not None else None)
+
+
+# ------------------------------------------------------- exact search counts
+
+# (k, N, red, blue, symmetry) -> (status, nodes, propagations, sha256 of the
+# witness bits).  Recorded from the earlier scalar kernel, which propagated
+# one clause at a time; any kernel must reproduce them exactly, because the
+# branching order is fixed and unit propagation enqueues in clause order.
+EXACT_COUNTS = {
+    (3, 6, ("cycle", 3), ("cycle", 3), False):
+        ("SAT", 5, 15, "7ddc56ba4fa8497dc30f89d981a8c9e7c9b1699ca937569d9aeafe1eb3cbf5a6"),
+    (3, 7, ("cycle", 3), ("cycle", 3), False): ("UNSAT", 94, 1124, None),
+    (3, 7, ("path", 3), ("path", 3), False):
+        ("SAT", 11, 24, "2b08c337be9067b1992ceea15909d7037797c8ebc51fdfebb80e34b456663090"),
+    (3, 8, ("path", 3), ("path", 3), False): ("UNSAT", 94, 2178, None),
+    (3, 8, ("path", 3), ("path", 3), True): ("UNSAT", 38, 550, None),
+    (3, 8, ("cycle", 4), ("cycle", 3), False):
+        ("SAT", 21, 35, "7504ad94e13b983662099ef77f188710172ce89190248acc6fd87302c33b396c"),
+    (3, 9, ("cycle", 4), ("cycle", 3), True): ("UNSAT", 250, 4596, None),
+    (3, 9, ("cycle", 4), ("cycle", 3), False): ("UNSAT", 3922, 119592, None),
+    (3, 9, ("path", 4), ("path", 3), False):
+        ("SAT", 36, 48, "bee86e869c610cca8459489cc22799b50792feeec1fc18a1806a4ac8c11a14d7"),
+    (3, 8, ("cycle", 4), ("cycle", 4), False):
+        ("SAT", 35, 21, "7504ad94e13b983662099ef77f188710172ce89190248acc6fd87302c33b396c"),
+    (4, 9, ("cycle", 3), ("cycle", 3), False):
+        ("SAT", 36, 90, "48fd22b86848e26d4880a3992b663c6c75d48ba8db3ae34c7d8356554c24b9b0"),
+}
+
+
+def _fam(k, fam):
+    kind, n = fam
+    return cycle_template(k, n) if kind == "cycle" else path_template(k, n)
+
+
+@pytest.mark.parametrize("case", list(EXACT_COUNTS), ids=lambda c: (
+    f"k{c[0]}-{c[2][0][0]}{c[2][1]}{c[3][0][0]}{c[3][1]}@{c[1]}"
+    + ("-sym" if c[4] else "")))
+def test_exact_search_counts(case):
+    k, N, red, blue, symmetry = case
+    v = decide_arrowing(k, N, _fam(k, red), _fam(k, blue), symmetry=symmetry)
+    status, nodes, props, digest = EXACT_COUNTS[case]
+    assert (v.status, v.stats["nodes"], v.stats["propagations"]) == \
+        (status, nodes, props)
+    got = None if v.witness is None else \
+        hashlib.sha256(v.witness.bits.tobytes()).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("red,blue", list(itertools.product(TEMPLATES, repeat=2)))
+def test_search_matches_reference_rule(N, red, blue, symmetry):
+    # the plain-list loop over the exported CNF takes the same branches
+    text, _ = export_dimacs(3, N, _t(3, red), _t(3, blue))
+    n_vars, clauses = O.parse_dimacs(text)
+    gens = O.oracle_transpositions(N, 3) if symmetry else ()
+    status, nodes, props, model = O.counting_dpll(n_vars, clauses, gens)
+    v = decide_arrowing(3, N, _t(3, red), _t(3, blue), symmetry=symmetry)
+    assert (v.status, v.stats["nodes"], v.stats["propagations"]) == \
+        (status, nodes, props)
+    if status == "SAT":
+        assert v.witness.bits.tolist() == model
+
+
+def test_time_budget_honored():
+    # the full search takes thousands of nodes; warm the copy matrices so
+    # the budget is spent searching, then the deadline must stop it
+    c4, c3 = cycle_template(3, 4), cycle_template(3, 3)
+    copy_rank_matrix(9, 3, c4)
+    copy_rank_matrix(9, 3, c3)
+    t0 = time.monotonic()
+    v = decide_arrowing(3, 9, c4, c3, max_secs=0.2)
+    assert time.monotonic() - t0 < 2.0
+    assert v.status == "UNKNOWN"
+    assert v.stats["nodes"] < EXACT_COUNTS[(3, 9, ("cycle", 4), ("cycle", 3), False)][1]
 
 
 # ------------------------------------------------------------ exact values
@@ -206,3 +284,9 @@ def test_malformed_certificate_raises():
         verify_certificate(cert)
     with pytest.raises(ValueError, match="malformed-certificate"):
         verify_certificate({"not": "a-cert"})
+    nested = make_certificate("witness-coloring", c,
+                              {"red_target": {"length": 3},
+                               "blue_target": {"kind": "cycle", "length": 3},
+                               "n_vertices": 5}, lemma="x")
+    with pytest.raises(ValueError, match="malformed-certificate"):
+        verify_certificate(nested)
