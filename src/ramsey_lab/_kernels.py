@@ -53,7 +53,7 @@ def dpll_step(assign, trail, dvar, dflip, dtrail, cnt, clauses, occ, sym,
     A node is a decision or a phase flip.  Branching takes the lowest
     unassigned variable, `phase_first` first.  `sym` holds one
     (moved, image) pair per symmetry generator: the positions the generator
-    moves and their images; a partial assignment is pruned when, at the
+    moves, never none, and their images; a partial assignment is pruned when, at the
     first moved position where it is unassigned or differs from its image,
     it reads blue against red (the lex-leader order puts red first).  An
     empty `sym` turns symmetry breaking off.

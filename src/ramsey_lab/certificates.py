@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coloring import TwoColoring
+from .coloring import TwoColoring, decoding
 
 CERT_TYPES = ("witness-coloring", "embedding", "pair-set", "join-trace",
               "configuration")
@@ -49,15 +49,9 @@ class Certificate:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Certificate":
-        for key in ("type", "coloring", "payload"):
-            if key not in obj:
-                raise ValueError(f"malformed-certificate: missing {key!r}")
-        try:
-            payload, meta = dict(obj["payload"]), dict(obj.get("meta", {}))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed-certificate: {exc}") from exc
-        return cls(obj["type"], TwoColoring.from_json_obj(obj["coloring"]),
-                   payload, meta)
+        with decoding("certificate"):
+            return cls(obj["type"], TwoColoring.from_json_obj(obj["coloring"]),
+                       dict(obj["payload"]), dict(obj.get("meta", {})))
 
     def save(self, path, explicit_coloring: bool = False) -> None:
         with open(path, "w") as fh:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -23,6 +24,18 @@ BLUE = 0
 
 HEX_ENCODING = "colex-bits-hex"
 EXPLICIT_ENCODING = "red-edges-explicit"
+
+
+@contextmanager
+def decoding(what: str):
+    """Report a missing or ill-typed field of an input document as the
+    ValueError `malformed-<what>`.  Wrap whole decode calls in it and no
+    check: under it a KeyError or TypeError can only mean bad input."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"malformed-{what}: missing or invalid field {exc}") from exc
 
 
 def edge_rank(e: Iterable[int], N: int, k: int) -> int:
@@ -170,26 +183,21 @@ class TwoColoring:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TwoColoring":
-        try:
+        with decoding("coloring"):
             k = int(obj["k"])
             N = int(obj["n_vertices"])
-            red_bit = obj.get("red_bit", RED)
-            red_edges = obj["red_edges"] if "red_edges" in obj else None
-            hex_bits = obj["bits"] if red_edges is None else None
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed coloring: missing or invalid field {exc}") from exc
-        if red_bit != RED:
-            raise ValueError("unsupported red_bit convention")
-        n_edges = math.comb(N, k)
-        if red_edges is not None:
-            return cls.from_red_edges(k, N, red_edges)
-        raw = bytes.fromhex(hex_bits)
-        if len(raw) != (n_edges + 7) // 8:
-            raise ValueError(f"bit payload has {len(raw)} bytes, "
-                             f"expected {(n_edges + 7) // 8}")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                             bitorder="little")[:n_edges]
-        return cls(k, N, bits)
+            if obj.get("red_bit", RED) != RED:
+                raise ValueError("unsupported red_bit convention")
+            n_edges = math.comb(N, k)
+            if "red_edges" in obj:
+                return cls.from_red_edges(k, N, obj["red_edges"])
+            raw = bytes.fromhex(obj["bits"])
+            if len(raw) != (n_edges + 7) // 8:
+                raise ValueError(f"bit payload has {len(raw)} bytes, "
+                                 f"expected {(n_edges + 7) // 8}")
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                                 bitorder="little")[:n_edges]
+            return cls(k, N, bits)
 
     def save(self, path, explicit: bool = False) -> None:
         with open(path, "w") as fh:

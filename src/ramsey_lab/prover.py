@@ -23,7 +23,6 @@ import json
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,8 +30,9 @@ import numpy as np
 
 from . import _kernels
 from ._backend import BACKEND
-from .coloring import TwoColoring, all_edges, edge_rank
-from .core import CYCLE, PATH, LooseTemplate, cycle_template, path_template
+from .coloring import TwoColoring, all_edges, decoding, edge_rank
+from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
+                   path_template)
 from .embedder import copy_rank_matrix, find_embedding
 
 # nodes per kernel call; budgets are checked between calls, and 64 nodes
@@ -139,7 +139,8 @@ def _perm_tables(N: int, k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     """(moved, image) per adjacent vertex transposition (u, u+1).
 
     `moved` lists, ascending, the edge ranks the transposition moves and
-    `image` their images.
+    `image` their images.  A transposition that moves no edge (N == k, where
+    the one edge holds every vertex) never prunes and is left out.
     """
     edges = all_edges(N, k)
     tables = []
@@ -152,8 +153,9 @@ def _perm_tables(N: int, k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
                                       for x in e))
                 moved.append(r)
                 image.append(edge_rank(mapped, N, k))
-        tables.append((np.array(moved, dtype=np.intp),
-                       np.array(image, dtype=np.intp)))
+        if moved:
+            tables.append((np.array(moved, dtype=np.intp),
+                           np.array(image, dtype=np.intp)))
     return tables
 
 
@@ -445,15 +447,30 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
 # certificate verification
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _decoding():
-    """Report a payload field that is missing or of the wrong shape as a
-    malformed certificate; only decoding runs under it, never a check."""
-    try:
-        yield
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(
-            f"malformed-certificate: missing or invalid field {exc}") from exc
+def _decode_payload(cert) -> tuple:
+    """The typed fields of a certificate's payload, decoded but unchecked."""
+    from .constructive import BichromaticPair, GoodConfiguration
+    from .embedder import Embedding
+
+    p = cert.payload
+    if cert.type == "witness-coloring":
+        return (_template_of(cert.coloring.k, (p["red_target"]["kind"],
+                                               p["red_target"]["length"])),
+                _template_of(cert.coloring.k, (p["blue_target"]["kind"],
+                                               p["blue_target"]["length"])),
+                int(p["n_vertices"]))
+    if cert.type == "embedding":
+        return (Embedding.from_json_obj(p["embedding"]),)
+    if cert.type == "pair-set":
+        return ([BichromaticPair.from_json_obj(o) for o in p["pairs"]],
+                bool(p.get("disjoint")))
+    if cert.type == "join-trace":
+        result = p.get("result")
+        return ([(as_edge(step["edge"]), step["color"]) for step in p["steps"]],
+                None if result is None else Embedding.from_json_obj(result))
+    if cert.type == "configuration":
+        return (GoodConfiguration.from_json_obj(p["configuration"]),)
+    raise ValueError(f"malformed-certificate: unknown type {cert.type!r}")
 
 
 def verify_certificate(cert) -> Tuple[bool, dict]:
@@ -464,29 +481,21 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     semantic failures come back as ok=False with machine-readable reasons.
     """
     from .certificates import Certificate
-    from .embedder import Embedding, verify_embedding
+    from .constructive import validate_good_configuration
+    from .embedder import verify_embedding
 
     if isinstance(cert, dict):
         cert = Certificate.from_json_obj(cert)
     if not isinstance(cert, Certificate):
         raise ValueError("malformed-certificate: not a certificate")
+    with decoding("certificate"):
+        fields = _decode_payload(cert)
     c = cert.coloring
-    payload = cert.payload
     reasons: List[str] = []
     report: dict = {"type": cert.type, "reasons": reasons}
 
-    def need(key):
-        if key not in payload:
-            raise ValueError(f"malformed-certificate: missing payload key {key!r}")
-        return payload[key]
-
     if cert.type == "witness-coloring":
-        with _decoding():
-            red = _template_of(c.k, (need("red_target")["kind"],
-                                     need("red_target")["length"]))
-            blue = _template_of(c.k, (need("blue_target")["kind"],
-                                      need("blue_target")["length"]))
-            n_vertices = int(need("n_vertices"))
+        red, blue, n_vertices = fields
         if n_vertices != c.n_vertices:
             reasons.append("host-size-mismatch")
         hit = find_embedding(c, "red", red)
@@ -498,28 +507,20 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             reasons.append("blue-copy-found")
             report["blue_copy"] = hit.to_json_obj()
     elif cert.type == "embedding":
-        with _decoding():
-            emb = Embedding.from_json_obj(need("embedding"))
-        res = verify_embedding(c, emb)
+        res = verify_embedding(c, fields[0])
         if not res:
             reasons.append(res.reason)
     elif cert.type == "pair-set":
-        from .constructive import BichromaticPair
-        with _decoding():
-            pairs = [BichromaticPair.from_json_obj(o) for o in need("pairs")]
+        pairs, disjoint = fields
         for i, p in enumerate(pairs):
             ok, why = p.validate(c)
             if not ok:
                 reasons.append(f"pair-{i}:{why}")
-        if payload.get("disjoint") and len(pairs) == 2:
+        if disjoint and len(pairs) == 2:
             if pairs[0].union & pairs[1].union:
                 reasons.append("pairs-not-disjoint")
     elif cert.type == "join-trace":
-        with _decoding():
-            steps = [(tuple(sorted(step["edge"])), step["color"])
-                     for step in need("steps")]
-            result = payload.get("result")
-            result = None if result is None else Embedding.from_json_obj(result)
+        steps, result = fields
         for i, (e, want) in enumerate(steps):
             if c.color_of(e) != want:
                 reasons.append("edge-color-mismatch")
@@ -529,13 +530,8 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             if not res:
                 reasons.append(f"result:{res.reason}")
     elif cert.type == "configuration":
-        from .constructive import GoodConfiguration, validate_good_configuration
-        with _decoding():
-            cfg = GoodConfiguration.from_json_obj(need("configuration"))
-        res = validate_good_configuration(c, cfg)
+        res = validate_good_configuration(c, fields[0])
         if not res[0]:
             reasons.append(res[1])
-    else:
-        raise ValueError(f"malformed-certificate: unknown type {cert.type!r}")
 
     return (not reasons), report

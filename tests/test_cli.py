@@ -147,12 +147,43 @@ def test_usage_errors(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_malformed_coloring_file_is_usage_error(tmp_path):
+def test_arrow_symmetry_at_host_size_k(tmp_path):
+    code, rep = run(tmp_path, "arrow", "--k", "3", "--n-vertices", "3",
+                    "--red", "path:1", "--blue", "path:1", "--symmetry")
+    assert code == EXIT_UNSAT
+    assert rep["results"]["status"] == "UNSAT"
+
+
+@pytest.mark.parametrize("obj", [
+    {"n_vertices": 6, "bits": "00"},
+    {"k": 3, "n_vertices": 6, "bits": 123},
+    {"k": 3, "n_vertices": 6, "red_edges": 5},
+    {"k": 3, "n_vertices": 6, "red_edges": [5]},
+    {"k": 3, "n_vertices": 6, "red_edges": [[1, 2, 99]]},
+    7,
+])
+def test_malformed_coloring_file_is_usage_error(tmp_path, obj):
     cpath = tmp_path / "c.json"
-    cpath.write_text(json.dumps({"n_vertices": 6, "bits": "00"}))
+    cpath.write_text(json.dumps(obj))
     code = main(["extract", "--lemma", "adjacent-pair", "--coloring",
                  str(cpath), "--dir", str(tmp_path)])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("obj", [
+    7,
+    [1, 2],
+    {"type": "embedding", "payload": {}},
+    {"type": "embedding", "payload": [5],
+     "coloring": TwoColoring.all_red(3, 6).to_json_obj()},
+    {"type": "join-trace", "payload": {"steps": [{"edge": [None], "color": "red"}]},
+     "coloring": TwoColoring.all_red(3, 6).to_json_obj()},
+])
+def test_malformed_certificate_file_is_usage_error(tmp_path, obj):
+    cpath = tmp_path / "c.cert.json"
+    cpath.write_text(json.dumps(obj))
+    assert main(["check-cert", "--file", str(cpath),
+                 "--dir", str(tmp_path)]) == EXIT_USAGE
 
 
 def test_internal_error_is_not_usage_error(tmp_path, monkeypatch):

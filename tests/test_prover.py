@@ -100,6 +100,10 @@ EXACT_COUNTS = {
         ("SAT", 35, 21, "7504ad94e13b983662099ef77f188710172ce89190248acc6fd87302c33b396c"),
     (4, 9, ("cycle", 3), ("cycle", 3), False):
         ("SAT", 36, 90, "48fd22b86848e26d4880a3992b663c6c75d48ba8db3ae34c7d8356554c24b9b0"),
+    # N == k: the one edge holds every vertex, so no transposition moves it
+    (3, 3, ("path", 1), ("path", 1), True): ("UNSAT", 2, 0, None),
+    (3, 3, ("path", 1), ("path", 2), True):
+        ("SAT", 2, 0, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
 }
 
 
