@@ -1,10 +1,10 @@
-"""Hot kernels: the DPLL search step and the brute-force coloring sweeps.
+"""The library's only search kernel: a resumable, numpy-vectorized DPLL step.
 
-The search kernel is resumable: all state lives in caller-owned arrays,
-and each call explores at most `chunk` nodes before yielding control back
-with status PAUSED.  Unit propagation is vectorized with numpy: each
-propagated trail entry updates its whole occurrence slice at once, so no
-Python loop runs per clause or per literal.
+All search state lives in caller-owned arrays, and each call explores at
+most `chunk` nodes before yielding control back with status PAUSED.
+Unit propagation is vectorized with numpy: each propagated trail entry
+updates its whole occurrence slice at once, so no Python loop runs per
+clause or per literal.
 
 Clause model: one variable per host edge, value 1 = red.  A clause is a
 copy of a forbidden monochromatic structure; red copies are satisfied by
@@ -160,53 +160,3 @@ def dpll_step(assign, trail, dvar, dflip, dtrail, cnt, clauses, occ, sym,
     st[:6] = (tlen, nlev, qhead, nodes, props, hint)
     return rc
 
-
-def sweep_colorings(red_masks, blue_masks, start, stop):
-    """Scan coloring bitmasks in [start, stop); return first admissible or -1.
-
-    A coloring x is admissible when no red mask is fully inside x and no
-    blue mask is fully outside it.  Early-exit scalar loop; the numpy
-    backend replaces this with the chunked vectorized sweep below.
-    """
-    for x in range(start, stop):
-        ok = True
-        for i in range(red_masks.shape[0]):
-            m = red_masks[i]
-            if x & m == m:
-                ok = False
-                break
-        if ok:
-            for i in range(blue_masks.shape[0]):
-                if x & blue_masks[i] == 0:
-                    ok = False
-                    break
-        if ok:
-            return x
-    return -1
-
-
-def sweep_colorings_numpy(red_masks, blue_masks, start, stop, chunk=1 << 16):
-    """Vectorized equivalent of sweep_colorings for the numpy backend."""
-    # callers pass int64 or uint64 masks; mixing either with the uint64
-    # chunk below is an unsafe cast numpy refuses, so normalize here
-    red_masks = np.asarray(red_masks, dtype=np.uint64)
-    blue_masks = np.asarray(blue_masks, dtype=np.uint64)
-    lo = start
-    while lo < stop:
-        hi = min(lo + chunk, stop)
-        xs = np.arange(lo, hi, dtype=np.uint64)
-        good = np.ones(xs.shape[0], dtype=bool)
-        for m in red_masks:
-            good &= (xs & m) != m
-            if not good.any():
-                break
-        if good.any():
-            for m in blue_masks:
-                good &= (xs & m) != 0
-                if not good.any():
-                    break
-        idx = np.flatnonzero(good)
-        if idx.size:
-            return int(xs[idx[0]])
-        lo = hi
-    return -1

@@ -8,7 +8,8 @@ artifacts such as colorings, certificates and CNF files are written next
 to the invocation under ``--dir``.
 
 Exit codes: 0 success (SAT or claim), 10 UNSAT, 20 UNKNOWN or budget
-exhausted, 2 usage error, 3 hypothesis violation, 4 proof gap.
+exhausted, 2 usage error, 3 hypothesis violation, 4 proof gap (the gap's
+instance is written under ``--dir`` as ``<subcommand>.proofgap.json``).
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _run_arrow(args, report: dict) -> int:
     verdict = decide_arrowing(
         args.k, args.n_vertices, _template(args.k, red), _template(args.k, blue),
         max_nodes=args.max_nodes, max_secs=args.max_secs,
-        symmetry=args.symmetry, threads=args.threads)
+        symmetry=args.symmetry)
     report["results"] = verdict.to_json_obj()
     if verdict.status == "SAT" and verdict.witness is not None:
         stem = f"arrow-k{args.k}-N{args.n_vertices}"
@@ -190,7 +191,7 @@ def _run_ramsey(args, report: dict) -> int:
     claim = compute_ramsey(
         args.k, red, blue,
         max_nodes=args.max_nodes, max_secs=args.max_secs,
-        symmetry=args.symmetry, threads=args.threads, max_N=args.max_N)
+        symmetry=args.symmetry, max_N=args.max_N)
     report["results"] = claim.to_json_obj()
     if claim.witness is not None:
         stem = f"ramsey-k{args.k}-{red[0]}{red[1]}-{blue[0]}{blue[1]}"
@@ -346,7 +347,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--max-secs", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--symmetry", action="store_true",
                    help="enable lex-leader symmetry breaking in the engine")
 
@@ -471,6 +471,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_HYPOTHESIS
     except ProofGap as exc:
         report["results"] = {"error": "proof-gap", "detail": str(exc)}
+        if exc.instance is not None:
+            path = _artifact(args, f"{args.subcommand}.proofgap.json")
+            with open(path, "w") as fh:
+                json.dump(exc.instance, fh, indent=2)
+            report["results"]["instance"] = path
         _emit(report, args, t0)
         print(f"proof-gap: {exc}", file=sys.stderr)
         return EXIT_GAP

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
+import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
@@ -30,6 +32,7 @@ import numpy as np
 
 from .coloring import TwoColoring, edge_rank
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
+from .errors import SearchBudgetExceeded
 
 
 class _Unknown:
@@ -357,87 +360,6 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
     return emb
 
 
-def iter_embeddings(c: TwoColoring, color: str, t: LooseTemplate,
-                    fixed: Optional[Dict[int, int]] = None, *,
-                    within: Optional[Iterable[int]] = None) -> Iterator[Embedding]:
-    """Yield all embeddings, one representative per interior permutation.
-
-    Complete enumeration (no twin pruning); intended for small windows.
-    Each copy still appears once per traversal direction / rotation the
-    template admits, since those move connectors, not interiors.
-    """
-    if t.k != c.k:
-        raise ValueError(f"incompatible-uniformity: template k={t.k}, host k={c.k}")
-    N = c.n_vertices
-    fixed = dict(fixed) if fixed else {}
-    hosts = sorted(set(within)) if within is not None else list(range(1, N + 1))
-    edges = t.edges
-    degree: Dict[int, int] = {}
-    for e in edges:
-        for v in e:
-            degree[v] = degree.get(v, 0) + 1
-    want = None if color == "any" else (1 if color == "red" else 0)
-
-    assign: Dict[int, int] = dict(fixed)
-    used = set(assign.values())
-    remaining = [sum(1 for v in e if v not in assign) for e in edges]
-    pos_edges: Dict[int, list] = {}
-    for i, e in enumerate(edges):
-        for v in e:
-            pos_edges.setdefault(v, []).append(i)
-
-    def edge_ok(i: int) -> bool:
-        if want is None:
-            return True
-        img = tuple(sorted(assign[v] for v in edges[i]))
-        return c.bits[_rank(img)] == want
-
-    for i in range(len(edges)):
-        if remaining[i] == 0 and not edge_ok(i):
-            return
-
-    slots = []
-    seen_pos = set()
-    for i, e in enumerate(edges):
-        prev_free = None
-        for v in e:
-            if v in seen_pos or v in assign:
-                seen_pos.add(v)
-                continue
-            seen_pos.add(v)
-            if degree[v] == 1:
-                slots.append((v, prev_free))
-                prev_free = v
-            else:
-                slots.append((v, None))
-
-    def rec(si: int):
-        if si == len(slots):
-            emb = Embedding(t, tuple(assign[j] for j in range(1, t.n_vertices + 1)), color)
-            yield emb
-            return
-        p, class_prev = slots[si]
-        lo = assign[class_prev] if class_prev is not None else 0
-        for v in hosts:
-            if v <= lo or v in used:
-                continue
-            assign[p] = v
-            used.add(v)
-            ok = True
-            for ei in pos_edges[p]:
-                remaining[ei] -= 1
-                if remaining[ei] == 0 and not edge_ok(ei):
-                    ok = False
-            if ok:
-                yield from rec(si + 1)
-            for ei in pos_edges[p]:
-                remaining[ei] += 1
-            del assign[p]
-            used.discard(v)
-
-    yield from rec(0)
-
-
 # ---------------------------------------------------------------------------
 # copy enumeration over the complete host
 # ---------------------------------------------------------------------------
@@ -515,12 +437,38 @@ def iter_copies(N: int, k: int, t: LooseTemplate) -> Iterator[Tuple[Edge, ...]]:
 
 _COPY_CACHE: Dict[tuple, np.ndarray] = {}
 
+_DEADLINE_EVERY = 4096  # copies enumerated between deadline checks
 
-def copy_rank_matrix(N: int, k: int, t: LooseTemplate) -> np.ndarray:
+
+def _until(copies: Iterator, deadline: float) -> Iterator:
+    """Pass `copies` through; raise SearchBudgetExceeded once `deadline` passes."""
+    for i, copy in enumerate(copies):
+        if i % _DEADLINE_EVERY == 0 and time.monotonic() >= deadline:
+            raise SearchBudgetExceeded("copy enumeration passed the deadline")
+        yield copy
+
+
+def _save_atomic(fname: str, arr: np.ndarray) -> None:
+    """np.save through a temp file, so readers never see a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(fname),
+                               prefix=os.path.basename(fname) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, arr)
+        os.replace(tmp, fname)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
+                     deadline: Optional[float] = None) -> np.ndarray:
     """Copies of t in K^k_N as rows of ascending colex edge ranks.
 
     Rows are lexicographically sorted, so the matrix is canonical.  Cached
-    in memory, and on disk under $RAMSEY_LAB_CACHE when that is set.
+    in memory, and on disk under $RAMSEY_LAB_CACHE when that is set.  With
+    a `deadline` (a `time.monotonic()` reading), enumeration raises
+    SearchBudgetExceeded once it passes, and nothing is cached.
     """
     key = (N, k, t.kind, t.n)
     hit = _COPY_CACHE.get(key)
@@ -534,14 +482,17 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate) -> np.ndarray:
             arr = np.load(fname)
             _COPY_CACHE[key] = arr
             return arr
+    copies = iter_copies(N, k, t)
+    if deadline is not None:
+        copies = _until(copies, deadline)
     rows = sorted(tuple(sorted(edge_rank(e, N, k) for e in copy))
-                  for copy in iter_copies(N, k, t))
+                  for copy in copies)
     arr = np.array(rows, dtype=np.int64) if rows else np.empty((0, t.n), dtype=np.int64)
     arr.flags.writeable = False
     _COPY_CACHE[key] = arr
     if fname:
         os.makedirs(cache_dir, exist_ok=True)
-        np.save(fname, arr)
+        _save_atomic(fname, arr)
     return arr
 
 

@@ -27,7 +27,8 @@ class ProofGap(RuntimeError):
     """A guaranteed construction could not be completed.
 
     This signals an implementation bug or a genuine counterexample; the
-    offending instance is attached under .instance for dumping.
+    offending instance is attached under .instance, and the CLI writes it
+    to `--dir` as `<subcommand>.proofgap.json`.
     """
 
     def __init__(self, message: str, instance: Any = None):
@@ -36,7 +37,11 @@ class ProofGap(RuntimeError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A bounded search ran out of nodes or time without a verdict."""
+    """Copy enumeration ran past its deadline.
+
+    `decide_arrowing` turns this into an UNKNOWN verdict; nothing partial
+    is cached.
+    """
 
 
 class BlueEdgeEncountered(RuntimeError):

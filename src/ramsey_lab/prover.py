@@ -5,9 +5,9 @@ copy of the red target contributes an all-negative covering clause, every
 copy of the blue target an all-positive one.  Unit propagation over these
 clauses plus chronological backtracking is complete, so UNSAT verdicts are
 sound; witnesses are re-verified by the embedder before being returned.
-The search runs in `_kernels.dpll_step`, one numpy-vectorized kernel on
-every backend, in chunks of nodes so that node and time budgets are
-checked while it runs.
+The search runs in one process, in `_kernels.dpll_step`, the library's
+only search kernel, in chunks of nodes so that node and time budgets are
+checked while it runs; the time budget also bounds copy enumeration.
 
 Branching is deterministic: lowest-rank unassigned edge, red phase first.
 An optional lex-leader restriction under adjacent vertex transpositions
@@ -22,9 +22,8 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .coloring import TwoColoring, all_edges, decoding, edge_rank
 from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
                    path_template)
 from .embedder import copy_rank_matrix, find_embedding
+from .errors import SearchBudgetExceeded
 
 # nodes per kernel call; budgets are checked between calls, and 64 nodes
 # take well under a second even on the largest instances
@@ -94,7 +94,8 @@ def _template_of(k: int, family: Tuple[str, int]) -> LooseTemplate:
     raise ValueError(f"invalid-parameter: unknown template kind {kind!r}")
 
 
-def _build_instance(k: int, N: int, red_t: LooseTemplate, blue_t: LooseTemplate):
+def _build_instance(k: int, N: int, red_t: LooseTemplate, blue_t: LooseTemplate,
+                    deadline: Optional[float]):
     """The search kernel's clause arrays, built from the two copy matrices.
 
     Returns (E, clauses, clen, occ): the int32 literal matrix with red
@@ -102,11 +103,12 @@ def _build_instance(k: int, N: int, red_t: LooseTemplate, blue_t: LooseTemplate)
     clause lengths; and per variable v the pair of int32 views occ[v][x]
     into one buffer, listing the clauses containing v that value x
     satisfies (x = 0 the red copies, x = 1 the blue ones) in ascending
-    order.
+    order.  Raises SearchBudgetExceeded when copy enumeration passes
+    `deadline`.
     """
     E = math.comb(N, k)
-    red_rows = copy_rank_matrix(N, k, red_t)
-    blue_rows = copy_rank_matrix(N, k, blue_t)
+    red_rows = copy_rank_matrix(N, k, red_t, deadline=deadline)
+    blue_rows = copy_rank_matrix(N, k, blue_t, deadline=deadline)
     n_red, n_blue = red_rows.shape[0], blue_rows.shape[0]
     width = max(red_rows.shape[1], blue_rows.shape[1])
     clauses = np.full((n_red + n_blue, width), E, dtype=np.int32, order="F")
@@ -159,19 +161,14 @@ def _perm_tables(N: int, k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     return tables
 
 
-def _solve_single(k: int, N: int, red_fam: Tuple[str, int], blue_fam: Tuple[str, int],
-                  assumptions: Sequence[Tuple[int, int]],
-                  max_nodes: Optional[int], deadline: Optional[float],
-                  symmetry: bool) -> dict:
-    """One complete (or budgeted) engine run; returns a plain-dict result.
+def _search(E: int, clauses, clen, occ, sym, max_nodes: Optional[int],
+            deadline: Optional[float]):
+    """Run the kernel to a verdict or the budget.
 
-    `deadline` is a `time.monotonic()` reading; it is checked before every
-    kernel call of at most _CHUNK nodes.
+    Returns (status, nodes, propagations, assign, secs).  `deadline` is a
+    `time.monotonic()` reading, checked before every kernel call of at
+    most _CHUNK nodes.
     """
-    red_t = _template_of(k, red_fam)
-    blue_t = _template_of(k, blue_fam)
-    E, clauses, clen, occ = _build_instance(k, N, red_t, blue_t)
-
     assign = np.full(E + 1, -1, dtype=np.int8)
     assign[E] = 0  # the padding sentinel always reads as assigned
     trail = np.zeros(max(E, 1), dtype=np.int32)
@@ -180,24 +177,10 @@ def _solve_single(k: int, N: int, red_fam: Tuple[str, int], blue_fam: Tuple[str,
     dtrail = np.zeros(max(E, 1), dtype=np.int32)
     cnt = np.negative(clen)
     st = np.zeros(8, dtype=np.int64)
-    sym = _perm_tables(N, k) if symmetry else ()
 
     t0 = time.monotonic()
-    status = None
-    for var, val in assumptions:
-        if not 0 <= var < E:
-            raise ValueError(f"invalid-parameter: assumption variable {var}")
-        if assign[var] >= 0:
-            if assign[var] != val:
-                status = _kernels.UNSAT
-            continue
-        assign[var] = val
-        trail[st[_kernels.ST_TLEN]] = var
-        st[_kernels.ST_TLEN] += 1
-
-    if E == 0:
-        status = _kernels.SAT  # empty host: nothing to color, nothing forbidden
-
+    # empty host: nothing to color, nothing forbidden
+    status = _kernels.SAT if E == 0 else None
     while status is None:
         chunk = _CHUNK
         if max_nodes is not None:
@@ -213,101 +196,47 @@ def _solve_single(k: int, N: int, red_fam: Tuple[str, int], blue_fam: Tuple[str,
                                 clauses, occ, sym, 1, st, chunk)
         if rc != _kernels.PAUSED:
             status = rc
-
-    wall = time.monotonic() - t0
-    out = {
-        "status": {_kernels.SAT: "SAT", _kernels.UNSAT: "UNSAT",
-                   _kernels.PAUSED: "UNKNOWN"}[status],
-        "nodes": int(st[_kernels.ST_NODES]),
-        "propagations": int(st[_kernels.ST_PROPS]),
-        "wall_secs": wall,
-    }
-    if out["status"] == "SAT":
-        # free vars: any value works; pick red
-        bits = np.where(assign[:E] < 0, 1, assign[:E]).astype(np.uint8)
-        out["witness_bits"] = bits.tolist()
-    return out
-
-
-def _solve_task(args):
-    return _solve_single(*args)
+    secs = time.monotonic() - t0
+    return ({_kernels.SAT: "SAT", _kernels.UNSAT: "UNSAT",
+             _kernels.PAUSED: "UNKNOWN"}[status],
+            int(st[_kernels.ST_NODES]), int(st[_kernels.ST_PROPS]), assign, secs)
 
 
 def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
                     blue_target: LooseTemplate, *,
                     max_nodes: Optional[int] = None,
                     max_secs: Optional[float] = None,
-                    symmetry: bool = False,
-                    threads: int = 1) -> ArrowingVerdict:
+                    symmetry: bool = False) -> ArrowingVerdict:
     """Does every red/blue coloring of K^k_N contain a red red_target or a
     blue blue_target?  UNSAT = yes (N arrows the pair), SAT = no, with a
     verified witness coloring; UNKNOWN only on budget exhaustion.
+
+    `max_secs` is one deadline for the whole call, copy enumeration
+    included; `stats["wall_secs"]` is the search time alone.
     """
     if red_target.k != k or blue_target.k != k:
         raise ValueError("invalid-parameter: target uniformity differs from k")
     if not (isinstance(N, int) and N >= 0):
         raise ValueError(f"invalid-parameter: N={N}")
-    if threads < 1:
-        raise ValueError(f"invalid-parameter: threads={threads}")
 
-    # one deadline for the whole call, shared by every cube
     deadline = None if max_secs is None else time.monotonic() + max_secs
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
-              "symmetry": symmetry, "threads": threads, "backend": BACKEND}
-    red_fam = (red_target.kind, red_target.n)
-    blue_fam = (blue_target.kind, blue_target.n)
-    E = math.comb(N, k)
-
-    if threads == 1 or E == 0:
-        res = _solve_single(k, N, red_fam, blue_fam, (), max_nodes, deadline, symmetry)
-        results = [res]
-    else:
-        s = 1
-        while (1 << s) < 2 * threads and s < min(E, 12):
-            s += 1
-        tasks = []
-        for bitsv in range(1 << s):
-            assumptions = tuple((i, (bitsv >> i) & 1) for i in range(s))
-            tasks.append((k, N, red_fam, blue_fam, assumptions,
-                          max_nodes, deadline, symmetry))
-        results = []
-        sat_res = None
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            futs = {ex.submit(_solve_task, t) for t in tasks}
-            try:
-                while futs:
-                    done, futs = wait(futs, return_when=FIRST_COMPLETED)
-                    for f in done:
-                        r = f.result()
-                        results.append(r)
-                        if r["status"] == "SAT" and sat_res is None:
-                            sat_res = r
-                    if sat_res is not None:
-                        break
-            finally:
-                for f in futs:
-                    f.cancel()
-        if sat_res is not None:
-            results = [sat_res] + [r for r in results if r is not sat_res]
-
-    statuses = [r["status"] for r in results]
-    if "SAT" in statuses:
-        res = next(r for r in results if r["status"] == "SAT")
-        status = "SAT"
-    elif "UNKNOWN" in statuses:
-        res, status = results[0], "UNKNOWN"
-    else:
-        res, status = results[0], "UNSAT"
-
-    stats = {
-        "nodes": sum(r["nodes"] for r in results),
-        "propagations": sum(r["propagations"] for r in results),
-        "wall_secs": max(r["wall_secs"] for r in results),
-        "runs": len(results),
-    }
+              "symmetry": symmetry, "backend": BACKEND}
+    try:
+        E, clauses, clen, occ = _build_instance(k, N, red_target, blue_target,
+                                                deadline)
+    except SearchBudgetExceeded:
+        stats = {"nodes": 0, "propagations": 0, "wall_secs": 0.0}
+        return ArrowingVerdict("UNKNOWN", None, stats, budget)
+    sym = _perm_tables(N, k) if symmetry else ()
+    status, nodes, props, assign, secs = _search(E, clauses, clen, occ, sym,
+                                                 max_nodes, deadline)
+    stats = {"nodes": nodes, "propagations": props, "wall_secs": secs}
     witness = None
     if status == "SAT":
-        witness = TwoColoring(k, N, np.array(res["witness_bits"], dtype=np.uint8))
+        # free vars: any value works; pick red
+        bits = np.where(assign[:E] < 0, 1, assign[:E]).astype(np.uint8)
+        witness = TwoColoring(k, N, bits)
         for color, t in (("red", red_target), ("blue", blue_target)):
             if find_embedding(witness, color, t) is not None:
                 raise AssertionError(f"engine bug: witness contains a {color} copy")
@@ -317,7 +246,7 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
 def compute_ramsey(k: int, red_family: Tuple[str, int], blue_family: Tuple[str, int],
                    *, max_nodes: Optional[int] = None,
                    max_secs: Optional[float] = None,
-                   symmetry: bool = False, threads: int = 1,
+                   symmetry: bool = False,
                    max_N: Optional[int] = None) -> RamseyClaim:
     """Ascending-N scan for the exact Ramsey value of the target pair.
 
@@ -335,7 +264,7 @@ def compute_ramsey(k: int, red_family: Tuple[str, int], blue_family: Tuple[str, 
     N = start
     while max_N is None or N <= max_N:
         v = decide_arrowing(k, N, red_t, blue_t, max_nodes=max_nodes,
-                            max_secs=max_secs, symmetry=symmetry, threads=threads)
+                            max_secs=max_secs, symmetry=symmetry)
         stats["nodes"] += v.stats["nodes"]
         stats["propagations"] += v.stats["propagations"]
         if v.status == "SAT":

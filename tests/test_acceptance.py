@@ -86,11 +86,11 @@ def test_criterion_02_lower_bound_witnesses():
 def test_criterion_03_exact_c33_c33():
     t0 = time.perf_counter()
     t = cycle_template(3, 3)
-    sat = decide_arrowing(3, 6, t, t, threads=1)
+    sat = decide_arrowing(3, 6, t, t)
     assert sat.status == "SAT"
     _no_copy(sat.witness, "red", t)
     _no_copy(sat.witness, "blue", t)
-    unsat = decide_arrowing(3, 7, t, t, threads=1)
+    unsat = decide_arrowing(3, 7, t, t)
     assert unsat.status == "UNSAT"
     assert time.perf_counter() - t0 < 120.0
 
@@ -98,19 +98,19 @@ def test_criterion_03_exact_c33_c33():
 def test_criterion_04_exact_p33_p33_and_stretch():
     t0 = time.perf_counter()
     p = path_template(3, 3)
-    sat = decide_arrowing(3, 7, p, p, threads=1)
+    sat = decide_arrowing(3, 7, p, p)
     assert sat.status == "SAT"
     _no_copy(sat.witness, "red", p)
     _no_copy(sat.witness, "blue", p)
     # internal engine settles N = 8; no external solver on either side
-    assert decide_arrowing(3, 8, p, p, threads=1).status == "UNSAT"
+    assert decide_arrowing(3, 8, p, p).status == "UNSAT"
     # stretch tier: R(C3_4, C3_3) = 9 by the same protocol
     c4, c3 = cycle_template(3, 4), cycle_template(3, 3)
-    sat = decide_arrowing(3, 8, c4, c3, threads=1)
+    sat = decide_arrowing(3, 8, c4, c3)
     assert sat.status == "SAT"
     _no_copy(sat.witness, "red", c4)
     _no_copy(sat.witness, "blue", c3)
-    assert decide_arrowing(3, 9, c4, c3, threads=1).status == "UNSAT"
+    assert decide_arrowing(3, 9, c4, c3).status == "UNSAT"
     assert time.perf_counter() - t0 < 1800.0
 
 

@@ -136,6 +136,29 @@ def test_extract_hypothesis_violation_exit(tmp_path):
     assert rep["results"]["error"] == "hypothesis-violation"
 
 
+def test_proof_gap_dumps_instance(tmp_path, monkeypatch):
+    import ramsey_lab.cli as cli
+    from ramsey_lab.errors import ProofGap
+
+    c = TwoColoring.all_red(3, 6).with_edges([(1, 2, 3)], red=False)
+    instance = {"coloring": c.to_json_obj(), "t": 2}
+
+    def gap(*args, **kwargs):
+        raise ProofGap("no pair", instance=instance)
+
+    monkeypatch.setattr(cli, "adjacent_bichromatic_pair", gap)
+    cpath = tmp_path / "c.json"
+    c.save(cpath)
+    code, rep = run(tmp_path, "extract", "--lemma", "adjacent-pair",
+                    "--coloring", str(cpath))
+    assert code == EXIT_GAP
+    assert rep["results"]["error"] == "proof-gap"
+    path = rep["results"]["instance"]
+    assert path == str(tmp_path / "extract.proofgap.json")
+    with open(path) as fh:
+        assert json.load(fh) == instance
+
+
 def test_usage_errors(tmp_path):
     assert main(["arrow", "--k", "3"]) == EXIT_USAGE  # missing required flags
     assert main(["nonsense"]) == EXIT_USAGE

@@ -16,7 +16,6 @@ from ramsey_lab.embedder import (
     embedding_from_edge_sequence,
     find_embedding,
     is_maximal_wrt,
-    iter_embeddings,
     verify_embedding,
 )
 
@@ -51,6 +50,36 @@ def test_copy_counts_match_oracle(kind, n, N):
 
 def test_count_copies_zero_when_too_big():
     assert count_copies(5, 3, path_template(3, 3)) == 0
+
+
+def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
+    from ramsey_lab import embedder
+
+    t = cycle_template(3, 3)
+    final = tmp_path / "copies-cycle3-k3-N6.npy"
+    monkeypatch.setenv("RAMSEY_LAB_CACHE", str(tmp_path))
+
+    def torn_save(file, arr):
+        # part of a header lands, then the disk fills up
+        if isinstance(file, str):
+            with open(file, "wb") as fh:
+                fh.write(b"\x93NUMPY")
+        else:
+            file.write(b"\x93NUMPY")
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(embedder, "_COPY_CACHE", {})
+        m.setattr(embedder.np, "save", torn_save)
+        with pytest.raises(OSError):
+            embedder.copy_rank_matrix(6, 3, t)
+    assert not final.exists()
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    rows = embedder.copy_rank_matrix(6, 3, t)
+    assert [p.name for p in tmp_path.iterdir()] == [final.name]
+    assert np.array_equal(np.load(final), rows)
 
 
 # ----------------------------------------------------------------- search
@@ -90,20 +119,9 @@ def test_unknown_sentinel_semantics():
 def test_fixed_extension_only():
     c = TwoColoring.all_red(3, 7)
     t = path_template(3, 2)
-    for emb in iter_embeddings(c, "red", t, fixed={1: 4}):
-        assert emb.vertex_image(1) == 4
     got = find_embedding(c, "red", t, fixed={1: 4, 5: 6})
     assert got is not None
     assert got.vertex_image(1) == 4 and got.vertex_image(5) == 6
-
-
-def test_iter_embeddings_complete_on_small_host():
-    c = TwoColoring.all_red(3, 6)
-    t = cycle_template(3, 3)
-    # every copy has |Aut| assignments; edge-set-distinct copies = frozen 120
-    seen = {frozenset(map(frozenset, e.edge_images())) for e in
-            iter_embeddings(c, "red", t)}
-    assert len(seen) == F.COPY_COUNTS[("cycle", 3, 3, 6)]
 
 
 # ------------------------------------------------------------ verification

@@ -155,6 +155,22 @@ def test_time_budget_honored():
     assert v.stats["nodes"] < EXACT_COUNTS[(3, 9, ("cycle", 4), ("cycle", 3), False)][1]
 
 
+def test_time_budget_bounds_copy_enumeration(monkeypatch):
+    # cold, P^3_4 in K^3_10 takes seconds to enumerate; the deadline must
+    # stop the enumeration itself, and leave nothing partial in the cache
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.delenv("RAMSEY_LAB_CACHE", raising=False)
+    p4 = path_template(3, 4)
+    t0 = time.monotonic()
+    v = decide_arrowing(3, 10, p4, p4, max_secs=0.5)
+    assert time.monotonic() - t0 < 3.0
+    assert v.status == "UNKNOWN"
+    assert (v.stats["nodes"], v.stats["propagations"]) == (0, 0)
+    assert (10, 3, "path", 4) not in embedder._COPY_CACHE
+
+
 # ------------------------------------------------------------ exact values
 
 def test_exact_c33():
