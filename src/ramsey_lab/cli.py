@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from ._backend import BACKEND
 from .coloring import TwoColoring, lower_bound_witness
-from .core import LooseTemplate, cycle_template, path_template
+from .core import cycle_template, path_template
 from .certificates import Certificate, make_certificate
 from .constructive import (
     absorb_blue_path,
@@ -44,6 +44,7 @@ from .prover import (
     derive_table,
     export_dimacs,
     verify_certificate,
+    _template_of,
 )
 
 EXIT_OK = 0
@@ -64,11 +65,6 @@ def _parse_target(text: str) -> tuple:
     if kind not in ("path", "cycle"):
         raise ValueError(f"invalid-parameter: target kind {kind!r}, want path or cycle")
     return kind, n
-
-
-def _template(k: int, fam: tuple) -> LooseTemplate:
-    kind, n = fam
-    return path_template(k, n) if kind == "path" else cycle_template(k, n)
 
 
 def _parse_verts(text: str) -> tuple:
@@ -163,9 +159,9 @@ def _run_arrow(args, report: dict) -> int:
     red = _parse_target(args.red)
     blue = _parse_target(args.blue)
     verdict = decide_arrowing(
-        args.k, args.n_vertices, _template(args.k, red), _template(args.k, blue),
-        max_nodes=args.max_nodes, max_secs=args.max_secs,
-        symmetry=args.symmetry)
+        args.k, args.n_vertices, _template_of(args.k, red),
+        _template_of(args.k, blue), max_nodes=args.max_nodes,
+        max_secs=args.max_secs, symmetry=args.symmetry)
     report["results"] = verdict.to_json_obj()
     if verdict.status == "SAT" and verdict.witness is not None:
         stem = f"arrow-k{args.k}-N{args.n_vertices}"
@@ -213,6 +209,7 @@ def _run_extract(args, report: dict) -> int:
     lemma = args.lemma
     meta: dict = {}
     stem = f"extract-{lemma}"
+    max_nodes = 200_000 if args.max_nodes is None else args.max_nodes
 
     if lemma == "good-configuration":
         P = _structure("path", k, _parse_verts(args.path), "red")
@@ -228,7 +225,7 @@ def _run_extract(args, report: dict) -> int:
     elif lemma == "blue-cycle":
         C = _structure("cycle", k, _parse_verts(args.cycle), "red")
         obj = blue_cycle_from_red_shorter_cycle(
-            c, C, args.n, args.m, max_nodes=args.max_nodes or 200_000, meta=meta)
+            c, C, args.n, args.m, max_nodes=max_nodes, meta=meta)
         report["results"] = {"embedding": obj.to_json_obj(), "meta": meta}
     elif lemma == "join":
         C1 = _structure("cycle", k, _parse_verts(args.cycle1), "red")
@@ -243,7 +240,7 @@ def _run_extract(args, report: dict) -> int:
         report["results"] = {"pair": obj.to_json_obj(), "stats": stats}
     elif lemma == "disjoint-pairs":
         obj = disjoint_bichromatic_pairs(
-            c, args.t, max_nodes=args.max_nodes or 200_000, meta=meta)
+            c, args.t, max_nodes=max_nodes, meta=meta)
         report["results"] = {"pairs": [p.to_json_obj() for p in obj],
                              "meta": meta}
     elif lemma == "lift":
@@ -265,7 +262,7 @@ def _run_extract(args, report: dict) -> int:
 
 def _run_count(args, report: dict) -> int:
     fam = _parse_target(args.target)
-    t = _template(args.k, fam)
+    t = _template_of(args.k, fam)
     value = count_copies(args.n_vertices, args.k, t)
     report["results"] = {"k": args.k, "n_vertices": args.n_vertices,
                          "target": {"kind": fam[0], "length": fam[1]},
@@ -305,7 +302,8 @@ def _run_export_cnf(args, report: dict) -> int:
     red = _parse_target(args.red)
     blue = _parse_target(args.blue)
     text, sidecar = export_dimacs(
-        args.k, args.n_vertices, _template(args.k, red), _template(args.k, blue))
+        args.k, args.n_vertices, _template_of(args.k, red),
+        _template_of(args.k, blue))
     stem = args.stem or f"arrow-k{args.k}-N{args.n_vertices}"
     cnf_path = _artifact(args, stem + ".cnf")
     map_path = _artifact(args, stem + ".vars.json")

@@ -38,13 +38,17 @@ def decoding(what: str):
             f"malformed-{what}: missing or invalid field {exc}") from exc
 
 
+def colex_rank(sorted_edge: Sequence[int]) -> int:
+    """Colex rank of an ascending vertex tuple; unchecked, see edge_rank."""
+    return sum(math.comb(a - 1, i) for i, a in enumerate(sorted_edge, start=1))
+
+
 def edge_rank(e: Iterable[int], N: int, k: int) -> int:
     """Colex rank of edge e among k-subsets; 0 is {1,...,k}.
 
     N is used for validation only: rank order is independent of the host.
     """
-    t = as_edge(e, k=k, n_vertices=N)
-    return sum(math.comb(a - 1, i + 1) for i, a in enumerate(t))
+    return colex_rank(as_edge(e, k=k, n_vertices=N))
 
 
 def edge_unrank(rank: int, N: int, k: int) -> Edge:

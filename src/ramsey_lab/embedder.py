@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import TwoColoring, edge_rank
+from .coloring import TwoColoring, colex_rank
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -50,10 +50,6 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 _BUDGET = object()  # internal bubble-up marker
-
-
-def _rank(sorted_edge: Tuple[int, ...]) -> int:
-    return sum(math.comb(a - 1, i) for i, a in enumerate(sorted_edge, start=1))
 
 
 def _colex_key(e: Sequence[int]) -> Tuple[int, ...]:
@@ -131,7 +127,7 @@ def verify_embedding(c: TwoColoring, e: Embedding) -> VerifyResult:
     if e.claimed_color != "any":
         want = 1 if e.claimed_color == "red" else 0
         for img in images:
-            if c.bits[_rank(img)] != want:
+            if c.bits[colex_rank(img)] != want:
                 return VerifyResult(False, "edge-color-mismatch")
     return VerifyResult(True, None)
 
@@ -210,7 +206,7 @@ def _twin_classes(c: TwoColoring) -> Dict[int, int]:
         for T in combinations(pool, k - 1):
             eu = tuple(sorted(T + (u,)))
             ev = tuple(sorted(T + (v,)))
-            if c.bits[_rank(eu)] != c.bits[_rank(ev)]:
+            if c.bits[colex_rank(eu)] != c.bits[colex_rank(ev)]:
                 twins = False
                 break
         if twins:
@@ -284,7 +280,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
         if want is None:
             return True
         img = tuple(sorted(assign[v] for v in edges[i]))
-        return c.bits[_rank(img)] == want
+        return c.bits[colex_rank(img)] == want
 
     for i in range(len(edges)):
         if remaining[i] == 0 and not edge_ok(i):
@@ -461,13 +457,39 @@ def _save_atomic(fname: str, arr: np.ndarray) -> None:
         raise
 
 
+def _n_copies(N: int, k: int, t: LooseTemplate) -> int:
+    """Copies of t in K^k_N in closed form: N!/((N-v)! |Aut t|), v = t.n_vertices."""
+    f = math.factorial
+    if t.kind == PATH:
+        aut = f(k) if t.n == 1 else 2 * f(k - 1) ** 2 * f(k - 2) ** (t.n - 2)
+    else:
+        aut = 2 * t.n * f(k - 2) ** t.n
+    return math.perm(N, t.n_vertices) // aut
+
+
+def _load_table(fname: str, N: int, k: int, t: LooseTemplate) -> Optional[np.ndarray]:
+    """The .npy table at fname, or None unless it is shaped and ranged like
+    a fresh one: int64, one row per copy, t.n ranks in [0, C(N, k))."""
+    try:
+        with open(fname, "rb") as fh:
+            arr = np.lib.format.read_array(fh)
+    except (OSError, ValueError, EOFError):
+        return None
+    if arr.dtype != np.int64 or arr.shape != (_n_copies(N, k, t), t.n) or (
+            arr.size and not 0 <= arr.min() <= arr.max() < math.comb(N, k)):
+        return None
+    arr.flags.writeable = False
+    return arr
+
+
 def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
                      deadline: Optional[float] = None) -> np.ndarray:
     """Copies of t in K^k_N as rows of ascending colex edge ranks.
 
     Rows are lexicographically sorted, so the matrix is canonical.  Cached
-    in memory, and on disk under $RAMSEY_LAB_CACHE when that is set.  With
-    a `deadline` (a `time.monotonic()` reading), enumeration raises
+    in memory, and on disk under $RAMSEY_LAB_CACHE when that is set; a
+    disk table of the wrong shape or range is recomputed and rewritten.
+    With a `deadline` (a `time.monotonic()` reading), enumeration raises
     SearchBudgetExceeded once it passes, and nothing is cached.
     """
     key = (N, k, t.kind, t.n)
@@ -478,14 +500,14 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     fname = None
     if cache_dir:
         fname = os.path.join(cache_dir, f"copies-{t.kind}{t.n}-k{k}-N{N}.npy")
-        if os.path.exists(fname):
-            arr = np.load(fname)
+        arr = _load_table(fname, N, k, t)
+        if arr is not None:
             _COPY_CACHE[key] = arr
             return arr
     copies = iter_copies(N, k, t)
     if deadline is not None:
         copies = _until(copies, deadline)
-    rows = sorted(tuple(sorted(edge_rank(e, N, k) for e in copy))
+    rows = sorted(tuple(sorted(colex_rank(e) for e in copy))
                   for copy in copies)
     arr = np.array(rows, dtype=np.int64) if rows else np.empty((0, t.n), dtype=np.int64)
     arr.flags.writeable = False

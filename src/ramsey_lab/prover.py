@@ -5,9 +5,10 @@ copy of the red target contributes an all-negative covering clause, every
 copy of the blue target an all-positive one.  Unit propagation over these
 clauses plus chronological backtracking is complete, so UNSAT verdicts are
 sound; witnesses are re-verified by the embedder before being returned.
-The search runs in one process, in `_kernels.dpll_step`, the library's
-only search kernel, in chunks of nodes so that node and time budgets are
-checked while it runs; the time budget also bounds copy enumeration.
+`decide_arrowing` enumerates the copies and hands them to `_kernels`,
+which builds the clause instance and runs the library's only search,
+`_kernels.search`, in one process; it checks the node and time budgets
+while it runs, and the time budget also bounds copy enumeration.
 
 Branching is deterministic: lowest-rank unassigned edge, red phase first.
 An optional lex-leader restriction under adjacent vertex transpositions
@@ -29,15 +30,11 @@ import numpy as np
 
 from . import _kernels
 from ._backend import BACKEND
-from .coloring import TwoColoring, all_edges, decoding, edge_rank
+from .coloring import TwoColoring, all_edges, decoding
 from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
                    path_template)
 from .embedder import copy_rank_matrix, find_embedding
 from .errors import SearchBudgetExceeded
-
-# nodes per kernel call; budgets are checked between calls, and 64 nodes
-# take well under a second even on the largest instances
-_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -94,114 +91,6 @@ def _template_of(k: int, family: Tuple[str, int]) -> LooseTemplate:
     raise ValueError(f"invalid-parameter: unknown template kind {kind!r}")
 
 
-def _build_instance(k: int, N: int, red_t: LooseTemplate, blue_t: LooseTemplate,
-                    deadline: Optional[float]):
-    """The search kernel's clause arrays, built from the two copy matrices.
-
-    Returns (E, clauses, clen, occ): the int32 literal matrix with red
-    copies first, rows padded with the sentinel variable E; the int32
-    clause lengths; and per variable v the pair of int32 views occ[v][x]
-    into one buffer, listing the clauses containing v that value x
-    satisfies (x = 0 the red copies, x = 1 the blue ones) in ascending
-    order.  Raises SearchBudgetExceeded when copy enumeration passes
-    `deadline`.
-    """
-    E = math.comb(N, k)
-    red_rows = copy_rank_matrix(N, k, red_t, deadline=deadline)
-    blue_rows = copy_rank_matrix(N, k, blue_t, deadline=deadline)
-    n_red, n_blue = red_rows.shape[0], blue_rows.shape[0]
-    width = max(red_rows.shape[1], blue_rows.shape[1])
-    clauses = np.full((n_red + n_blue, width), E, dtype=np.int32, order="F")
-    clauses[:n_red, :red_rows.shape[1]] = red_rows
-    clauses[n_red:, :blue_rows.shape[1]] = blue_rows
-    clen = np.empty(n_red + n_blue, dtype=np.int32)
-    clen[:n_red] = red_rows.shape[1]
-    clen[n_red:] = blue_rows.shape[1]
-
-    # one scan per variable over the (column-major) matrix keeps every
-    # slice in ascending clause order; the padding never matches
-    occ_cl = np.empty(red_rows.size + blue_rows.size, dtype=np.int32)
-    hit = np.empty(n_red + n_blue, dtype=bool)
-    col_hit = np.empty_like(hit)
-    occ = []
-    pos = 0
-    for v in range(E):
-        np.equal(clauses[:, 0], v, out=hit)
-        for j in range(1, width):
-            hit |= np.equal(clauses[:, j], v, out=col_hit)
-        ids = np.flatnonzero(hit)
-        n_r = int(np.searchsorted(ids, n_red))
-        occ_cl[pos:pos + ids.size] = ids
-        occ.append((occ_cl[pos:pos + n_r], occ_cl[pos + n_r:pos + ids.size]))
-        pos += ids.size
-    return E, clauses, clen, occ
-
-
-def _perm_tables(N: int, k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """(moved, image) per adjacent vertex transposition (u, u+1).
-
-    `moved` lists, ascending, the edge ranks the transposition moves and
-    `image` their images.  A transposition that moves no edge (N == k, where
-    the one edge holds every vertex) never prunes and is left out.
-    """
-    edges = all_edges(N, k)
-    tables = []
-    for g in range(N - 1):
-        u, v = g + 1, g + 2
-        moved, image = [], []
-        for r, e in enumerate(edges):
-            if (u in e) != (v in e):
-                mapped = tuple(sorted((v if x == u else u if x == v else x)
-                                      for x in e))
-                moved.append(r)
-                image.append(edge_rank(mapped, N, k))
-        if moved:
-            tables.append((np.array(moved, dtype=np.intp),
-                           np.array(image, dtype=np.intp)))
-    return tables
-
-
-def _search(E: int, clauses, clen, occ, sym, max_nodes: Optional[int],
-            deadline: Optional[float]):
-    """Run the kernel to a verdict or the budget.
-
-    Returns (status, nodes, propagations, assign, secs).  `deadline` is a
-    `time.monotonic()` reading, checked before every kernel call of at
-    most _CHUNK nodes.
-    """
-    assign = np.full(E + 1, -1, dtype=np.int8)
-    assign[E] = 0  # the padding sentinel always reads as assigned
-    trail = np.zeros(max(E, 1), dtype=np.int32)
-    dvar = np.zeros(max(E, 1), dtype=np.int32)
-    dflip = np.zeros(max(E, 1), dtype=np.int8)
-    dtrail = np.zeros(max(E, 1), dtype=np.int32)
-    cnt = np.negative(clen)
-    st = np.zeros(8, dtype=np.int64)
-
-    t0 = time.monotonic()
-    # empty host: nothing to color, nothing forbidden
-    status = _kernels.SAT if E == 0 else None
-    while status is None:
-        chunk = _CHUNK
-        if max_nodes is not None:
-            remaining = max_nodes - int(st[_kernels.ST_NODES])
-            if remaining <= 0:
-                status = _kernels.PAUSED
-                break
-            chunk = min(chunk, remaining)
-        if deadline is not None and time.monotonic() >= deadline:
-            status = _kernels.PAUSED
-            break
-        rc = _kernels.dpll_step(assign, trail, dvar, dflip, dtrail, cnt,
-                                clauses, occ, sym, 1, st, chunk)
-        if rc != _kernels.PAUSED:
-            status = rc
-    secs = time.monotonic() - t0
-    return ({_kernels.SAT: "SAT", _kernels.UNSAT: "UNSAT",
-             _kernels.PAUSED: "UNKNOWN"}[status],
-            int(st[_kernels.ST_NODES]), int(st[_kernels.ST_PROPS]), assign, secs)
-
-
 def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
                     blue_target: LooseTemplate, *,
                     max_nodes: Optional[int] = None,
@@ -223,19 +112,22 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
               "symmetry": symmetry, "backend": BACKEND}
     try:
-        E, clauses, clen, occ = _build_instance(k, N, red_target, blue_target,
-                                                deadline)
+        red_rows = copy_rank_matrix(N, k, red_target, deadline=deadline)
+        blue_rows = copy_rank_matrix(N, k, blue_target, deadline=deadline)
     except SearchBudgetExceeded:
         stats = {"nodes": 0, "propagations": 0, "wall_secs": 0.0}
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
-    sym = _perm_tables(N, k) if symmetry else ()
-    status, nodes, props, assign, secs = _search(E, clauses, clen, occ, sym,
-                                                 max_nodes, deadline)
-    stats = {"nodes": nodes, "propagations": props, "wall_secs": secs}
+    instance = _kernels.build_instance(math.comb(N, k), red_rows, blue_rows)
+    sym = _kernels.perm_tables(N, k) if symmetry else ()
+    t0 = time.monotonic()
+    status, nodes, props, assign = _kernels.search(instance, sym, max_nodes,
+                                                   deadline)
+    stats = {"nodes": nodes, "propagations": props,
+             "wall_secs": time.monotonic() - t0}
     witness = None
     if status == "SAT":
         # free vars: any value works; pick red
-        bits = np.where(assign[:E] < 0, 1, assign[:E]).astype(np.uint8)
+        bits = np.where(assign < 0, 1, assign).astype(np.uint8)
         witness = TwoColoring(k, N, bits)
         for color, t in (("red", red_target), ("blue", blue_target)):
             if find_embedding(witness, color, t) is not None:

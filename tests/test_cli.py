@@ -96,7 +96,8 @@ def test_check_cert_accepts_and_rejects(tmp_path):
     cert_path = rep["certificates"][0]["path"]
     code, rep = run(tmp_path, "check-cert", "--file", cert_path)
     assert code == EXIT_OK
-    obj = json.loads(open(cert_path).read())
+    with open(cert_path) as fh:
+        obj = json.load(fh)
     obj["payload"]["n_vertices"] = 99
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(obj))
@@ -123,6 +124,23 @@ def test_extract_join(tmp_path):
                     "--cycle2", "10,11,12,13,14,15,16,17,18", "--ell", "3")
     assert code == EXIT_OK
     assert rep["results"]["outcome_kind"] == "red-cycle"
+
+
+def test_extract_max_nodes_zero_is_a_budget(tmp_path):
+    # the full embedding search on this split coloring meets a blue 3-cycle
+    # (exit 3); a budget of 0 nodes must stop it before that, as 1 does
+    k, t = 3, 5
+    N = t * (k - 1) + 1
+    reds = [e for e in all_edges(N, k) if max(e) <= 6 or min(e) >= 7]
+    cpath = tmp_path / "c.json"
+    TwoColoring.all_blue(k, N).with_edges(reds, red=True).save(cpath)
+    for budget in ("0", "1"):
+        code, rep = run(tmp_path, "extract", "--lemma", "disjoint-pairs",
+                        "--coloring", str(cpath), "--t", str(t),
+                        "--max-nodes", budget)
+        assert code == EXIT_OK
+        assert rep["inputs"]["max_nodes"] == int(budget)
+        assert rep["results"]["meta"]["budget_exhausted"] is True
 
 
 def test_extract_hypothesis_violation_exit(tmp_path):

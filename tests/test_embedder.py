@@ -1,5 +1,6 @@
 """Embedding search against brute-force oracles, plus maximality."""
 
+import io
 import itertools
 
 import numpy as np
@@ -80,6 +81,43 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     rows = embedder.copy_rank_matrix(6, 3, t)
     assert [p.name for p in tmp_path.iterdir()] == [final.name]
     assert np.array_equal(np.load(final), rows)
+
+
+
+def test_disk_cache_rejects_malformed_tables(tmp_path, monkeypatch):
+    # a table with half its rows, a rank out of range or a torn header is a
+    # miss: the verdict stays UNSAT and the file is rewritten; a disk hit
+    # is read-only
+    from ramsey_lab import embedder
+    from ramsey_lab.prover import decide_arrowing
+
+    def npy(arr):
+        buf = io.BytesIO()
+        np.save(buf, arr)
+        return buf.getvalue()
+
+    t = cycle_template(3, 3)
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.delenv("RAMSEY_LAB_CACHE", raising=False)
+    full = embedder.copy_rank_matrix(7, 3, t)
+    out_of_range = full.copy()
+    out_of_range[-1, -1] = 35  # C(7, 3)
+    final = tmp_path / "copies-cycle3-k3-N7.npy"
+    monkeypatch.setenv("RAMSEY_LAB_CACHE", str(tmp_path))
+    for planted in (npy(full[:len(full) // 2]), npy(out_of_range), b"\x93NUMPY"):
+        final.write_bytes(planted)
+        monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+        assert decide_arrowing(3, 7, t, t).status == "UNSAT"
+        assert np.array_equal(np.load(final), full)
+
+    def no_enumeration(*args):
+        raise AssertionError("a disk hit must not enumerate")
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.setattr(embedder, "iter_copies", no_enumeration)
+    hit = embedder.copy_rank_matrix(7, 3, t)
+    assert np.array_equal(hit, full)
+    assert hit.flags.writeable is False
 
 
 # ----------------------------------------------------------------- search

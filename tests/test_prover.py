@@ -142,6 +142,28 @@ def test_search_matches_reference_rule(N, red, blue, symmetry):
         assert v.witness.bits.tolist() == model
 
 
+
+# max_nodes -> (status, nodes, propagations) for C^3_3/C^3_3 at N=7, whose
+# full search is UNSAT after 94 nodes: the budget stops the search right
+# after its last node is made, before that node is propagated
+BUDGET_BOUNDARIES = {
+    0: ("UNKNOWN", 0, 0),
+    1: ("UNKNOWN", 1, 0),
+    64: ("UNKNOWN", 64, 725),
+    65: ("UNKNOWN", 65, 725),
+    94: ("UNKNOWN", 94, 1101),
+    95: ("UNSAT", 94, 1124),
+}
+
+
+@pytest.mark.parametrize("max_nodes", list(BUDGET_BOUNDARIES))
+def test_node_budget_boundaries(max_nodes):
+    c3 = cycle_template(3, 3)
+    v = decide_arrowing(3, 7, c3, c3, max_nodes=max_nodes)
+    assert (v.status, v.stats["nodes"], v.stats["propagations"]) == \
+        BUDGET_BOUNDARIES[max_nodes]
+
+
 def test_time_budget_honored():
     # the full search takes thousands of nodes; warm the copy matrices so
     # the budget is spent searching, then the deadline must stop it
