@@ -1,9 +1,9 @@
 """Embedding search, copy enumeration and path maximality for loose structures.
 
-The searcher walks template edges in order, anchoring each new edge on its
-connector into the already-placed part, and tries host vertices in ascending
-label order.  Two prunings keep desk-scale instances tractable without
-giving up completeness:
+`find_embedding` walks template edges in order, anchoring each new edge on
+its connector into the already-placed part, and tries host vertices in
+ascending label order.  Two prunings keep desk-scale instances tractable
+without giving up completeness:
 
 * template-side: vertices that lie in a single template edge are mutually
   interchangeable, so the free ones are forced into ascending host order;
@@ -16,6 +16,14 @@ giving up completeness:
 Both prunings affect only which representative of a copy is found, never
 whether one is found, so absence answers remain sound.  An optional node
 budget turns "absent" into the distinct UNKNOWN verdict when exhausted.
+
+`copy_rank_matrix` lists every copy of a template in the complete host
+K^k_N as a row of colex edge ranks, the input of the prover's clauses.  It
+grows all partial copies one edge per step on numpy arrays, keeps each copy
+in one orientation from one start edge, and checks the count against the
+closed form that `count_copies` returns without enumerating.  Tables are
+cached in memory and, optionally, on disk, where a table is used only if it
+is exactly the fresh one.
 """
 
 from __future__ import annotations
@@ -26,11 +34,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import TwoColoring, colex_rank
+from .coloring import TwoColoring, all_edges, colex_rank
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -50,10 +58,6 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 _BUDGET = object()  # internal bubble-up marker
-
-
-def _colex_key(e: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(reversed(e))
 
 
 @dataclass(frozen=True)
@@ -360,88 +364,104 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
 # copy enumeration over the complete host
 # ---------------------------------------------------------------------------
 
-def iter_copies(N: int, k: int, t: LooseTemplate) -> Iterator[Tuple[Edge, ...]]:
-    """All edge-set-distinct copies of t in K^k_N, each exactly once.
-
-    Copies come out as edge sequences in traversal order.  Paths are
-    generated in both directions and kept only with colex(e_1) < colex(e_n);
-    cycles are rooted at their colex-least edge with colex(e_2) < colex(e_n)
-    breaking the direction tie.
-    """
-    if t.k != k:
-        raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")
-    if t.n_vertices > N:
-        return
-    verts = list(range(1, N + 1))
-    n = t.n
-
-    if t.kind == PATH:
-        if n == 1:
-            for e in combinations(verts, k):
-                yield (e,)
-            return
-
-        def extend_path(seq, conn, avail, left):
-            if left == 1:
-                for F in combinations(avail, k - 1):
-                    last = tuple(sorted((conn,) + F))
-                    if _colex_key(seq[0]) < _colex_key(last):
-                        yield tuple(seq) + (last,)
-                return
-            for interior in combinations(avail, k - 2):
-                taken = set(interior)
-                rest = [v for v in avail if v not in taken]
-                for nxt in rest:
-                    e = tuple(sorted((conn,) + interior + (nxt,)))
-                    seq.append(e)
-                    yield from extend_path(seq, nxt,
-                                           [v for v in rest if v != nxt], left - 1)
-                    seq.pop()
-
-        for e1 in combinations(verts, k):
-            outside = [v for v in verts if v not in e1]
-            for c1 in e1:
-                yield from extend_path([e1], c1, outside, n - 1)
-        return
-
-    # cycle, n >= 3
-    def extend_cycle(seq, conn, close, avail, left, key1):
-        if left == 1:
-            for interior in combinations(avail, k - 2):
-                last = tuple(sorted((conn,) + interior + (close,)))
-                if key1 < _colex_key(last) and _colex_key(seq[1]) < _colex_key(last):
-                    yield tuple(seq) + (last,)
-            return
-        for interior in combinations(avail, k - 2):
-            taken = set(interior)
-            rest = [v for v in avail if v not in taken]
-            for nxt in rest:
-                e = tuple(sorted((conn,) + interior + (nxt,)))
-                if key1 >= _colex_key(e):
-                    continue
-                seq.append(e)
-                yield from extend_cycle(seq, nxt, close,
-                                        [v for v in rest if v != nxt], left - 1, key1)
-                seq.pop()
-
-    for e1 in combinations(verts, k):
-        key1 = _colex_key(e1)
-        outside = [v for v in verts if v not in e1]
-        for close, c1 in permutations(e1, 2):
-            yield from extend_cycle([e1], c1, close, outside, n - 1, key1)
-
-
 _COPY_CACHE: Dict[tuple, np.ndarray] = {}
 
-_DEADLINE_EVERY = 4096  # copies enumerated between deadline checks
+_CELLS = 1 << 12  # (partial copy, move) pairs per enumeration step: a few ms
 
 
-def _until(copies: Iterator, deadline: float) -> Iterator:
-    """Pass `copies` through; raise SearchBudgetExceeded once `deadline` passes."""
-    for i, copy in enumerate(copies):
-        if i % _DEADLINE_EVERY == 0 and time.monotonic() >= deadline:
-            raise SearchBudgetExceeded("copy enumeration passed the deadline")
-        yield copy
+def _moves(a: int, s: int, branch: bool):
+    """The ways a partial copy with a free vertices puts s of them into its
+    next edge, as index arrays into its ascending free vertices, one row per
+    move: the positions taken, the taken one that becomes the next
+    connector (None unless `branch`), and the a - s positions left free."""
+    combos = list(combinations(range(a), s))
+    pairs = [(c, j) for c in combos for j in c] if branch else [(c, 0) for c in combos]
+    take = np.array([c for c, _ in pairs], dtype=np.intp).reshape(len(pairs), s)
+    rest = np.array([[p for p in range(a) if p not in c] for c, _ in pairs],
+                    dtype=np.intp).reshape(len(pairs), a - s)
+    nxt = np.array([j for _, j in pairs], dtype=np.intp) if branch else None
+    return take, nxt, rest
+
+
+def _enumerate_copies(N: int, k: int, t: LooseTemplate,
+                      deadline: Optional[float]) -> np.ndarray:
+    """Copies of t in K^k_N as sorted rows of edge ranks, rows unordered.
+
+    A partial copy is a row of edge ranks, a connector (the vertex its next
+    edge contains), for a cycle the closing vertex (the one its last edge
+    contains), and its free vertices.  Paths start from every edge and
+    connector in it, cycles from every edge and ordered (closing vertex,
+    connector) pair in it; each step adds one edge to every partial copy at
+    once.  A path is kept when rank(e_1) < rank(e_n), a cycle when e_1 is
+    its least edge and rank(e_2) < rank(e_n), so each copy comes out once.
+    A step covers at most _CELLS (partial copy, move) pairs and is grown to
+    complete copies before the next, which bounds temporary memory; the
+    deadline is checked before each step.
+    """
+    n, total = t.n, _n_copies(N, k, t)
+    out = np.empty((total, n), dtype=np.int64)
+    if total == 0 or n == 1:
+        out[:, 0] = np.arange(total)
+        return out
+    cycle = t.kind == CYCLE
+    # colex rank of v_0 < ... < v_{k-1} is the sum of binom[v_i, i]
+    binom = np.array([[math.comb(v - 1, i + 1) if v else 0 for i in range(k)]
+                      for v in range(N + 1)], dtype=np.int64)
+
+    def rank(edges: np.ndarray) -> np.ndarray:
+        return binom[np.sort(edges, axis=-1), np.arange(k)].sum(axis=-1)
+
+    # moves for the second edge onwards; before edge d + 2 there are
+    # N - k - d(k-1) free vertices
+    moves = [_moves(N - k - d * (k - 1), k - 2 if cycle and d == n - 2 else k - 1,
+                    d < n - 2) for d in range(n - 1)]
+    filled = 0
+
+    def grow(ranks, conn, close, free):
+        nonlocal filled
+        last = ranks.shape[1] == n - 1
+        closing = cycle and last
+        take, nxt, rest = moves[ranks.shape[1] - 1]
+        step = max(1, _CELLS // len(take))
+        for lo in range(0, len(ranks), step):
+            if deadline is not None and time.monotonic() >= deadline:
+                raise SearchBudgetExceeded("copy enumeration passed the deadline")
+            r, f = ranks[lo:lo + step], free[lo:lo + step]
+            taken = f[:, take]
+            fixed = [conn[lo:lo + step]] + ([close[lo:lo + step]] if closing else [])
+            er = rank(np.concatenate(
+                [np.broadcast_to(v[:, None, None], taken.shape[:2] + (1,)) for v in fixed]
+                + [taken], axis=2))
+            keep = np.ones(er.shape, dtype=bool)
+            if cycle or last:
+                keep &= er > r[:, :1]
+            if closing:
+                keep &= er > r[:, 1:2]
+            i, j = np.nonzero(keep)
+            grown = np.concatenate([r[i], er[i, j, None]], axis=1)
+            if not last:
+                grow(grown, f[i, nxt[j]], close[lo:lo + step][i] if cycle else None,
+                     f[i[:, None], rest[j]])
+                continue
+            if filled + len(grown) > total:
+                raise AssertionError("internal: more copies than the closed form")
+            grown.sort(axis=1)
+            out[filled:filled + len(grown)] = grown
+            filled += len(grown)
+
+    firsts = np.array(list(combinations(range(1, N + 1), k)), dtype=np.intp)
+    outside = np.ones((len(firsts), N + 1), dtype=bool)
+    outside[:, 0] = False
+    outside[np.arange(len(firsts))[:, None], firsts] = False
+    free = np.nonzero(outside)[1].reshape(len(firsts), N - k)
+    ends = list(permutations(range(k), 2)) if cycle else [(c, c) for c in range(k)]
+    close_at, conn_at = (np.tile(col, len(firsts)) for col in np.array(ends).T)
+    start = np.repeat(np.arange(len(firsts)), len(ends))
+    grow(rank(firsts)[start, None], firsts[start, conn_at],
+         firsts[start, close_at] if cycle else None, free[start])
+    if filled != total:
+        raise AssertionError(f"internal: {filled} copies, closed form {total}")
+    return out
 
 
 def _save_atomic(fname: str, arr: np.ndarray) -> None:
@@ -467,17 +487,61 @@ def _n_copies(N: int, k: int, t: LooseTemplate) -> int:
     return math.perm(N, t.n_vertices) // aut
 
 
+def _are_copies(masks: np.ndarray, t: LooseTemplate) -> bool:
+    """Is every row of `masks` (n edges as vertex bitmasks) a loose copy of t?
+
+    Edges are in any order.  An edge's degree is the number of vertices
+    it shares with the other edges.  The edges must be connected, with
+    degrees at most 2 summing to 2(n - 1) for a path or 2n for a cycle:
+    connected edges meet in at least n - 1 pairs, so the pairs that meet
+    do so in one vertex and form a path or a cycle.  And they must cover
+    t.n_vertices vertices, which rules out three edges through one vertex.
+    """
+    n = masks.shape[1]
+    deg = np.zeros(masks.shape, dtype=np.intp)
+    for i, j in combinations(range(n), 2):
+        meet = np.bitwise_count(masks[:, i] & masks[:, j])
+        deg[:, i] += meet
+        deg[:, j] += meet
+    reached = masks[:, 0].copy()
+    for _ in range(n - 1):
+        for j in range(1, n):
+            reached |= np.where(reached & masks[:, j], masks[:, j], 0)
+    union = np.bitwise_or.reduce(masks, axis=1)
+    return bool((deg <= 2).all() and (reached == union).all()
+                and (deg.sum(axis=1) == 2 * (n - (t.kind == PATH))).all()
+                and (np.bitwise_count(union) == t.n_vertices).all())
+
+
 def _load_table(fname: str, N: int, k: int, t: LooseTemplate) -> Optional[np.ndarray]:
-    """The .npy table at fname, or None unless it is shaped and ranged like
-    a fresh one: int64, one row per copy, t.n ranks in [0, C(N, k))."""
+    """The .npy table at fname if it is the fresh table, else None.
+
+    It must be int64 with the closed-form number of rows, each row t.n
+    strictly ascending ranks in [0, C(N, k)) that are a copy of t, and the
+    rows strictly increasing: that many distinct copies are all of them,
+    in canonical order.  Copies are checked as 64-bit vertex masks, so
+    tables for N > 64 are never read.
+    """
+    if N > 64:
+        return None
     try:
         with open(fname, "rb") as fh:
             arr = np.lib.format.read_array(fh)
     except (OSError, ValueError, EOFError):
         return None
-    if arr.dtype != np.int64 or arr.shape != (_n_copies(N, k, t), t.n) or (
-            arr.size and not 0 <= arr.min() <= arr.max() < math.comb(N, k)):
+    if arr.dtype != np.int64 or arr.shape != (_n_copies(N, k, t), t.n):
         return None
+    if arr.size:
+        if not (0 <= arr.min() <= arr.max() < math.comb(N, k)
+                and (arr[:, 1:] > arr[:, :-1]).all()):
+            return None
+        differ = arr[1:] != arr[:-1]
+        first = (np.arange(len(differ)), differ.argmax(axis=1))
+        if not (differ.any(axis=1) & (arr[1:][first] > arr[:-1][first])).all():
+            return None
+        bits = np.uint64(1) << (np.array(all_edges(N, k), dtype=np.uint64) - 1)
+        if not _are_copies(np.bitwise_or.reduce(bits, axis=1)[arr], t):
+            return None
     arr.flags.writeable = False
     return arr
 
@@ -486,12 +550,15 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
                      deadline: Optional[float] = None) -> np.ndarray:
     """Copies of t in K^k_N as rows of ascending colex edge ranks.
 
-    Rows are lexicographically sorted, so the matrix is canonical.  Cached
-    in memory, and on disk under $RAMSEY_LAB_CACHE when that is set; a
-    disk table of the wrong shape or range is recomputed and rewritten.
-    With a `deadline` (a `time.monotonic()` reading), enumeration raises
+    Every edge-set-distinct copy is one row, rows in lexicographic order,
+    so the int64 matrix is canonical; it is read-only.  Cached in memory,
+    and on disk under $RAMSEY_LAB_CACHE when that is set; a disk table that
+    is not exactly this matrix is recomputed and rewritten.  With a
+    `deadline` (a `time.monotonic()` reading), enumeration raises
     SearchBudgetExceeded once it passes, and nothing is cached.
     """
+    if t.k != k:
+        raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")
     key = (N, k, t.kind, t.n)
     hit = _COPY_CACHE.get(key)
     if hit is not None:
@@ -504,12 +571,8 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
         if arr is not None:
             _COPY_CACHE[key] = arr
             return arr
-    copies = iter_copies(N, k, t)
-    if deadline is not None:
-        copies = _until(copies, deadline)
-    rows = sorted(tuple(sorted(colex_rank(e) for e in copy))
-                  for copy in copies)
-    arr = np.array(rows, dtype=np.int64) if rows else np.empty((0, t.n), dtype=np.int64)
+    arr = _enumerate_copies(N, k, t, deadline)
+    arr = arr[np.lexsort(arr.T[::-1])]
     arr.flags.writeable = False
     _COPY_CACHE[key] = arr
     if fname:
@@ -519,14 +582,13 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
 
 
 def count_copies(N: int, k: int, t: LooseTemplate) -> int:
-    """Number of edge-set-distinct copies of t in the complete host K^k_N."""
+    """Number of edge-set-distinct copies of t in the complete host K^k_N,
+    in closed form; nothing is enumerated."""
     if not (isinstance(N, int) and N >= 0 and isinstance(k, int) and k >= 2):
         raise ValueError(f"invalid-parameter: N={N}, k={k}")
     if t.k != k:
         raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")
-    if t.n_vertices > N:
-        return 0
-    return int(copy_rank_matrix(N, k, t).shape[0])
+    return _n_copies(N, k, t)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,22 @@ COPY_COUNTS = {
     ("cycle", 3, 4, 9): 45360,
 }
 
+# (kind, k, length, N) -> (rows, sha256 of the int64 bytes) of
+# copy_rank_matrix, as produced by the recursive per-copy enumerator it
+# replaced: the copy tables of the benchmark's refute and admit instances,
+# plus P^3_4 in K^3_10
+COPY_MATRIX_SHA256 = {
+    ("cycle", 3, 3, 7): (840, "a238329970ebb769ef06c7763564373cdae5ba30d0969b4079ecd93a41ab0331"),
+    ("path", 3, 3, 8): (5040, "6d12f421da634d569b99e4b8f2956111a4a5923cdcc2986b40bdfcc70dae156d"),
+    ("cycle", 3, 4, 9): (45360, "9097a74796395f11fd7b42af44ec86f54486dce4553339ab1ab1a3b6c132ea44"),
+    ("cycle", 3, 3, 9): (10080, "19457873da919ba919262c0c479a0ca870487c804e3cff1f86c9596ef3019c0a"),
+    ("path", 3, 4, 9): (45360, "e893b0b459d06c6d354e3afa299829c9c458cdf1008f717f5966d4821513fd9c"),
+    ("path", 3, 3, 9): (22680, "1325ad999cdbe6cc418a9aa503cf87f956f7feda3c6d84ea466249be3e83a3a6"),
+    ("cycle", 3, 4, 8): (5040, "795e9fc3701b1cf3103dc297df7248e94ec51d8decc2cd7edea90198ca755efe"),
+    ("cycle", 4, 3, 9): (7560, "91780d0f8ceb8699e6f1011383f6529143ab8d09e153e2a94d16f70b2b012c7e"),
+    ("path", 3, 4, 10): (453600, "12699a5276d053f96b5e225b1cea6d1b65378bbb63b853c1105401e568ae379a"),
+}
+
 # complete-enumeration arrowing verdicts at k=3:
 # (N, red, blue) -> True iff every coloring has a red copy or blue copy
 ARROWING = {
