@@ -4,8 +4,9 @@ Everything here is derived from first principles with different
 algorithms than the package uses: colex order via characteristic
 bitmasks, copy counting via explicit vertex injections, arrowing via
 vectorized enumeration of every coloring, a tiny standalone DPLL for
-DIMACS text, and the library's search rule as a plain-list loop (for
-exact node and propagation counts).  No imports from ramsey_lab.
+DIMACS text, host twin classes by checking every swapped subset, and
+the library's search rule as a plain-list loop (for exact node and
+propagation counts).  No imports from ramsey_lab.
 """
 
 from __future__ import annotations
@@ -217,6 +218,34 @@ def mini_dpll(n_vars: int, clauses: List[List[int]]) -> Optional[Dict[int, bool]
 def mini_dpll_status(text: str) -> str:
     n_vars, clauses = parse_dimacs(text)
     return "SAT" if mini_dpll(n_vars, clauses) is not None else "UNSAT"
+
+
+# ---------------------------------------------------------------------------
+# host twin classes: every adjacent swap checked subset by subset
+# ---------------------------------------------------------------------------
+
+def oracle_twin_classes(N: int, k: int, bits: Sequence[int]) -> Dict[int, int]:
+    """Each host vertex mapped to its twin-class representative.
+
+    Labels u, u+1 are twins when swapping them preserves the color of every
+    edge T + {u}; classes are the intervals closed under such swaps.
+    """
+    index = {e: i for i, e in enumerate(oracle_colex_subsets(N, k))}
+    rep = list(range(N + 1))
+    others = range(1, N + 1)
+    for u in range(1, N):
+        v = u + 1
+        pool = [w for w in others if w != u and w != v]
+        twins = True
+        for T in itertools.combinations(pool, k - 1):
+            eu = tuple(sorted(T + (u,)))
+            ev = tuple(sorted(T + (v,)))
+            if bits[index[eu]] != bits[index[ev]]:
+                twins = False
+                break
+        if twins:
+            rep[v] = rep[u]
+    return {w: rep[w] for w in others}
 
 
 # ---------------------------------------------------------------------------

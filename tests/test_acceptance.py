@@ -67,8 +67,8 @@ def test_criterion_01_template_laws():
 
 def test_criterion_02_lower_bound_witnesses():
     t0 = time.perf_counter()
-    for k in (3, 4):
-        for n in range(3, 7):
+    for k, n_max in ((3, 6), (4, 6), (5, 6), (6, 4)):
+        for n in range(3, n_max + 1):
             for m in range(3, n + 1):
                 for pair in ("PP", "PC", "CC"):
                     N, c = lower_bound_witness(k, n, m, pair)

@@ -59,7 +59,7 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     from ramsey_lab import embedder
 
     t = cycle_template(3, 3)
-    final = tmp_path / "copies-cycle3-k3-N6.npy"
+    final = tmp_path / "copies-v1-cycle3-k3-N6.npy"
     monkeypatch.setenv("RAMSEY_LAB_CACHE", str(tmp_path))
 
     def torn_save(file, arr):
@@ -84,6 +84,35 @@ def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [final.name]
     assert np.array_equal(np.load(final), rows)
 
+
+def test_disk_cache_ignores_unversioned_names(tmp_path, monkeypatch):
+    # a valid table under the name used before the format version was
+    # part of the key is never read: the table is enumerated and the v1
+    # file written next to it
+    from ramsey_lab import embedder
+
+    t = cycle_template(3, 3)
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.delenv("RAMSEY_LAB_CACHE", raising=False)
+    fresh = embedder.copy_rank_matrix(7, 3, t)
+    old = tmp_path / "copies-cycle3-k3-N7.npy"
+    np.save(old, fresh)
+    calls = []
+    enumerate_copies = embedder._enumerate_copies
+
+    def spy(*args):
+        calls.append(args[:2])
+        return enumerate_copies(*args)
+
+    monkeypatch.setenv("RAMSEY_LAB_CACHE", str(tmp_path))
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.setattr(embedder, "_enumerate_copies", spy)
+    assert np.array_equal(embedder.copy_rank_matrix(7, 3, t), fresh)
+    assert calls == [(7, 3)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        old.name, "copies-v1-cycle3-k3-N7.npy"]
+    assert np.array_equal(np.load(tmp_path / "copies-v1-cycle3-k3-N7.npy"), fresh)
+    assert np.array_equal(np.load(old), fresh)
 
 
 def _ranked_copies(N, k, kind, n):
@@ -151,7 +180,7 @@ def test_disk_cache_rejects_malformed_tables(tmp_path, monkeypatch):
         p3_at8, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]))))
     monkeypatch.setenv("RAMSEY_LAB_CACHE", str(tmp_path))
     for N, t, blue, status, fresh, planted in cases:
-        final = tmp_path / f"copies-{t.kind}{t.n}-k3-N{N}.npy"
+        final = tmp_path / f"copies-v1-{t.kind}{t.n}-k3-N{N}.npy"
         final.write_bytes(planted)
         monkeypatch.setattr(embedder, "_COPY_CACHE", {})
         assert decide_arrowing(3, N, t, blue).status == status
@@ -191,6 +220,20 @@ def test_copy_matrix_frozen_sha256(kind, k, n, N):
     assert rows.flags.writeable is False
     assert (len(rows), hashlib.sha256(rows.tobytes()).hexdigest()) == \
         F.COPY_MATRIX_SHA256[(kind, k, n, N)]
+
+
+def test_copy_sort_key_overflow_is_internal_error(monkeypatch):
+    # the rows are ordered by one base-C(N, k) int64 per row; a template
+    # whose key would pass 2^63 has no table that fits in memory, and a
+    # nonempty one is refused rather than sorted wrongly
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.setattr(embedder, "_enumerate_copies",
+                        lambda N, k, t, deadline: np.arange(9, dtype=np.int64)[None])
+    with pytest.raises(AssertionError, match="past int64"):
+        embedder.copy_rank_matrix(200, 3, cycle_template(3, 9))
+    assert embedder._COPY_CACHE == {}
 
 
 def test_count_copies_never_enumerates(monkeypatch):
@@ -245,6 +288,51 @@ def test_fixed_extension_only():
     got = find_embedding(c, "red", t, fixed={1: 4, 5: 6})
     assert got is not None
     assert got.vertex_image(1) == 4 and got.vertex_image(5) == 6
+
+
+# ------------------------------------------------------------ twin classes
+
+def _twin_grid():
+    """625 colorings: k = 1..5, N = k..11; all red, all blue, two random,
+    every split size, and red iff an even number of vertices lie in odd
+    blocks of 2 or of 3 consecutive labels."""
+    for k in range(1, 6):
+        for N in range(k, 12):
+            edges = O.oracle_colex_subsets(N, k)
+            rng = np.random.default_rng(100 * k + N)
+            yield k, N, np.ones(len(edges), dtype=np.uint8)
+            yield k, N, np.zeros(len(edges), dtype=np.uint8)
+            for _ in range(2):
+                yield k, N, (rng.random(len(edges)) < 0.5).astype(np.uint8)
+            for a in range(N + 1):
+                yield k, N, np.array([max(e) <= a for e in edges], dtype=np.uint8)
+            for b in (2, 3):
+                yield k, N, np.array([sum((v - 1) // b % 2 for v in e) % 2 == 0
+                                      for e in edges], dtype=np.uint8)
+
+
+def test_twin_classes_match_oracle():
+    from ramsey_lab.embedder import _twin_classes
+
+    n = 0
+    for k, N, bits in _twin_grid():
+        assert _twin_classes(TwoColoring(k, N, bits)) == O.oracle_twin_classes(N, k, bits), \
+            (k, N, bits)
+        n += 1
+    assert n == 625
+
+
+@pytest.mark.parametrize("k,n,m,pair", [
+    (5, 5, 3, "CC"), (5, 5, 3, "PP"), (5, 5, 3, "PC"), (5, 6, 3, "CC"), (6, 4, 3, "CC"),
+])
+def test_witness_hosts_have_two_twin_classes(k, n, m, pair):
+    from ramsey_lab.coloring import lower_bound_witness
+    from ramsey_lab.embedder import _twin_classes
+
+    N, c = lower_bound_witness(k, n, m, pair)
+    a = (k - 1) * n - (pair == "CC")
+    assert 0 < a < N
+    assert _twin_classes(c) == {v: 1 if v <= a else a + 1 for v in range(1, N + 1)}
 
 
 # ------------------------------------------------------------ verification
