@@ -29,8 +29,6 @@ import time
 
 import numpy as np
 
-from .coloring import all_edges, colex_rank
-
 SAT_W = 1 << 16  # counter weight of a satisfying literal; exceeds any length
 
 _DEADLINE_EVERY = 64  # nodes between deadline checks; well under a second
@@ -64,29 +62,6 @@ def build_instance(E: int, red_rows: np.ndarray, blue_rows: np.ndarray):
     return E, clauses, occ
 
 
-def perm_tables(N: int, k: int):
-    """(moved, image) per adjacent vertex transposition (u, u+1).
-
-    `moved` lists, ascending, the edge ranks the transposition moves and
-    `image` their images.  A transposition that moves no edge (N == k, where
-    the one edge holds every vertex) never prunes and is left out.
-    """
-    edges = all_edges(N, k)
-    tables = []
-    for u in range(1, N):
-        v = u + 1
-        moved, image = [], []
-        for r, e in enumerate(edges):
-            if (u in e) != (v in e):
-                moved.append(r)
-                image.append(colex_rank(sorted(
-                    v if x == u else u if x == v else x for x in e)))
-        if moved:
-            tables.append((np.array(moved, dtype=np.intp),
-                           np.array(image, dtype=np.intp)))
-    return tables
-
-
 def search(instance, sym, max_nodes, deadline):
     """Chronological-backtracking DPLL to a verdict or the budget.
 
@@ -97,11 +72,15 @@ def search(instance, sym, max_nodes, deadline):
     node is propagated: `max_nodes` at every node, the `deadline` (a
     `time.monotonic()` reading) at every _DEADLINE_EVERY-th, from node 0.
 
-    `sym` holds one (moved, image) pair per symmetry generator, as
-    `perm_tables` makes them; a partial assignment is pruned when, at the
-    first moved position where it is unassigned or differs from its image,
-    it reads blue against red (the lex-leader order puts red first).  An
-    empty `sym` turns symmetry breaking off.
+    `sym` holds one (moved, image) pair of nonempty intp arrays per
+    symmetry generator s, an involution on the variables: `moved` lists,
+    ascending, the p with p < s(p), and `image` their s(p).  A partial
+    assignment is pruned when, at the first moved position where it is
+    unassigned or differs from its image, it reads blue against red (the
+    lex-leader order puts red first).  Listing only the lower position of
+    each exchanged pair loses no prune: if the upper one, s(p), is
+    unassigned or differs from p, so is p, which comes first.  An empty
+    `sym` turns symmetry breaking off.
     """
     E, clauses, occ = instance
     assign = np.full(E + 1, -1, dtype=np.int8)

@@ -103,7 +103,7 @@ def _report_skeleton(args, subcommand: str, inputs: dict) -> dict:
 
 
 def _emit(report: dict, args, t0: float) -> None:
-    report["timings"]["total_secs"] = round(time.time() - t0, 6)
+    report["timings"]["total_secs"] = round(time.monotonic() - t0, 6)
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out:
         with open(args.out, "w") as fh:
@@ -128,23 +128,29 @@ def _save_certificate(cert, args, name: str, report: dict) -> str:
     return path
 
 
+def _save_witness(args, report: dict, c: TwoColoring, red: tuple, blue: tuple,
+                  lemma: str, stem: str) -> None:
+    """Certify that c has no red `red` and no blue `blue` (kind, length)."""
+    cert = make_certificate(
+        "witness-coloring", c,
+        {"red_target": {"kind": red[0], "length": red[1]},
+         "blue_target": {"kind": blue[0], "length": blue[1]},
+         "n_vertices": c.n_vertices},
+        lemma=lemma, seed=args.seed)
+    _save_certificate(cert, args, stem + ".cert.json", report)
+
+
 # ---------------------------------------------------------------- witness
 
 def _run_witness(args, report: dict) -> int:
     pair = args.pair.upper()
     N, c = lower_bound_witness(args.k, args.n, args.m, pair)
-    red_kind = "path" if pair[0] == "P" else "cycle"
-    blue_kind = "path" if pair[1] == "P" else "cycle"
+    red, blue = ("path" if p == "P" else "cycle" for p in pair)
     stem = f"witness-{pair}-k{args.k}-n{args.n}-m{args.m}"
     cpath = _artifact(args, stem + ".coloring.json")
     c.save(cpath, explicit=args.explicit)
-    cert = make_certificate(
-        "witness-coloring", c,
-        {"red_target": {"kind": red_kind, "length": args.n},
-         "blue_target": {"kind": blue_kind, "length": args.m},
-         "n_vertices": N},
-        lemma="lower-bound", seed=args.seed)
-    _save_certificate(cert, args, stem + ".cert.json", report)
+    _save_witness(args, report, c, (red, args.n), (blue, args.m),
+                  "lower-bound", stem)
     report["results"] = {
         "pair": pair, "k": args.k, "n": args.n, "m": args.m,
         "host_vertices": N, "claimed_bound": N + 1,
@@ -164,14 +170,8 @@ def _run_arrow(args, report: dict) -> int:
         max_secs=args.max_secs, symmetry=args.symmetry)
     report["results"] = verdict.to_json_obj()
     if verdict.status == "SAT" and verdict.witness is not None:
-        stem = f"arrow-k{args.k}-N{args.n_vertices}"
-        cert = make_certificate(
-            "witness-coloring", verdict.witness,
-            {"red_target": {"kind": red[0], "length": red[1]},
-             "blue_target": {"kind": blue[0], "length": blue[1]},
-             "n_vertices": args.n_vertices},
-            lemma="arrowing-sat", seed=args.seed)
-        _save_certificate(cert, args, stem + ".cert.json", report)
+        _save_witness(args, report, verdict.witness, red, blue, "arrowing-sat",
+                      f"arrow-k{args.k}-N{args.n_vertices}")
     if verdict.status == "UNSAT":
         return EXIT_UNSAT
     if verdict.status == "UNKNOWN":
@@ -190,14 +190,8 @@ def _run_ramsey(args, report: dict) -> int:
         symmetry=args.symmetry, max_N=args.max_N)
     report["results"] = claim.to_json_obj()
     if claim.witness is not None:
-        stem = f"ramsey-k{args.k}-{red[0]}{red[1]}-{blue[0]}{blue[1]}"
-        cert = make_certificate(
-            "witness-coloring", claim.witness,
-            {"red_target": {"kind": red[0], "length": red[1]},
-             "blue_target": {"kind": blue[0], "length": blue[1]},
-             "n_vertices": claim.witness.n_vertices},
-            lemma="ramsey-lower", seed=args.seed)
-        _save_certificate(cert, args, stem + ".cert.json", report)
+        _save_witness(args, report, claim.witness, red, blue, "ramsey-lower",
+                      f"ramsey-k{args.k}-{red[0]}{red[1]}-{blue[0]}{blue[1]}")
     return EXIT_OK if claim.value is not None else EXIT_UNKNOWN
 
 
@@ -438,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    t0 = time.time()
+    t0 = time.monotonic()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -4,6 +4,10 @@ A coloring of K^k_N stores one bit per k-subset of 1..N at the subset's
 colexicographic rank; bit 1 = red, 0 = blue, globally.  Colex rank of
 {a_1 < ... < a_k} is sum_i C(a_i - 1, i), which does not depend on N, so
 colorings restrict and extend between host sizes without re-indexing.
+
+`swap_pairs` tabulates the edge-rank pairs each adjacent vertex swap
+(u, u+1) exchanges; the prover's symmetry breaking and the embedder's twin
+classes (`adjacent_twins`) both read it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,6 +216,70 @@ class TwoColoring:
     def load(cls, path) -> "TwoColoring":
         with open(path) as fh:
             return cls.from_json_obj(json.load(fh))
+
+
+_SWAP_CELLS = 1 << 14  # table cells per build or compare step
+
+_SWAP_CACHE: dict = {}  # one (N, k) entry
+
+
+def swap_pairs(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Colex ranks of the edge pairs that the adjacent swaps exchange.
+
+    Row u-1 of `lo` holds the ranks of T + {u} and the same entry of `hi`
+    the rank of T + {u+1}, over all (k-1)-sets T of the other N-2 labels in
+    colex order, so both rows ascend.  No label of T lies between u and
+    u+1, so both take the same 1-based position q <= u in the sorted edge
+    and hi = lo + C(u-1, q-1) > lo: row u-1 lists each pair (p, s(p)) with
+    p < s(p) of the swap s = (u, u+1) once.  At N = k the rows are empty.
+    Ranks use the smallest unsigned dtype that holds C(N, k).  Both arrays
+    are read-only and cached for the last (N, k) asked for; the previous
+    table is dropped before a new one is built, to bound peak memory.
+    """
+    hit = _SWAP_CACHE.get((N, k))
+    if hit is not None:
+        return hit
+    _SWAP_CACHE.clear()
+    m = math.comb(max(N - 2, 0), k - 1)
+    lo, hi = np.empty((2, max(N - 1, 0), m),
+                      dtype=np.min_scalar_type(max(math.comb(N, k) - 1, 0)))
+    binom = np.array([[math.comb(v, i) for i in range(k + 1)] for v in range(N + 1)],
+                     dtype=np.int64)
+    # T is a (k-1)-set S of 1..N-2 with every label >= u raised by two.
+    # Descending tuples in lex order, reversed both ways, are the ascending
+    # sets in colex order, which raising labels and adding u or u+1 keep;
+    # the contiguous copy keeps the steps below as fast as on unreversed sets
+    sets = np.ascontiguousarray(np.fromiter(
+        chain.from_iterable(combinations(range(max(N - 2, 0), 0, -1), k - 1)),
+        dtype=np.min_scalar_type(N), count=m * (k - 1)).reshape(m, k - 1)[::-1, ::-1])
+    step = max(1, _SWAP_CELLS // max(k - 1, 1))
+    for u in range(1, N):
+        for a in range(0, m, step):
+            s = sets[a:a + step]
+            above = s >= u
+            below = k - 1 - above.sum(axis=1)
+            r = (binom[s + 2 * above - 1, np.arange(1, k) + above].sum(axis=1)
+                 + binom[u - 1, below + 1])
+            lo[u - 1, a:a + step] = r
+            hi[u - 1, a:a + step] = r + binom[u - 1, below]
+    lo.flags.writeable = False
+    hi.flags.writeable = False
+    _SWAP_CACHE[(N, k)] = lo, hi
+    return lo, hi
+
+
+def adjacent_twins(c: TwoColoring) -> np.ndarray:
+    """Entry u-1 is True when swapping labels u and u+1 preserves every
+    edge color of c, that is when its bits agree on every pair of
+    `swap_pairs` row u-1."""
+    lo, hi = swap_pairs(c.n_vertices, c.k)
+    twins = np.ones(len(lo), dtype=bool)
+    step = max(1, _SWAP_CELLS // max(lo.shape[1], 1))
+    for a in range(0, len(lo), step):
+        # np.take gathers through small unsigned indices faster than c.bits[lo]
+        twins[a:a + step] = (np.take(c.bits, lo[a:a + step])
+                             == np.take(c.bits, hi[a:a + step])).all(axis=1)
+    return twins
 
 
 @dataclass(frozen=True)

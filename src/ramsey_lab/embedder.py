@@ -11,8 +11,9 @@ without giving up completeness:
   are grouped into twin classes, and inside one candidate loop at most one
   failed representative per class is explored (if a class member admits no
   extension, neither does any other unused member, by applying the swap to
-  a hypothetical solution).  All swaps are checked at once against a table
-  of the edge-rank pairs they exchange, built once per host size.
+  a hypothetical solution).  All swaps are checked at once against
+  `coloring.swap_pairs`, the per-host table of the edge-rank pairs they
+  exchange, which the prover's symmetry breaking reads too.
 
 Both prunings affect only which representative of a copy is found, never
 whether one is found, so absence answers remain sound.  An optional node
@@ -34,12 +35,12 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import TwoColoring, all_edges, colex_rank
+from .coloring import TwoColoring, adjacent_twins, all_edges, colex_rank
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -191,72 +192,20 @@ def embedding_from_edge_sequence(edges: Sequence[Sequence[int]], kind: str,
 # twin classes of a coloring (host-side symmetry)
 # ---------------------------------------------------------------------------
 
-_SWAP_CELLS = 1 << 14  # table cells per build or compare step
-
-_SWAP_CACHE: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}  # one (N, k) entry
-
-
-def _swap_pairs(N: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Colex ranks of the edge pairs that the adjacent swaps exchange.
-
-    Row u-1 of `lo` holds the ranks of T + {u} and the same entry of `hi`
-    the rank of T + {u+1}, over all (k-1)-sets T of the other N-2 labels in
-    one fixed order.  No label of T lies between u and u+1, so both take the
-    same 1-based position q in the sorted edge and hi = lo + C(u-1, q-1).
-    Ranks use the smallest unsigned dtype that holds C(N, k).  Both arrays
-    are read-only and cached for the last (N, k) asked for; the previous
-    table is dropped before a new one is built, to bound peak memory.
-    """
-    hit = _SWAP_CACHE.get((N, k))
-    if hit is not None:
-        return hit
-    _SWAP_CACHE.clear()
-    m = math.comb(max(N - 2, 0), k - 1)
-    lo, hi = np.empty((2, max(N - 1, 0), m),
-                      dtype=np.min_scalar_type(max(math.comb(N, k) - 1, 0)))
-    binom = np.array([[math.comb(v, i) for i in range(k + 1)] for v in range(N + 1)],
-                     dtype=np.int64)
-    # T is a (k-1)-set S of 1..N-2 with every label >= u raised by two
-    sets = np.fromiter(chain.from_iterable(combinations(range(1, N - 1), k - 1)),
-                       dtype=np.min_scalar_type(N), count=m * (k - 1)).reshape(m, k - 1)
-    step = max(1, _SWAP_CELLS // max(k - 1, 1))
-    for u in range(1, N):
-        for a in range(0, m, step):
-            s = sets[a:a + step]
-            above = s >= u
-            below = k - 1 - above.sum(axis=1)
-            r = (binom[s + 2 * above - 1, np.arange(1, k) + above].sum(axis=1)
-                 + binom[u - 1, below + 1])
-            lo[u - 1, a:a + step] = r
-            hi[u - 1, a:a + step] = r + binom[u - 1, below]
-    lo.flags.writeable = False
-    hi.flags.writeable = False
-    _SWAP_CACHE[(N, k)] = lo, hi
-    return lo, hi
-
-
 def _twin_classes(c: TwoColoring) -> Dict[int, int]:
     """Map each host vertex to its twin-class representative.
 
-    Labels u, u+1 are twins when swapping them preserves every edge color,
-    that is when bits agree on every pair of `_swap_pairs` row u-1; classes
-    are the intervals closed under such adjacent swaps, so every
-    permutation inside a class is color-preserving.  The rank table depends
-    only on the host size, so all colorings of one host share it.
+    Labels u, u+1 are twins when swapping them preserves every edge color
+    (`coloring.adjacent_twins`); classes are the intervals closed under
+    such adjacent swaps, so every permutation inside a class is
+    color-preserving.
     """
     cached = getattr(c, "_twin_classes_cache", None)
     if cached is not None:
         return cached
     N = c.n_vertices
-    lo, hi = _swap_pairs(N, c.k)
-    twins = np.ones(len(lo), dtype=bool)
-    step = max(1, _SWAP_CELLS // max(lo.shape[1], 1))
-    for a in range(0, len(lo), step):
-        # np.take gathers through small unsigned indices faster than c.bits[lo]
-        twins[a:a + step] = (np.take(c.bits, lo[a:a + step])
-                             == np.take(c.bits, hi[a:a + step])).all(axis=1)
     rep = list(range(N + 1))
-    for u in np.flatnonzero(twins).tolist():
+    for u in np.flatnonzero(adjacent_twins(c)).tolist():
         rep[u + 2] = rep[u + 1]
     out = {w: rep[w] for w in range(1, N + 1)}
     object.__setattr__(c, "_twin_classes_cache", out)

@@ -14,7 +14,8 @@ Branching is deterministic: lowest-rank unassigned edge, red phase first.
 An optional lex-leader restriction under adjacent vertex transpositions
 (red preceding blue in the value order) prunes color-isomorphic subtrees;
 it is off by default and never changes verdicts, only which witness shows
-up first.
+up first.  Each transposition reaches the kernel as one row pair of
+`coloring.swap_pairs`, the table the embedder's twin classes read too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from ._backend import BACKEND
-from .coloring import TwoColoring, all_edges, decoding
+from .coloring import TwoColoring, all_edges, decoding, swap_pairs
 from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
                    path_template)
 from .embedder import copy_rank_matrix, find_embedding
@@ -118,7 +119,11 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
         stats = {"nodes": 0, "propagations": 0, "wall_secs": 0.0}
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
     instance = _kernels.build_instance(math.comb(N, k), red_rows, blue_rows)
-    sym = _kernels.perm_tables(N, k) if symmetry else ()
+    sym = ()
+    if symmetry:
+        lo, hi = swap_pairs(N, k)
+        if lo.size:  # at N <= k no swap moves an edge
+            sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
     t0 = time.monotonic()
     status, nodes, props, assign = _kernels.search(instance, sym, max_nodes,
                                                    deadline)

@@ -252,6 +252,24 @@ def test_report_deterministic_modulo_timings(tmp_path):
     assert one() == one()
 
 
+def test_total_secs_ignores_wall_clock_steps(tmp_path, monkeypatch):
+    # the wall clock steps back an hour at every reading; the report's
+    # total must come from a clock that cannot
+    import time
+
+    readings = []
+
+    def stepping_back():
+        readings.append(None)
+        return 2e9 - 3600.0 * len(readings)
+
+    monkeypatch.setattr(time, "time", stepping_back)
+    code, rep = run(tmp_path, "count", "--k", "3", "--n-vertices", "6",
+                    "--target", "cycle:3")
+    assert code == EXIT_OK
+    assert rep["timings"]["total_secs"] >= 0
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "ramsey-lab" in capsys.readouterr().out

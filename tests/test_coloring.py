@@ -16,6 +16,7 @@ from ramsey_lab.coloring import (
     edge_unrank,
     lower_bound_witness,
     split_coloring,
+    swap_pairs,
 )
 from ramsey_lab.core import cycle_template, path_template
 from ramsey_lab.embedder import find_embedding
@@ -34,6 +35,21 @@ def test_rank_unrank_bijection(N, k):
     for r, e in enumerate(all_edges(N, k)):
         assert edge_rank(e, N, k) == r
         assert edge_unrank(r, N, k) == e
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_swap_pairs_match_oracle_transpositions(k):
+    # row u-1 lists, ascending in both columns, each pair (p, s(p)) with
+    # p < s(p) of the swap s = (u, u+1); at N = k no swap moves an edge
+    for N in range(k, 11):
+        lo, hi = swap_pairs(N, k)
+        assert lo.shape == hi.shape == (N - 1, math.comb(N - 2, k - 1))
+        for u, perm in enumerate(O.oracle_transpositions(N, k)):
+            row_lo, row_hi = lo[u].astype(np.int64), hi[u].astype(np.int64)
+            assert (np.diff(row_lo) > 0).all() and (np.diff(row_hi) > 0).all()
+            assert list(zip(row_lo.tolist(), row_hi.tolist())) == \
+                [(p, q) for p, q in enumerate(perm) if p < q], (N, u + 1)
+    assert swap_pairs(k, k)[0].size == 0
 
 
 def test_frozen_colex_values():

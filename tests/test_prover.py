@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
+from ramsey_lab import _kernels
 from ramsey_lab.certificates import Certificate, make_certificate
 from ramsey_lab.coloring import (
     SplitSpec,
@@ -15,6 +17,7 @@ from ramsey_lab.coloring import (
     all_edges,
     lower_bound_witness,
     split_coloring,
+    swap_pairs,
 )
 from ramsey_lab.core import cycle_template, path_template
 from ramsey_lab.embedder import copy_rank_matrix, find_embedding
@@ -126,21 +129,61 @@ def test_exact_search_counts(case):
     assert got == digest
 
 
-@pytest.mark.parametrize("symmetry", [False, True])
-@pytest.mark.parametrize("N", [7, 8])
-@pytest.mark.parametrize("red,blue", list(itertools.product(TEMPLATES, repeat=2)))
-def test_search_matches_reference_rule(N, red, blue, symmetry):
-    # the plain-list loop over the exported CNF takes the same branches
-    text, _ = export_dimacs(3, N, _t(3, red), _t(3, blue))
+def _matches_reference_rule(k, N, red, blue, symmetry):
+    # the plain-list loop over the exported CNF takes the same branches;
+    # its generators are whole edge permutations, so it also checks that
+    # the kernel's half of each swap's pairs prunes exactly the same
+    text, _ = export_dimacs(k, N, red, blue)
     n_vars, clauses = O.parse_dimacs(text)
-    gens = O.oracle_transpositions(N, 3) if symmetry else ()
+    gens = O.oracle_transpositions(N, k) if symmetry else ()
     status, nodes, props, model = O.counting_dpll(n_vars, clauses, gens)
-    v = decide_arrowing(3, N, _t(3, red), _t(3, blue), symmetry=symmetry)
+    v = decide_arrowing(k, N, red, blue, symmetry=symmetry)
     assert (v.status, v.stats["nodes"], v.stats["propagations"]) == \
         (status, nodes, props)
     if status == "SAT":
         assert v.witness.bits.tolist() == model
 
+
+@pytest.mark.parametrize("symmetry", [False, True])
+@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("red,blue", list(itertools.product(TEMPLATES, repeat=2)))
+def test_search_matches_reference_rule(N, red, blue, symmetry):
+    _matches_reference_rule(3, N, _t(3, red), _t(3, blue), symmetry)
+
+
+# P^4_2 has 7 vertices, so at N = 6 only P^4_1 against itself fits the host
+@pytest.mark.parametrize("N,red,blue", [
+    (N, red, blue) for N in (6, 7, 8)
+    for red, blue in itertools.product((1, 2), repeat=2) if 3 * max(red, blue) < N])
+def test_symmetric_search_matches_reference_rule_k4(N, red, blue):
+    _matches_reference_rule(4, N, path_template(4, red), path_template(4, blue),
+                            True)
+
+
+@pytest.mark.parametrize("k,N", [(4, 6), (4, 7), (5, 7), (5, 8)])
+def test_half_swap_rows_prune_like_full_permutations(k, N):
+    # arrowing instances at k >= 4 small enough for the oracle settle in a
+    # few nodes without a leader prune; random one-signed clauses are not
+    # swap-invariant, so the leader check prunes often on them
+    E = math.comb(N, k)
+    lo, hi = swap_pairs(N, k)
+    sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
+    gens = O.oracle_transpositions(N, k)
+    pruned = 0
+    for seed in range(4):
+        rng = np.random.default_rng(100 * k + 10 * N + seed)
+        rows = np.sort([rng.choice(E, 3, replace=False) for _ in range(2 * E)], axis=1)
+        red, blue = rows[:E], rows[E:]
+        instance = _kernels.build_instance(E, red, blue)
+        status, nodes, props, assign = _kernels.search(instance, sym, None, None)
+        clauses = [[-(int(r) + 1) for r in row] for row in red] + \
+            [[int(r) + 1 for r in row] for row in blue]
+        o_status, o_nodes, o_props, model = O.counting_dpll(E, clauses, gens)
+        assert (status, nodes, props) == (o_status, o_nodes, o_props), seed
+        if status == "SAT":
+            assert np.where(assign < 0, 1, assign).tolist() == model
+        pruned += nodes != _kernels.search(instance, (), None, None)[1]
+    assert pruned
 
 
 # max_nodes -> (status, nodes, propagations) for C^3_3/C^3_3 at N=7, whose
