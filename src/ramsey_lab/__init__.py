@@ -4,7 +4,7 @@ Templates and colorings live in `core` and `coloring`; embedding search,
 copy counting and maximality in `embedder`; the proof-procedure algorithms
 in `constructive`; arrowing decisions, Ramsey computations and DIMACS
 export in `prover`; certificates in `certificates`; the command line in
-`cli`.
+`cli`.  Every file is written through `core.atomic_write`.
 """
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coloring import TwoColoring, decoding
+from .core import atomic_write
 
 CERT_TYPES = ("witness-coloring", "embedding", "pair-set", "join-trace",
               "configuration")
@@ -54,9 +55,10 @@ class Certificate:
                        dict(obj["payload"]), dict(obj.get("meta", {})))
 
     def save(self, path, explicit_coloring: bool = False) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(explicit_coloring), fh, indent=1)
-            fh.write("\n")
+        """One line of JSON, encoded in full before `path` is touched."""
+        text = json.dumps(self.to_json_obj(explicit_coloring)) + "\n"
+        with atomic_write(path) as fh:
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "Certificate":

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from ._backend import BACKEND
 from .coloring import TwoColoring, lower_bound_witness
-from .core import cycle_template, path_template
+from .core import atomic_write, cycle_template, path_template
 from .certificates import Certificate, make_certificate
 from .constructive import (
     absorb_blue_path,
@@ -98,15 +98,17 @@ def _report_skeleton(args, subcommand: str, inputs: dict) -> dict:
         "seed": args.seed,
         "certificates": [],
         "results": {},
-        "timings": {},
+        "timings": {"certify_s": 0.0},
     }
 
 
 def _emit(report: dict, args, t0: float) -> None:
-    report["timings"]["total_secs"] = round(time.monotonic() - t0, 6)
+    timings = report["timings"]
+    timings["certify_s"] = round(timings["certify_s"], 6)
+    timings["total_secs"] = round(time.monotonic() - t0, 6)
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -118,10 +120,16 @@ def _artifact(args, name: str) -> str:
 
 
 def _save_certificate(cert, args, name: str, report: dict) -> str:
-    """Write, re-verify through the checker, and register in the report."""
+    """Write, re-verify through the checker, and register in the report.
+
+    The time taken is added to the report's `certify_s`."""
+    t0 = time.monotonic()
     path = _artifact(args, name)
-    cert.save(path, explicit_coloring=args.explicit)
-    ok, check = verify_certificate(Certificate.load(path))
+    try:
+        cert.save(path, explicit_coloring=args.explicit)
+        ok, check = verify_certificate(Certificate.load(path))
+    finally:
+        report["timings"]["certify_s"] += time.monotonic() - t0
     report["certificates"].append({"path": path, "verified": bool(ok)})
     if not ok:
         raise ProofGap(f"emitted certificate failed re-verification: {check}")
@@ -301,10 +309,10 @@ def _run_export_cnf(args, report: dict) -> int:
     stem = args.stem or f"arrow-k{args.k}-N{args.n_vertices}"
     cnf_path = _artifact(args, stem + ".cnf")
     map_path = _artifact(args, stem + ".vars.json")
-    with open(cnf_path, "w") as fh:
+    with atomic_write(cnf_path) as fh:
         fh.write(text)
-    with open(map_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2)
+    with atomic_write(map_path) as fh:
+        fh.write(json.dumps(sidecar, indent=2))
     head = next(ln for ln in text.splitlines() if ln.startswith("p cnf"))
     _, _, n_vars, n_clauses = head.split()
     report["results"] = {"cnf": cnf_path, "varmap": map_path,
@@ -465,8 +473,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report["results"] = {"error": "proof-gap", "detail": str(exc)}
         if exc.instance is not None:
             path = _artifact(args, f"{args.subcommand}.proofgap.json")
-            with open(path, "w") as fh:
-                json.dump(exc.instance, fh, indent=2)
+            text = json.dumps(exc.instance, indent=2)
+            with atomic_write(path) as fh:
+                fh.write(text)
             report["results"]["instance"] = path
         _emit(report, args, t0)
         print(f"proof-gap: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Edge, as_edge
+from .core import Edge, as_edge, atomic_write
 
 RED = 1
 BLUE = 0
@@ -208,9 +208,9 @@ class TwoColoring:
             return cls(k, N, bits)
 
     def save(self, path, explicit: bool = False) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(explicit=explicit), fh)
-            fh.write("\n")
+        text = json.dumps(self.to_json_obj(explicit=explicit)) + "\n"
+        with atomic_write(path) as fh:
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "TwoColoring":

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
@@ -41,7 +40,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .coloring import TwoColoring, adjacent_twins, all_edges, colex_rank
-from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
+from .core import (CYCLE, PATH, Edge, LooseTemplate, atomic_write, is_loose_sequence,
+                   path_template)
 from .errors import SearchBudgetExceeded
 
 
@@ -456,19 +456,6 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     return out
 
 
-def _save_atomic(fname: str, arr: np.ndarray) -> None:
-    """np.save through a temp file, so readers never see a partial file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(fname),
-                               prefix=os.path.basename(fname) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, arr)
-        os.replace(tmp, fname)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _n_copies(N: int, k: int, t: LooseTemplate) -> int:
     """Copies of t in K^k_N in closed form: N!/((N-v)! |Aut t|), v = t.n_vertices."""
     f = math.factorial
@@ -578,7 +565,8 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     _COPY_CACHE[key] = arr
     if fname:
         os.makedirs(cache_dir, exist_ok=True)
-        _save_atomic(fname, arr)
+        with atomic_write(fname, "wb") as fh:
+            np.save(fh, arr)
     return arr
 
 

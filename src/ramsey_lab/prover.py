@@ -192,11 +192,11 @@ def export_dimacs(k: int, N: int, red_target: LooseTemplate,
 
     Variable rank+1 asserts "edge of colex rank is red"; red copies become
     all-negative clauses, blue copies all-positive, in canonical row order.
+    A target with more vertices than the host has no copy and adds no
+    clause, as in `decide_arrowing`.
     """
     if red_target.k != k or blue_target.k != k:
         raise ValueError("invalid-parameter: target uniformity differs from k")
-    if red_target.n_vertices > N or blue_target.n_vertices > N:
-        raise ValueError("invalid-parameter: target does not fit host")
     E = math.comb(N, k)
     red_rows = copy_rank_matrix(N, k, red_target)
     blue_rows = copy_rank_matrix(N, k, blue_target)

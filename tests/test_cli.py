@@ -17,6 +17,7 @@ from ramsey_lab.cli import (
 from ramsey_lab.coloring import TwoColoring, all_edges
 
 import frozen_values as F
+import oracles as O
 
 
 def run(tmp_path, *argv):
@@ -88,6 +89,29 @@ def test_export_cnf(tmp_path):
     assert os.path.exists(rep["results"]["cnf"])
     assert os.path.exists(rep["results"]["varmap"])
     assert rep["results"]["clauses"] == 240
+
+
+def test_export_cnf_target_larger_than_host(tmp_path):
+    # P^4_2 has 7 vertices, K^4_6 has 6: the red target adds no clause,
+    # and the exported CNF gets the verdict arrow gives
+    inst = ["--k", "4", "--n-vertices", "6", "--red", "path:2", "--blue", "path:1"]
+    code, rep = run(tmp_path, "export-cnf", *inst)
+    assert code == EXIT_OK
+    assert rep["results"]["clauses"] == 15
+    with open(rep["results"]["cnf"]) as fh:
+        n_vars, clauses = O.parse_dimacs(fh.read())
+    status, _, _, _ = O.counting_dpll(n_vars, clauses)
+    code, rep = run(tmp_path, "arrow", *inst)
+    assert code == EXIT_OK
+    assert status == rep["results"]["status"] == "SAT"
+
+
+def test_check_cert_rejects_empty_file(tmp_path):
+    # what a crash right after a save can leave behind is never accepted
+    empty = tmp_path / "empty.cert.json"
+    empty.write_text("")
+    code, rep = run(tmp_path, "check-cert", "--file", str(empty))
+    assert code == EXIT_USAGE
 
 
 def test_check_cert_accepts_and_rejects(tmp_path):
@@ -250,6 +274,17 @@ def test_report_deterministic_modulo_timings(tmp_path):
         return rep
 
     assert one() == one()
+
+
+def test_certify_s_sums_certificate_round_trips(tmp_path):
+    code, rep = run(tmp_path, "arrow", "--k", "3", "--n-vertices", "6",
+                    "--red", "cycle:3", "--blue", "cycle:3")
+    assert code == EXIT_OK and len(rep["certificates"]) == 1
+    timings = rep["timings"]
+    assert 0 < timings["certify_s"] <= timings["total_secs"]
+    code, rep = run(tmp_path, "count", "--k", "3", "--n-vertices", "6",
+                    "--target", "cycle:3")
+    assert rep["timings"]["certify_s"] == 0
 
 
 def test_total_secs_ignores_wall_clock_steps(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Colex ranking, coloring semantics, serialization, and extremal witnesses."""
 
+import io
 import json
 import math
 
@@ -113,6 +114,17 @@ def test_save_load(tmp_path):
     c.save(p)
     c2 = TwoColoring.load(p)
     assert np.array_equal(c2.bits, c.bits)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_save_writes_default_one_line_json(tmp_path, explicit):
+    # the bytes json.dump(obj, fh) writes, plus a newline
+    c = split_coloring(4, 8, SplitSpec(a=5))
+    buf = io.StringIO()
+    json.dump(c.to_json_obj(explicit=explicit), buf)
+    p = tmp_path / "c.json"
+    c.save(p, explicit=explicit)
+    assert p.read_text() == buf.getvalue() + "\n"
 
 
 def test_restrict_relabels():

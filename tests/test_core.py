@@ -1,14 +1,20 @@
-"""Template construction laws, shifts, and loose-sequence recognition."""
+"""Template construction laws, shifts, loose-sequence recognition, and the
+one file writer."""
 
+import ast
 import itertools
+import pathlib
 
 import pytest
 
+import ramsey_lab
+from ramsey_lab import core
 from ramsey_lab.core import (
     CYCLE,
     PATH,
     LooseTemplate,
     as_edge,
+    atomic_write,
     cycle_template,
     endpoints,
     is_loose_sequence,
@@ -104,3 +110,120 @@ def test_template_equality_and_hash():
     assert path_template(3, 4) == path_template(3, 4)
     assert path_template(3, 4) != cycle_template(3, 4)
     assert len({path_template(3, 4), path_template(3, 4)}) == 1
+
+
+# ------------------------------------------------------------- file writes
+
+def test_atomic_write_creates_and_replaces(tmp_path):
+    p = tmp_path / "out.txt"
+    with atomic_write(p) as fh:
+        fh.write("first\n")
+    with atomic_write(str(p), "wb") as fh:
+        fh.write(b"second\n")
+    assert p.read_bytes() == b"second\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]
+    # the file gets the mode a plain open() would give it, not mkstemp's 0600
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    assert p.stat().st_mode == plain.stat().st_mode
+
+
+def test_atomic_write_error_keeps_the_old_file(tmp_path, monkeypatch):
+    p = tmp_path / "out.txt"
+    p.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(p) as fh:
+            fh.write("half")
+            raise RuntimeError("disk full")
+    assert p.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+    def no_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(core.os, "replace", no_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        with atomic_write(p) as fh:
+            fh.write("new\n")
+    assert p.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]
+    # a first write fails the same way and leaves nothing behind
+    fresh = tmp_path / "fresh.txt"
+    with pytest.raises(OSError, match="rename refused"):
+        with atomic_write(fresh) as fh:
+            fh.write("new\n")
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+
+def test_atomic_write_rejects_other_modes(tmp_path):
+    with pytest.raises(ValueError, match="mode"):
+        with atomic_write(tmp_path / "x", "a"):
+            pass
+    assert list(tmp_path.iterdir()) == []
+
+
+_OPENERS = {"open": 1, "io.open": 1, "os.fdopen": 1}  # name -> mode position
+
+
+def _file_writes(source: str, writer: str = None) -> list:
+    """Line numbers of the calls in `source` that write a file other than
+    through the function named `writer`: json.dump, write_text/write_bytes,
+    os.open, and open/fdopen/Path.open in a write mode or a mode that is not
+    a string literal."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == writer:
+            return
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            attr = name.rsplit(".", 1)[-1]
+            if name in ("json.dump", "os.open") \
+                    or attr in ("write_text", "write_bytes"):
+                found.append(node.lineno)
+            elif name in _OPENERS or attr == "open":
+                pos = _OPENERS.get(name, 0)
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                            node.args[pos] if len(node.args) > pos else None)
+                if mode is not None and not (
+                        isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_file_write_scan_finds_writes():
+    src = "\n".join([
+        "json.dump(obj, fh)",
+        "open(p, 'w')",
+        "open(p, mode='ab')",
+        "os.fdopen(fd, 'r+')",
+        "path.open('wb')",
+        "open(p, mode)",
+        "path.write_text('x')",
+        "os.open(p, flags)",
+        "open(p)", "open(p, 'rb')", "path.open()", "json.dumps(obj)",
+        "def atomic_write(path):",
+        "    with os.fdopen(os.open(path, 1), mode) as fh:",
+        "        yield fh",
+    ])
+    assert _file_writes(src) == [1, 2, 3, 4, 5, 6, 7, 8, 14, 14]
+    assert _file_writes(src, writer="atomic_write") == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def test_every_file_write_goes_through_atomic_write():
+    # a reader of any file the library writes sees the old file or the
+    # whole new one, so no module opens a file for writing itself
+    package = pathlib.Path(ramsey_lab.__file__).parent
+    writes = {}
+    for path in sorted(package.glob("*.py")):
+        writer = "atomic_write" if path.name == "core.py" else None
+        lines = _file_writes(path.read_text(), writer)
+        if lines:
+            writes[path.name] = lines
+    assert writes == {}
+    assert _file_writes(pathlib.Path(core.__file__).read_text()) != []

@@ -341,6 +341,70 @@ def test_witness_certificate_roundtrip(tmp_path):
     assert Certificate.load(p).meta["seed"] == 7
 
 
+def _witness_cert(**meta):
+    N, c = lower_bound_witness(3, 3, 3, "CC")
+    return make_certificate(
+        "witness-coloring", c,
+        {"red_target": {"kind": "cycle", "length": 3},
+         "blue_target": {"kind": "cycle", "length": 3},
+         "n_vertices": N},
+        lemma="lower-bound", seed=7, **meta)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_saved_certificate_is_one_line_of_its_json_obj(tmp_path, explicit):
+    cert = _witness_cert()
+    p = tmp_path / "w.cert.json"
+    cert.save(p, explicit_coloring=explicit)
+    text = p.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == cert.to_json_obj(explicit)
+
+
+def test_indented_certificate_layout_still_verifies(tmp_path):
+    # certificates written as indented JSON load and verify as before
+    cert = _witness_cert()
+    old = tmp_path / "old.cert.json"
+    with open(old, "w") as fh:
+        json.dump(cert.to_json_obj(), fh, indent=1)
+        fh.write("\n")
+    new = tmp_path / "new.cert.json"
+    cert.save(new)
+    ok_old, report_old = verify_certificate(Certificate.load(old))
+    assert ok_old
+    assert (ok_old, report_old) == verify_certificate(Certificate.load(new))
+    assert Certificate.load(old).to_json_obj() == \
+        Certificate.load(new).to_json_obj()
+
+
+def test_failed_save_keeps_the_old_certificate(tmp_path, monkeypatch):
+    from ramsey_lab import core
+
+    p = tmp_path / "w.cert.json"
+    _witness_cert().save(p)
+    before = p.read_bytes()
+    # fails while encoding: nothing is written
+    with pytest.raises(TypeError):
+        _witness_cert(tags={1, 2}).save(p)
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+    # fails when the finished temp file is moved into place
+    def no_replace(src, dst):
+        raise OSError("rename refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(core.os, "replace", no_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            _witness_cert(note="newer").save(p)
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+    _witness_cert(note="newer").save(p)
+    assert Certificate.load(p).meta["note"] == "newer"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+
 def test_tampered_certificate_rejected():
     N, c = lower_bound_witness(3, 3, 3, "CC")
     cert = make_certificate(
