@@ -10,6 +10,7 @@ range for cycles.  All vertex labels are 1-based everywhere in this library.
 from __future__ import annotations
 
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -157,14 +158,29 @@ def atomic_write(path, mode: str = "w") -> Iterator[IO]:
     """Write `path` through a fresh temp file beside it; the library's one writer.
 
     Yields the temp file opened in `mode` ("w" or "wb").  On a clean exit
-    the temp file takes `path`'s place, so a reader sees the old file or
-    the whole new one, never part of one.  On any error the temp file is
-    deleted and the old file is left as it was.  Nothing is fsynced: after
-    a crash in the first seconds after a write, the new file can be empty.
+    the temp file takes `path`'s place.  The old file is moved aside just
+    before that and unlinked after, so for a moment a concurrent reader
+    finds no file at `path`, never part of one; a process killed in that
+    moment leaves the old content in `<path>.<hex>.tmp.old`.  On any error the temp file is
+    deleted and the old file is left as it was.  A symlink is followed and
+    its target written; a path that exists and is not a regular file (a
+    device, a FIFO) is opened and written as it is.  A file that exists
+    keeps its permission bits.  Nothing is fsynced:
+    after a crash in the first seconds after a write, the new file can be
+    empty.
     """
-    if mode not in ("w", "wb"):
-        raise ValueError(f"atomic_write mode must be 'w' or 'wb', got {mode!r}")
     path = os.fspath(path)
+    try:
+        st = os.lstat(path)
+        if stat.S_ISLNK(st.st_mode):
+            path = os.path.realpath(path)
+            st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, mode) as fh:
+            yield fh
+        return
     head, tail = os.path.split(path)
     while True:
         tmp = os.path.join(head, f"{tail}.{os.urandom(4).hex()}.tmp")
@@ -175,6 +191,8 @@ def atomic_write(path, mode: str = "w") -> Iterator[IO]:
             continue
     try:
         with os.fdopen(fd, mode) as fh:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
             yield fh
         # Move the old file to a free name and unlink it instead of
         # renaming over it: ext4 (auto_da_alloc) forces writeback of a file

@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+import threading
 
 import pytest
 
@@ -274,6 +276,29 @@ def test_report_deterministic_modulo_timings(tmp_path):
         return rep
 
     assert one() == one()
+
+
+def test_out_writes_through_symlink_and_fifo(tmp_path):
+    argv = ["count", "--k", "3", "--n-vertices", "6", "--target", "cycle:3",
+            "--dir", str(tmp_path)]
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(argv + ["--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and json.loads(target.read_text())["results"]
+    # a FIFO (like /dev/stdout) gets the report and stays a FIFO
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    assert main(argv + ["--out", str(fifo)]) == EXIT_OK
+    reader.join(timeout=10)
+    assert json.loads(got[0])["results"] and stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "fifo", "link.json", "target.json"]
 
 
 def test_certify_s_sums_certificate_round_trips(tmp_path):

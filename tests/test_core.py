@@ -126,6 +126,11 @@ def test_atomic_write_creates_and_replaces(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("x")
     assert p.stat().st_mode == plain.stat().st_mode
+    # a rewrite keeps the permission bits the old file had
+    p.chmod(0o600)
+    with atomic_write(p) as fh:
+        fh.write("third\n")
+    assert p.read_text() == "third\n" and p.stat().st_mode & 0o777 == 0o600
 
 
 def test_atomic_write_error_keeps_the_old_file(tmp_path, monkeypatch):
@@ -155,32 +160,63 @@ def test_atomic_write_error_keeps_the_old_file(tmp_path, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == [p.name]
 
 
-def test_atomic_write_rejects_other_modes(tmp_path):
-    with pytest.raises(ValueError, match="mode"):
-        with atomic_write(tmp_path / "x", "a"):
-            pass
-    assert list(tmp_path.iterdir()) == []
+def test_atomic_write_follows_symlinks(tmp_path):
+    # a symlink keeps pointing at its target, which gets the new content
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target.name)
+    with atomic_write(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+    dangling = tmp_path / "dangling.txt"
+    dangling.symlink_to("made.txt")
+    with atomic_write(dangling) as fh:
+        fh.write("made\n")
+    assert dangling.is_symlink() and (tmp_path / "made.txt").read_text() == "made\n"
+    # a directory is not a file to write; nothing is left behind
+    with pytest.raises(IsADirectoryError):
+        with atomic_write(tmp_path) as fh:
+            fh.write("x")
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "dangling.txt", "link.txt", "made.txt", "target.txt"]
 
 
 _OPENERS = {"open": 1, "io.open": 1, "os.fdopen": 1}  # name -> mode position
+_ARRAY_SAVERS = {"np.save", "np.savez", "np.savez_compressed", "np.savetxt"}
+_COPIERS = {"shutil.copy", "shutil.copy2", "shutil.copyfile", "shutil.copytree",
+            "shutil.move"}
 
 
 def _file_writes(source: str, writer: str = None) -> list:
     """Line numbers of the calls in `source` that write a file other than
     through the function named `writer`: json.dump, write_text/write_bytes,
-    os.open, and open/fdopen/Path.open in a write mode or a mode that is not
-    a string literal."""
+    os.open, shutil copies and moves, open/fdopen/Path.open in a write mode
+    or a mode that is not a string literal, and np.save/savez/savetxt and
+    ndarray.tofile into anything but a handle from `with atomic_write(...)`."""
+    tree = ast.parse(source)
+    handles = {item.optional_vars.id for node in ast.walk(tree)
+               if isinstance(node, ast.With) for item in node.items
+               if isinstance(item.context_expr, ast.Call)
+               and ast.unparse(item.context_expr.func).endswith("atomic_write")
+               and isinstance(item.optional_vars, ast.Name)}
     found = []
 
     def visit(node):
         if isinstance(node, ast.FunctionDef) and node.name == writer:
             return
         if isinstance(node, ast.Call):
-            name = ast.unparse(node.func)
+            name = ast.unparse(node.func).replace("numpy.", "np.", 1)
             attr = name.rsplit(".", 1)[-1]
-            if name in ("json.dump", "os.open") \
+            if name in ("json.dump", "os.open") or name in _COPIERS \
                     or attr in ("write_text", "write_bytes"):
                 found.append(node.lineno)
+            elif name in _ARRAY_SAVERS or attr == "tofile":
+                dest = node.args[0] if node.args else next(
+                    (kw.value for kw in node.keywords
+                     if kw.arg in ("file", "fname", "fid")), None)
+                if not (isinstance(dest, ast.Name) and dest.id in handles):
+                    found.append(node.lineno)
             elif name in _OPENERS or attr == "open":
                 pos = _OPENERS.get(name, 0)
                 mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
@@ -192,7 +228,7 @@ def _file_writes(source: str, writer: str = None) -> list:
         for child in ast.iter_child_nodes(node):
             visit(child)
 
-    visit(ast.parse(source))
+    visit(tree)
     return found
 
 
@@ -206,18 +242,29 @@ def test_file_write_scan_finds_writes():
         "open(p, mode)",
         "path.write_text('x')",
         "os.open(p, flags)",
+        "np.save(fname, arr)",
+        "numpy.savez(p, a=arr)",
+        "np.savetxt(fname=p, X=arr)",
+        "arr.tofile(p)",
+        "shutil.copyfile(a, b)",
+        "shutil.move(a, b)",
         "open(p)", "open(p, 'rb')", "path.open()", "json.dumps(obj)",
+        "np.load(p)", "cert.save(p)",
+        "with atomic_write(p, 'wb') as fh:",
+        "    np.save(fh, arr)",
+        "    arr.tofile(fh)",
         "def atomic_write(path):",
         "    with os.fdopen(os.open(path, 1), mode) as fh:",
         "        yield fh",
     ])
-    assert _file_writes(src) == [1, 2, 3, 4, 5, 6, 7, 8, 14, 14]
-    assert _file_writes(src, writer="atomic_write") == [1, 2, 3, 4, 5, 6, 7, 8]
+    direct = list(range(1, 15))
+    assert _file_writes(src) == direct + [25, 25]
+    assert _file_writes(src, writer="atomic_write") == direct
 
 
 def test_every_file_write_goes_through_atomic_write():
-    # a reader of any file the library writes sees the old file or the
-    # whole new one, so no module opens a file for writing itself
+    # a reader of any file the library writes never sees part of one, so
+    # no module opens a file for writing itself
     package = pathlib.Path(ramsey_lab.__file__).parent
     writes = {}
     for path in sorted(package.glob("*.py")):
