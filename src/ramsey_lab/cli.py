@@ -104,7 +104,8 @@ def _report_skeleton(args, subcommand: str, inputs: dict) -> dict:
 
 def _emit(report: dict, args, t0: float) -> None:
     timings = report["timings"]
-    timings["certify_s"] = round(timings["certify_s"], 6)
+    for key, secs in timings.items():
+        timings[key] = round(secs, 6)
     timings["total_secs"] = round(time.monotonic() - t0, 6)
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out:
@@ -152,7 +153,9 @@ def _save_witness(args, report: dict, c: TwoColoring, red: tuple, blue: tuple,
 
 def _run_witness(args, report: dict) -> int:
     pair = args.pair.upper()
+    t0 = time.monotonic()
     N, c = lower_bound_witness(args.k, args.n, args.m, pair)
+    report["timings"]["witness_s"] = time.monotonic() - t0
     red, blue = ("path" if p == "P" else "cycle" for p in pair)
     stem = f"witness-{pair}-k{args.k}-n{args.n}-m{args.m}"
     cpath = _artifact(args, stem + ".coloring.json")
@@ -177,6 +180,9 @@ def _run_arrow(args, report: dict) -> int:
         _template_of(args.k, blue), max_nodes=args.max_nodes,
         max_secs=args.max_secs, symmetry=args.symmetry)
     report["results"] = verdict.to_json_obj()
+    report["timings"].update(enumerate_s=verdict.stats["enumerate_s"],
+                             build_s=verdict.stats["build_s"],
+                             search_s=verdict.stats["wall_secs"])
     if verdict.status == "SAT" and verdict.witness is not None:
         _save_witness(args, report, verdict.witness, red, blue, "arrowing-sat",
                       f"arrow-k{args.k}-N{args.n_vertices}")

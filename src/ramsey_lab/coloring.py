@@ -16,7 +16,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -218,7 +218,7 @@ class TwoColoring:
             return cls.from_json_obj(json.load(fh))
 
 
-_SWAP_CELLS = 1 << 14  # table cells per build or compare step
+_SWAP_CELLS = 1 << 14  # table cells per compare step of adjacent_twins
 
 _SWAP_CACHE: dict = {}  # one (N, k) entry
 
@@ -235,33 +235,41 @@ def swap_pairs(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Ranks use the smallest unsigned dtype that holds C(N, k).  Both arrays
     are read-only and cached for the last (N, k) asked for; the previous
     table is dropped before a new one is built, to bound peak memory.
+
+    Built level by level over edge sizes j = 1..k; level 1 is lo = u-1,
+    hi = u.  Row u-1 of level j lists the j-sets holding u but not u+1 by
+    largest label M: M = u gives the run C(u-1, j) + [0, C(u-1, j-1)), and
+    each M from u+2 to N the first C(M-3, j-2) entries of level j-1's row
+    shifted by C(M-1, j), in columns [C(M-3, j-1), C(M-2, j-1)) of every
+    row u <= M-2: one slice of level j-1.  `hi` is the same recursion with
+    its first run at C(u, j).
     """
     hit = _SWAP_CACHE.get((N, k))
     if hit is not None:
         return hit
     _SWAP_CACHE.clear()
-    m = math.comb(max(N - 2, 0), k - 1)
-    lo, hi = np.empty((2, max(N - 1, 0), m),
-                      dtype=np.min_scalar_type(max(math.comb(N, k) - 1, 0)))
-    binom = np.array([[math.comb(v, i) for i in range(k + 1)] for v in range(N + 1)],
-                     dtype=np.int64)
-    # T is a (k-1)-set S of 1..N-2 with every label >= u raised by two.
-    # Descending tuples in lex order, reversed both ways, are the ascending
-    # sets in colex order, which raising labels and adding u or u+1 keep;
-    # the contiguous copy keeps the steps below as fast as on unreversed sets
-    sets = np.ascontiguousarray(np.fromiter(
-        chain.from_iterable(combinations(range(max(N - 2, 0), 0, -1), k - 1)),
-        dtype=np.min_scalar_type(N), count=m * (k - 1)).reshape(m, k - 1)[::-1, ::-1])
-    step = max(1, _SWAP_CELLS // max(k - 1, 1))
-    for u in range(1, N):
-        for a in range(0, m, step):
-            s = sets[a:a + step]
-            above = s >= u
-            below = k - 1 - above.sum(axis=1)
-            r = (binom[s + 2 * above - 1, np.arange(1, k) + above].sum(axis=1)
-                 + binom[u - 1, below + 1])
-            lo[u - 1, a:a + step] = r
-            hi[u - 1, a:a + step] = r + binom[u - 1, below]
+    rows = max(N - 1, 0)
+    out = np.min_scalar_type(max(math.comb(N, k) - 1, 0))
+    # lower levels can need more bits than the last: C(N, j) > C(N, k) for
+    # some j < k when 2k > N + 1
+    low = np.min_scalar_type(max([math.comb(N, j) - 1 for j in range(1, k)], default=0))
+    pairs = np.empty((2, rows, 1), dtype=low if k > 1 else out)
+    pairs[0, :, 0] = np.arange(rows)
+    pairs[1, :, 0] = np.arange(1, rows + 1)
+    for j in range(2, k + 1):
+        prev = pairs
+        pairs = np.empty((2, rows, math.comb(max(N - 2, 0), j - 1)),
+                         dtype=out if j == k else low)
+        run = np.arange(pairs.shape[2], dtype=pairs.dtype)
+        for u in range(1, N):
+            n_run = math.comb(u - 1, j - 1)
+            np.add(run[:n_run], math.comb(u - 1, j), out=pairs[0, u - 1, :n_run])
+            np.add(run[:n_run], math.comb(u, j), out=pairs[1, u - 1, :n_run])
+        for M in range(3, N + 1):
+            a, b = math.comb(M - 3, j - 1), math.comb(M - 2, j - 1)
+            np.add(prev[:, :M - 2, :b - a], math.comb(M - 1, j),
+                   out=pairs[:, :M - 2, a:b], dtype=pairs.dtype)
+    lo, hi = pairs
     lo.flags.writeable = False
     hi.flags.writeable = False
     _SWAP_CACHE[(N, k)] = lo, hi

@@ -162,12 +162,14 @@ def atomic_write(path, mode: str = "w") -> Iterator[IO]:
     before that and unlinked after, so for a moment a concurrent reader
     finds no file at `path`, never part of one; a process killed in that
     moment leaves the old content in `<path>.<hex>.tmp.old`.  On any error the temp file is
-    deleted and the old file is left as it was.  A symlink is followed and
-    its target written; a path that exists and is not a regular file (a
-    device, a FIFO) is opened and written as it is.  A file that exists
-    keeps its permission bits.  Nothing is fsynced:
-    after a crash in the first seconds after a write, the new file can be
-    empty.
+    deleted and the old file is left as it was.  A rewritten file is a new
+    inode owned by the writing user; it keeps the old file's permission
+    bits.  A symlink is followed and its target written.  A path that
+    exists and is not a regular file (a device, a FIFO), or is a regular
+    file with more than one hard link, is opened and written as it is, so
+    every link reads the new content; such a write is not atomic.  Nothing
+    is fsynced: after a crash in the first seconds after a write, the new
+    file can be empty.
     """
     path = os.fspath(path)
     try:
@@ -177,7 +179,7 @@ def atomic_write(path, mode: str = "w") -> Iterator[IO]:
             st = os.stat(path)
     except FileNotFoundError:
         st = None
-    if st is not None and not stat.S_ISREG(st.st_mode):
+    if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
         with open(path, mode) as fh:
             yield fh
         return

@@ -102,33 +102,39 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     verified witness coloring; UNKNOWN only on budget exhaustion.
 
     `max_secs` is one deadline for the whole call, copy enumeration
-    included; `stats["wall_secs"]` is the search time alone.
+    included; `stats["wall_secs"]` is the search time alone, and
+    `stats["enumerate_s"]` and `stats["build_s"]` time the copy enumeration
+    and the clause instance build before it.
     """
     if red_target.k != k or blue_target.k != k:
         raise ValueError("invalid-parameter: target uniformity differs from k")
     if not (isinstance(N, int) and N >= 0):
         raise ValueError(f"invalid-parameter: N={N}")
 
-    deadline = None if max_secs is None else time.monotonic() + max_secs
+    t0 = time.monotonic()
+    deadline = None if max_secs is None else t0 + max_secs
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
               "symmetry": symmetry, "backend": BACKEND}
     try:
         red_rows = copy_rank_matrix(N, k, red_target, deadline=deadline)
         blue_rows = copy_rank_matrix(N, k, blue_target, deadline=deadline)
     except SearchBudgetExceeded:
-        stats = {"nodes": 0, "propagations": 0, "wall_secs": 0.0}
+        stats = {"nodes": 0, "propagations": 0, "wall_secs": 0.0,
+                 "enumerate_s": time.monotonic() - t0, "build_s": 0.0}
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
+    t1 = time.monotonic()
     instance = _kernels.build_instance(math.comb(N, k), red_rows, blue_rows)
     sym = ()
     if symmetry:
         lo, hi = swap_pairs(N, k)
         if lo.size:  # at N <= k no swap moves an edge
             sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
-    t0 = time.monotonic()
+    t2 = time.monotonic()
     status, nodes, props, assign = _kernels.search(instance, sym, max_nodes,
                                                    deadline)
     stats = {"nodes": nodes, "propagations": props,
-             "wall_secs": time.monotonic() - t0}
+             "wall_secs": time.monotonic() - t2,
+             "enumerate_s": t1 - t0, "build_s": t2 - t1}
     witness = None
     if status == "SAT":
         # free vars: any value works; pick red

@@ -47,6 +47,22 @@ COPY_MATRIX_SHA256 = {
     ("path", 3, 4, 10): (453600, "12699a5276d053f96b5e225b1cea6d1b65378bbb63b853c1105401e568ae379a"),
 }
 
+# (N, k) -> (sha256 of lo bytes, sha256 of hi bytes) of coloring.swap_pairs,
+# as produced by the per-cell rank build the level recursion replaced: the
+# witness hosts of the benchmark plus K^6_30, whose ranks need uint32
+SWAP_PAIRS_SHA256 = {
+    (20, 5): ("de4cbb25b61ab473e43fc3a7c6e7108dd59156dabdf18fb5abc2368c3189eacc",
+              "e3bf69f55b83a2d676d679fad22e007a90bb68c2b14b8ff0eb2c5e00c08b7f6f"),
+    (21, 5): ("2c1db2d1fcbe97a3862284825f879144882e47f5f522b803834f5e331b8b33da",
+              "12f5cb15037dcad5e0d1127dfc29953a9bb2f33833cedd64aa22015b4637040e"),
+    (24, 5): ("dc21d4ae5c882793e9f7bf9aa118cf3c05df2459602e40b7f90e6835fb734f90",
+              "a5a059e32cf8c900e44d30912a2c56de572a934c2fdd16918291e82c5d3a3a38"),
+    (20, 6): ("fe052b4a0466c6595ada618f3a2612c1b919cc1b60a4e0e474c8df440d08b781",
+              "0ce8ca852585d3ce5832bc29321048ee01f88c7754c18823f5eb6a24231e603d"),
+    (30, 6): ("6f76ebf0e839d16c975de0e12428b5258b7cf3c3c85b4c798b99183af7f822b5",
+              "8d66ae17207a1e562ba287073b41d9f2fe64a403bc55e003b1f0dd42aff239fa"),
+}
+
 # complete-enumeration arrowing verdicts at k=3:
 # (N, red, blue) -> True iff every coloring has a red copy or blue copy
 ARROWING = {

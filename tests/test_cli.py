@@ -312,6 +312,24 @@ def test_certify_s_sums_certificate_round_trips(tmp_path):
     assert rep["timings"]["certify_s"] == 0
 
 
+def test_phase_timings_sum_within_total(tmp_path):
+    code, rep = run(tmp_path, "arrow", "--k", "3", "--n-vertices", "6",
+                    "--red", "cycle:3", "--blue", "cycle:3", "--symmetry")
+    assert code == EXIT_OK
+    stats = rep["results"]["stats"]
+    assert stats["enumerate_s"] >= 0 and stats["build_s"] >= 0
+    timings = rep["timings"]
+    phases = ("enumerate_s", "build_s", "search_s", "certify_s")
+    assert all(timings[key] >= 0 for key in phases)
+    assert sum(timings[key] for key in phases) <= timings["total_secs"]
+    code, rep = run(tmp_path, "witness", "--k", "3", "--pair", "CC",
+                    "--n", "3", "--m", "3")
+    assert code == EXIT_OK
+    timings = rep["timings"]
+    assert timings["witness_s"] >= 0 and timings["certify_s"] >= 0
+    assert timings["witness_s"] + timings["certify_s"] <= timings["total_secs"]
+
+
 def test_total_secs_ignores_wall_clock_steps(tmp_path, monkeypatch):
     # the wall clock steps back an hour at every reading; the report's
     # total must come from a clock that cannot

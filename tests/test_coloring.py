@@ -1,5 +1,6 @@
 """Colex ranking, coloring semantics, serialization, and extremal witnesses."""
 
+import hashlib
 import io
 import json
 import math
@@ -38,19 +39,28 @@ def test_rank_unrank_bijection(N, k):
         assert edge_unrank(r, N, k) == e
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_swap_pairs_match_oracle_transpositions(k):
     # row u-1 lists, ascending in both columns, each pair (p, s(p)) with
-    # p < s(p) of the swap s = (u, u+1); at N = k no swap moves an edge
-    for N in range(k, 11):
+    # p < s(p) of the swap s = (u, u+1); for N <= k no swap moves an edge
+    for N in range(0, 12):
         lo, hi = swap_pairs(N, k)
-        assert lo.shape == hi.shape == (N - 1, math.comb(N - 2, k - 1))
+        assert lo.shape == hi.shape == (max(N - 1, 0), math.comb(max(N - 2, 0), k - 1))
+        assert lo.dtype == hi.dtype == np.min_scalar_type(max(math.comb(N, k) - 1, 0))
+        assert not lo.flags.writeable and not hi.flags.writeable
         for u, perm in enumerate(O.oracle_transpositions(N, k)):
             row_lo, row_hi = lo[u].astype(np.int64), hi[u].astype(np.int64)
             assert (np.diff(row_lo) > 0).all() and (np.diff(row_hi) > 0).all()
             assert list(zip(row_lo.tolist(), row_hi.tolist())) == \
                 [(p, q) for p, q in enumerate(perm) if p < q], (N, u + 1)
     assert swap_pairs(k, k)[0].size == 0
+
+
+@pytest.mark.parametrize("N,k", sorted(F.SWAP_PAIRS_SHA256))
+def test_swap_pairs_frozen_sha256(N, k):
+    lo, hi = swap_pairs(N, k)
+    assert (hashlib.sha256(lo.tobytes()).hexdigest(),
+            hashlib.sha256(hi.tobytes()).hexdigest()) == F.SWAP_PAIRS_SHA256[N, k]
 
 
 def test_frozen_colex_values():

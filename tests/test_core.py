@@ -3,6 +3,7 @@ one file writer."""
 
 import ast
 import itertools
+import os
 import pathlib
 
 import pytest
@@ -180,6 +181,20 @@ def test_atomic_write_follows_symlinks(tmp_path):
             fh.write("x")
     assert sorted(f.name for f in tmp_path.iterdir()) == [
         "dangling.txt", "link.txt", "made.txt", "target.txt"]
+
+
+def test_atomic_write_keeps_hard_links(tmp_path):
+    # a file with a second name is written in place, so both names read
+    # the new content
+    first = tmp_path / "first.txt"
+    first.write_text("x\n")
+    second = tmp_path / "second.txt"
+    os.link(first, second)
+    with atomic_write(first) as fh:
+        fh.write("y\n")
+    assert first.read_text() == second.read_text() == "y\n"
+    assert os.stat(first).st_ino == os.stat(second).st_ino
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["first.txt", "second.txt"]
 
 
 _OPENERS = {"open": 1, "io.open": 1, "os.fdopen": 1}  # name -> mode position
