@@ -15,6 +15,7 @@ instance is written under ``--dir`` as ``<subcommand>.proofgap.json``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,10 +212,26 @@ def _run_ramsey(args, report: dict) -> int:
 
 # ---------------------------------------------------------------- extract
 
+# the options each lemma needs, by name without the leading "--"
+_LEMMA_OPTIONS = {
+    "good-configuration": ("path", "W", "anchor", "entry"),
+    "absorb": ("path", "W"),
+    "blue-cycle": ("cycle", "n", "m"),
+    "join": ("cycle1", "cycle2", "ell"),
+    "adjacent-pair": (),
+    "disjoint-pairs": ("t",),
+    "lift": ("cycle4", "i"),
+}
+
+
 def _run_extract(args, report: dict) -> int:
+    lemma = args.lemma
+    needs = _LEMMA_OPTIONS[lemma]
+    if any(getattr(args, opt) is None for opt in needs):
+        raise ValueError(f"invalid-parameter: --lemma {lemma} needs "
+                         + ", ".join(f"--{opt}" for opt in needs))
     c = TwoColoring.load(args.coloring)
     k = c.k
-    lemma = args.lemma
     meta: dict = {}
     stem = f"extract-{lemma}"
     max_nodes = 200_000 if args.max_nodes is None else args.max_nodes
@@ -255,8 +272,6 @@ def _run_extract(args, report: dict) -> int:
         C4 = _structure("cycle", k, _parse_verts(args.cycle4), "blue")
         obj = lift_blue_c4(c, C4, args.i)
         report["results"] = {"embedding": obj.to_json_obj()}
-    else:
-        raise ValueError(f"invalid-parameter: unknown lemma {lemma!r}")
 
     cert = to_certificate(c, obj, lemma=lemma, seed=args.seed,
                           budget_exhausted=bool(meta.get("budget_exhausted")))
@@ -357,7 +372,9 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
                    help="enable lex-leader symmetry breaking in the engine")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="ramsey-lab",
         description="Loose path/cycle Ramsey toolkit: witnesses, arrowing, "
@@ -392,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_run_ramsey)
 
     p = sub.add_parser("extract", help="run a constructive lemma on a coloring")
-    p.add_argument("--lemma", required=True,
-                   choices=["good-configuration", "absorb", "blue-cycle", "join",
-                            "adjacent-pair", "disjoint-pairs", "lift"])
+    p.add_argument("--lemma", required=True, choices=list(_LEMMA_OPTIONS))
     p.add_argument("--coloring", required=True, help="TwoColoring JSON file")
     p.add_argument("--path", help="red path assignment, comma-separated host vertices")
     p.add_argument("--W", help="reservoir vertices, comma-separated")

@@ -71,6 +71,20 @@ def edge_unrank(rank: int, N: int, k: int) -> Edge:
     return tuple(sorted(out))
 
 
+_MAX_EDGES = 1 << 31  # edge ranks must fit the int32 variables of `_kernels`
+
+
+def _blank_bits(k: int, N: int, fill: int = BLUE) -> np.ndarray:
+    """One bit per edge of K^k_N, all `fill`, for the coloring constructors;
+    a host with 2**31 edges or more is refused before anything is
+    allocated."""
+    n_edges = math.comb(N, k)
+    if n_edges >= _MAX_EDGES:
+        raise ValueError(f"host-too-large: K^{k}_{N} has {n_edges} edges, "
+                         f"at most {_MAX_EDGES - 1} are supported")
+    return np.full(n_edges, fill, dtype=np.uint8)
+
+
 def all_edges(N: int, k: int) -> list[Edge]:
     """All k-subsets of 1..N in colex order (position = colex rank)."""
     es = [tuple(c) for c in combinations(range(1, N + 1), k)]
@@ -128,15 +142,15 @@ class TwoColoring:
 
     @classmethod
     def all_red(cls, k: int, N: int) -> "TwoColoring":
-        return cls(k, N, np.ones(math.comb(N, k), dtype=np.uint8))
+        return cls(k, N, _blank_bits(k, N, RED))
 
     @classmethod
     def all_blue(cls, k: int, N: int) -> "TwoColoring":
-        return cls(k, N, np.zeros(math.comb(N, k), dtype=np.uint8))
+        return cls(k, N, _blank_bits(k, N))
 
     @classmethod
     def from_red_edges(cls, k: int, N: int, reds: Iterable[Iterable[int]]) -> "TwoColoring":
-        bits = np.zeros(math.comb(N, k), dtype=np.uint8)
+        bits = _blank_bits(k, N)
         for e in reds:
             bits[edge_rank(e, N, k)] = 1
         return cls(k, N, bits)
@@ -162,8 +176,7 @@ class TwoColoring:
         if vs and (vs[0] < 1 or vs[-1] > self.n_vertices):
             raise ValueError("restriction vertices out of range")
         relabel = {v: i + 1 for i, v in enumerate(vs)}
-        sub = math.comb(len(vs), self.k)
-        bits = np.zeros(sub, dtype=np.uint8)
+        bits = _blank_bits(self.k, len(vs))
         for e in combinations(vs, self.k):
             bits[edge_rank([relabel[v] for v in e], len(vs), self.k)] = \
                 self.bits[self.rank_of(e)]
@@ -307,7 +320,7 @@ def split_coloring(k: int, N: int, spec: SplitSpec) -> TwoColoring:
         raise ValueError(f"split size a={spec.a} out of range 0..{N}")
     if k < 1 or N < k:
         raise ValueError(f"need N >= k >= 1, got N={N}, k={k}")
-    bits = np.zeros(math.comb(N, k), dtype=np.uint8)
+    bits = _blank_bits(k, N)
     bits[:math.comb(spec.a, k)] = 1
     return TwoColoring(k, N, bits)
 

@@ -154,10 +154,10 @@ def is_loose_sequence(edges: list[Edge], kind: str) -> bool:
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w") -> Iterator[IO]:
+def atomic_write(path) -> Iterator[IO[str]]:
     """Write `path` through a fresh temp file beside it; the library's one writer.
 
-    Yields the temp file opened in `mode` ("w" or "wb").  On a clean exit
+    Yields the temp file opened for writing text.  On a clean exit
     the temp file takes `path`'s place.  The old file is moved aside just
     before that and unlinked after, so for a moment a concurrent reader
     finds no file at `path`, never part of one; a process killed in that
@@ -180,7 +180,7 @@ def atomic_write(path, mode: str = "w") -> Iterator[IO]:
     except FileNotFoundError:
         st = None
     if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
-        with open(path, mode) as fh:
+        with open(path, "w") as fh:
             yield fh
         return
     head, tail = os.path.split(path)
@@ -192,7 +192,7 @@ def atomic_write(path, mode: str = "w") -> Iterator[IO]:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "w") as fh:
             if st is not None:
                 os.fchmod(fd, stat.S_IMODE(st.st_mode))
             yield fh

@@ -24,14 +24,12 @@ K^k_N as a row of colex edge ranks, the input of the prover's clauses.  It
 grows all partial copies one edge per step on numpy arrays, keeps each copy
 in one orientation from one start edge, and checks the count against the
 closed form that `count_copies` returns without enumerating.  Tables are
-cached in memory and, optionally, on disk, where a table is used only if it
-is exactly the fresh one.
+cached in memory for the life of the process.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
@@ -39,9 +37,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import TwoColoring, adjacent_twins, all_edges, colex_rank
-from .core import (CYCLE, PATH, Edge, LooseTemplate, atomic_write, is_loose_sequence,
-                   path_template)
+from .coloring import TwoColoring, adjacent_twins, colex_rank
+from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
 
@@ -466,74 +463,13 @@ def _n_copies(N: int, k: int, t: LooseTemplate) -> int:
     return math.perm(N, t.n_vertices) // aut
 
 
-def _are_copies(masks: np.ndarray, t: LooseTemplate) -> bool:
-    """Is every row of `masks` (n edges as vertex bitmasks) a loose copy of t?
-
-    Edges are in any order.  An edge's degree is the number of vertices
-    it shares with the other edges.  The edges must be connected, with
-    degrees at most 2 summing to 2(n - 1) for a path or 2n for a cycle:
-    connected edges meet in at least n - 1 pairs, so the pairs that meet
-    do so in one vertex and form a path or a cycle.  And they must cover
-    t.n_vertices vertices, which rules out three edges through one vertex.
-    """
-    n = masks.shape[1]
-    deg = np.zeros(masks.shape, dtype=np.intp)
-    for i, j in combinations(range(n), 2):
-        meet = np.bitwise_count(masks[:, i] & masks[:, j])
-        deg[:, i] += meet
-        deg[:, j] += meet
-    reached = masks[:, 0].copy()
-    for _ in range(n - 1):
-        for j in range(1, n):
-            reached |= np.where(reached & masks[:, j], masks[:, j], 0)
-    union = np.bitwise_or.reduce(masks, axis=1)
-    return bool((deg <= 2).all() and (reached == union).all()
-                and (deg.sum(axis=1) == 2 * (n - (t.kind == PATH))).all()
-                and (np.bitwise_count(union) == t.n_vertices).all())
-
-
-def _load_table(fname: str, N: int, k: int, t: LooseTemplate) -> Optional[np.ndarray]:
-    """The .npy table at fname if it is the fresh table, else None.
-
-    It must be int64 with the closed-form number of rows, each row t.n
-    strictly ascending ranks in [0, C(N, k)) that are a copy of t, and the
-    rows strictly increasing: that many distinct copies are all of them,
-    in canonical order.  Copies are checked as 64-bit vertex masks, so
-    tables for N > 64 are never read.
-    """
-    if N > 64:
-        return None
-    try:
-        with open(fname, "rb") as fh:
-            arr = np.lib.format.read_array(fh)
-    except (OSError, ValueError, EOFError):
-        return None
-    if arr.dtype != np.int64 or arr.shape != (_n_copies(N, k, t), t.n):
-        return None
-    if arr.size:
-        if not (0 <= arr.min() <= arr.max() < math.comb(N, k)
-                and (arr[:, 1:] > arr[:, :-1]).all()):
-            return None
-        differ = arr[1:] != arr[:-1]
-        first = (np.arange(len(differ)), differ.argmax(axis=1))
-        if not (differ.any(axis=1) & (arr[1:][first] > arr[:-1][first])).all():
-            return None
-        bits = np.uint64(1) << (np.array(all_edges(N, k), dtype=np.uint64) - 1)
-        if not _are_copies(np.bitwise_or.reduce(bits, axis=1)[arr], t):
-            return None
-    arr.flags.writeable = False
-    return arr
-
-
 def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
                      deadline: Optional[float] = None) -> np.ndarray:
     """Copies of t in K^k_N as rows of ascending colex edge ranks.
 
     Every edge-set-distinct copy is one row, rows in lexicographic order,
-    so the int64 matrix is canonical; it is read-only.  Cached in memory,
-    and on disk under $RAMSEY_LAB_CACHE when that is set; a disk table that
-    is not exactly this matrix is recomputed and rewritten.  With a
-    `deadline` (a `time.monotonic()` reading), enumeration raises
+    so the int64 matrix is canonical; it is read-only.  Cached in memory.
+    With a `deadline` (a `time.monotonic()` reading), enumeration raises
     SearchBudgetExceeded once it passes, and nothing is cached.
     """
     if t.k != k:
@@ -542,14 +478,6 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     hit = _COPY_CACHE.get(key)
     if hit is not None:
         return hit
-    cache_dir = os.environ.get("RAMSEY_LAB_CACHE")
-    fname = None
-    if cache_dir:
-        fname = os.path.join(cache_dir, f"copies-v1-{t.kind}{t.n}-k{k}-N{N}.npy")
-        arr = _load_table(fname, N, k, t)
-        if arr is not None:
-            _COPY_CACHE[key] = arr
-            return arr
     arr = _enumerate_copies(N, k, t, deadline)
     if len(arr):
         # rows in lexicographic order: sort one base-C(N, k) number per row
@@ -563,10 +491,6 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
         arr = arr[np.argsort(packed)]
     arr.flags.writeable = False
     _COPY_CACHE[key] = arr
-    if fname:
-        os.makedirs(cache_dir, exist_ok=True)
-        with atomic_write(fname, "wb") as fh:
-            np.save(fh, arr)
     return arr
 
 

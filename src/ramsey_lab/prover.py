@@ -104,7 +104,10 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     `max_secs` is one deadline for the whole call, copy enumeration
     included; `stats["wall_secs"]` is the search time alone, and
     `stats["enumerate_s"]` and `stats["build_s"]` time the copy enumeration
-    and the clause instance build before it.
+    and the clause instance build before it.  `stats["n_vars"]` is the
+    number of edges, C(N, k), and `stats["n_clauses"]` the number of red and
+    blue copies the instance holds (0 if the deadline passed before it was
+    built).
     """
     if red_target.k != k or blue_target.k != k:
         raise ValueError("invalid-parameter: target uniformity differs from k")
@@ -113,6 +116,7 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
 
     t0 = time.monotonic()
     deadline = None if max_secs is None else t0 + max_secs
+    n_vars = math.comb(N, k)
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
               "symmetry": symmetry, "backend": BACKEND}
     try:
@@ -120,10 +124,11 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
         blue_rows = copy_rank_matrix(N, k, blue_target, deadline=deadline)
     except SearchBudgetExceeded:
         stats = {"nodes": 0, "propagations": 0, "wall_secs": 0.0,
-                 "enumerate_s": time.monotonic() - t0, "build_s": 0.0}
+                 "enumerate_s": time.monotonic() - t0, "build_s": 0.0,
+                 "n_vars": n_vars, "n_clauses": 0}
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
     t1 = time.monotonic()
-    instance = _kernels.build_instance(math.comb(N, k), red_rows, blue_rows)
+    instance = _kernels.build_instance(n_vars, red_rows, blue_rows)
     sym = ()
     if symmetry:
         lo, hi = swap_pairs(N, k)
@@ -134,7 +139,8 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
                                                    deadline)
     stats = {"nodes": nodes, "propagations": props,
              "wall_secs": time.monotonic() - t2,
-             "enumerate_s": t1 - t0, "build_s": t2 - t1}
+             "enumerate_s": t1 - t0, "build_s": t2 - t1,
+             "n_vars": n_vars, "n_clauses": len(red_rows) + len(blue_rows)}
     witness = None
     if status == "SAT":
         # free vars: any value works; pick red

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and report shape."""
 
 import json
+import math
 import os
 import stat
 import threading
@@ -17,6 +18,8 @@ from ramsey_lab.cli import (
     main,
 )
 from ramsey_lab.coloring import TwoColoring, all_edges
+from ramsey_lab.core import cycle_template
+from ramsey_lab.embedder import count_copies
 
 import frozen_values as F
 import oracles as O
@@ -203,7 +206,7 @@ def test_proof_gap_dumps_instance(tmp_path, monkeypatch):
         assert json.load(fh) == instance
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert main(["arrow", "--k", "3"]) == EXIT_USAGE  # missing required flags
     assert main(["nonsense"]) == EXIT_USAGE
     cpath = tmp_path / "c.json"
@@ -212,6 +215,29 @@ def test_usage_errors(tmp_path):
                  "--cycle4", "1,2,3,4,5,6,7,8", "--i", "9",
                  "--dir", str(tmp_path)])
     assert code == EXIT_USAGE
+    # a lemma's missing options are named before the coloring is read
+    absent = str(tmp_path / "absent.json")
+    for lemma, given, needs in [
+            ("good-configuration", ["--W", "8,9"],
+             "--path, --W, --anchor, --entry"),
+            ("absorb", ["--path", "1,2,3"], "--path, --W"),
+            ("blue-cycle", ["--n", "4"], "--cycle, --n, --m"),
+            ("join", ["--cycle1", "1,2,3,4,5,6"], "--cycle1, --cycle2, --ell"),
+            ("disjoint-pairs", [], "--t"),
+            ("lift", ["--i", "5"], "--cycle4, --i")]:
+        capsys.readouterr()
+        code = main(["extract", "--lemma", lemma, "--coloring", absent,
+                     "--dir", str(tmp_path)] + given)
+        assert code == EXIT_USAGE, lemma
+        assert f"invalid-parameter: --lemma {lemma} needs {needs}\n" in \
+            capsys.readouterr().err
+    # a host whose edges pass the int32 variable range is refused, not
+    # allocated
+    code = main(["witness", "--k", "10", "--n", "30", "--m", "30", "--pair", "CC",
+                 "--dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "host-too-large" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_arrow_symmetry_at_host_size_k(tmp_path):
@@ -228,6 +254,7 @@ def test_arrow_symmetry_at_host_size_k(tmp_path):
     {"k": 3, "n_vertices": 6, "red_edges": [5]},
     {"k": 3, "n_vertices": 6, "red_edges": [[1, 2, 99]]},
     7,
+    {"k": 3, "n_vertices": 200000, "red_edges": []},
 ])
 def test_malformed_coloring_file_is_usage_error(tmp_path, obj):
     cpath = tmp_path / "c.json"
@@ -245,6 +272,10 @@ def test_malformed_coloring_file_is_usage_error(tmp_path, obj):
      "coloring": TwoColoring.all_red(3, 6).to_json_obj()},
     {"type": "join-trace", "payload": {"steps": [{"edge": [None], "color": "red"}]},
      "coloring": TwoColoring.all_red(3, 6).to_json_obj()},
+    {"type": "embedding",
+     "payload": {"embedding": {"kind": "path", "k": 3, "length": 1,
+                               "assignment": [1, 2, 3]}},
+     "coloring": {"k": 3, "n_vertices": 200000, "red_edges": []}},
 ])
 def test_malformed_certificate_file_is_usage_error(tmp_path, obj):
     cpath = tmp_path / "c.cert.json"
@@ -318,6 +349,8 @@ def test_phase_timings_sum_within_total(tmp_path):
     assert code == EXIT_OK
     stats = rep["results"]["stats"]
     assert stats["enumerate_s"] >= 0 and stats["build_s"] >= 0
+    assert stats["n_vars"] == math.comb(6, 3)
+    assert stats["n_clauses"] == 2 * count_copies(6, 3, cycle_template(3, 3))
     timings = rep["timings"]
     phases = ("enumerate_s", "build_s", "search_s", "certify_s")
     assert all(timings[key] >= 0 for key in phases)

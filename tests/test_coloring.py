@@ -153,6 +153,21 @@ def test_split_coloring_is_colex_prefix():
     assert bool(np.all(c.bits[math.comb(4, 3):] == BLUE))
 
 
+def test_host_too_large_is_refused():
+    # K^3_2346 is the first 3-uniform host with 2**31 edges or more, past
+    # the int32 variables of the search; no constructor allocates its bits
+    assert math.comb(2345, 3) < 2 ** 31 <= math.comb(2346, 3)
+    for make in (lambda: TwoColoring.all_red(3, 2346),
+                 lambda: TwoColoring.all_blue(3, 2346),
+                 lambda: TwoColoring.from_red_edges(3, 2346, [(1, 2, 3)]),
+                 lambda: TwoColoring.from_json_obj(
+                     {"k": 3, "n_vertices": 2346, "red_edges": []}),
+                 lambda: split_coloring(3, 2346, SplitSpec(a=5)),
+                 lambda: lower_bound_witness(10, 30, 30, "CC")):
+        with pytest.raises(ValueError, match="host-too-large"):
+            make()
+
+
 @pytest.mark.parametrize("pair", ["PP", "PC", "CC"])
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (4, 4)])
 def test_lower_bound_witness_small(pair, n, m):

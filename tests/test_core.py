@@ -119,8 +119,8 @@ def test_atomic_write_creates_and_replaces(tmp_path):
     p = tmp_path / "out.txt"
     with atomic_write(p) as fh:
         fh.write("first\n")
-    with atomic_write(str(p), "wb") as fh:
-        fh.write(b"second\n")
+    with atomic_write(str(p)) as fh:
+        fh.write("second\n")
     assert p.read_bytes() == b"second\n"
     assert [f.name for f in tmp_path.iterdir()] == [p.name]
     # the file gets the mode a plain open() would give it, not mkstemp's 0600

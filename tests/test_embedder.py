@@ -1,13 +1,12 @@
 """Embedding search against brute-force oracles, plus maximality."""
 
 import hashlib
-import io
 import itertools
 
 import numpy as np
 import pytest
 
-from ramsey_lab.coloring import SplitSpec, TwoColoring, all_edges, colex_rank, split_coloring
+from ramsey_lab.coloring import SplitSpec, TwoColoring, all_edges, split_coloring
 from ramsey_lab.core import cycle_template, path_template
 from ramsey_lab.embedder import (
     UNKNOWN,
@@ -55,66 +54,6 @@ def test_count_copies_zero_when_too_big():
     assert count_copies(5, 3, path_template(3, 3)) == 0
 
 
-def test_disk_cache_write_is_atomic(tmp_path, monkeypatch):
-    from ramsey_lab import embedder
-
-    t = cycle_template(3, 3)
-    final = tmp_path / "copies-v1-cycle3-k3-N6.npy"
-    monkeypatch.setenv("RAMSEY_LAB_CACHE", str(tmp_path))
-
-    def torn_save(file, arr):
-        # part of a header lands, then the disk fills up
-        if isinstance(file, str):
-            with open(file, "wb") as fh:
-                fh.write(b"\x93NUMPY")
-        else:
-            file.write(b"\x93NUMPY")
-        raise OSError("no space left on device")
-
-    with monkeypatch.context() as m:
-        m.setattr(embedder, "_COPY_CACHE", {})
-        m.setattr(embedder.np, "save", torn_save)
-        with pytest.raises(OSError):
-            embedder.copy_rank_matrix(6, 3, t)
-    assert not final.exists()
-    assert list(tmp_path.iterdir()) == []
-
-    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-    rows = embedder.copy_rank_matrix(6, 3, t)
-    assert [p.name for p in tmp_path.iterdir()] == [final.name]
-    assert np.array_equal(np.load(final), rows)
-
-
-def test_disk_cache_ignores_unversioned_names(tmp_path, monkeypatch):
-    # a valid table under the name used before the format version was
-    # part of the key is never read: the table is enumerated and the v1
-    # file written next to it
-    from ramsey_lab import embedder
-
-    t = cycle_template(3, 3)
-    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-    monkeypatch.delenv("RAMSEY_LAB_CACHE", raising=False)
-    fresh = embedder.copy_rank_matrix(7, 3, t)
-    old = tmp_path / "copies-cycle3-k3-N7.npy"
-    np.save(old, fresh)
-    calls = []
-    enumerate_copies = embedder._enumerate_copies
-
-    def spy(*args):
-        calls.append(args[:2])
-        return enumerate_copies(*args)
-
-    monkeypatch.setenv("RAMSEY_LAB_CACHE", str(tmp_path))
-    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-    monkeypatch.setattr(embedder, "_enumerate_copies", spy)
-    assert np.array_equal(embedder.copy_rank_matrix(7, 3, t), fresh)
-    assert calls == [(7, 3)]
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        old.name, "copies-v1-cycle3-k3-N7.npy"]
-    assert np.array_equal(np.load(tmp_path / "copies-v1-cycle3-k3-N7.npy"), fresh)
-    assert np.array_equal(np.load(old), fresh)
-
-
 def _ranked_copies(N, k, kind, n):
     """Oracle copies of the template as sorted rows of oracle ranks."""
     base = O.oracle_cycle_edges(k, n) if kind == "cycle" else O.oracle_path_edges(k, n)
@@ -125,75 +64,18 @@ def _ranked_copies(N, k, kind, n):
             for copy in O.oracle_copy_sets(N, base, n_vertices)} if n_vertices <= N else set()
 
 
-def _trade_one_copy(full, edges):
-    """full minus its first row plus the rank row of `edges`, in canonical order."""
-    fake = tuple(sorted(colex_rank(e) for e in edges))
-    return np.array(sorted(set(map(tuple, full[1:].tolist())) | {fake}))
-
-
-def test_disk_cache_rejects_malformed_tables(tmp_path, monkeypatch):
-    # a table with half its rows, a rank out of range, a torn header, or
-    # of the right shape and range but not exactly the fresh rows, is a
-    # miss: the verdict is the fresh one and the file is rewritten; a disk
-    # hit is read-only
+def test_copy_tables_stay_in_memory(tmp_path, monkeypatch):
+    # copy tables live only in the process: a cache directory in the
+    # environment is neither read nor written
     from ramsey_lab import embedder
     from ramsey_lab.prover import decide_arrowing
 
-    def npy(arr):
-        buf = io.BytesIO()
-        np.save(buf, np.asarray(arr, dtype=np.int64))
-        return buf.getvalue()
-
-    c3, p4, p3 = cycle_template(3, 3), path_template(3, 4), path_template(3, 3)
-    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-    monkeypatch.delenv("RAMSEY_LAB_CACHE", raising=False)
-    full = embedder.copy_rank_matrix(7, 3, c3)
-    c3_at6 = embedder.copy_rank_matrix(6, 3, c3)
-    p4_at9 = embedder.copy_rank_matrix(9, 3, p4)
-    p3_at8 = embedder.copy_rank_matrix(8, 3, p3)
-    out_of_range = full.copy()
-    out_of_range[-1, -1] = 35  # C(7, 3)
-    copies = _ranked_copies(6, 3, "cycle", 3)
-    reversed_row = full.copy()
-    reversed_row[-1] = reversed_row[-1, ::-1]
-    cases = [(7, c3, c3, "UNSAT", full, planted) for planted in (
-        npy(full[:len(full) // 2]), npy(out_of_range), b"\x93NUMPY",
-        # every row a copy, but the first twice and the last not at all
-        npy(np.concatenate([full[:1], full[:-1]])),
-        # every row a copy, the last one descending
-        npy(reversed_row),
-        # three edges through one vertex: pairwise adjacent, 7 vertices
-        npy(_trade_one_copy(full, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])))]
-    cases += [(6, c3, c3, "SAT", c3_at6, planted) for planted in (
-        # 120 repeats of the ten triples of ranks 0-4
-        npy(np.repeat(list(itertools.combinations(range(5), 3)), 12, axis=0)),
-        # 120 distinct rows in canonical order, none of them a copy
-        npy([r for r in itertools.combinations(range(20), 3) if r not in copies][:120]))]
-    # edges meeting pairwise in at most one vertex and covering 9 vertices
-    # but not one path: a loose C^3_3 plus a disjoint edge, and an edge
-    # with three legs
-    cases += [(9, p4, p3, "SAT", p4_at9, npy(_trade_one_copy(p4_at9, edges)))
-              for edges in ([(1, 2, 3), (3, 4, 5), (1, 5, 6), (7, 8, 9)],
-                            [(1, 2, 3), (1, 4, 5), (2, 6, 7), (3, 8, 9)])]
-    # three edges through one vertex cover 7 vertices, as P^3_3 does
-    cases.append((8, p3, p3, "UNSAT", p3_at8, npy(_trade_one_copy(
-        p3_at8, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]))))
     monkeypatch.setenv("RAMSEY_LAB_CACHE", str(tmp_path))
-    for N, t, blue, status, fresh, planted in cases:
-        final = tmp_path / f"copies-v1-{t.kind}{t.n}-k3-N{N}.npy"
-        final.write_bytes(planted)
-        monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-        assert decide_arrowing(3, N, t, blue).status == status
-        assert np.array_equal(np.load(final), fresh)
-
-    def no_enumeration(*args):
-        raise AssertionError("a disk hit must not enumerate")
-
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-    monkeypatch.setattr(embedder, "_enumerate_copies", no_enumeration)
-    hit = embedder.copy_rank_matrix(7, 3, c3)
-    assert np.array_equal(hit, full)
-    assert hit.flags.writeable is False
+    c3 = cycle_template(3, 3)
+    assert decide_arrowing(3, 7, c3, c3).status == "UNSAT"
+    assert (7, 3, "cycle", 3) in embedder._COPY_CACHE
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------- copy enumeration

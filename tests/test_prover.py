@@ -227,13 +227,13 @@ def test_time_budget_bounds_copy_enumeration(monkeypatch):
     from ramsey_lab import embedder
 
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-    monkeypatch.delenv("RAMSEY_LAB_CACHE", raising=False)
     p4 = path_template(3, 4)
     t0 = time.monotonic()
     v = decide_arrowing(3, 10, p4, p4, max_secs=0.05)
     assert time.monotonic() - t0 < 3.0
     assert v.status == "UNKNOWN"
     assert (v.stats["nodes"], v.stats["propagations"]) == (0, 0)
+    assert (v.stats["n_vars"], v.stats["n_clauses"]) == (120, 0)
     assert (10, 3, "path", 4) not in embedder._COPY_CACHE
 
 
