@@ -9,12 +9,11 @@ export in `prover`; certificates in `certificates`; the command line in
 
 __version__ = "0.1.0"
 
-from .coloring import SplitSpec, TwoColoring, edge_rank, edge_unrank, lower_bound_witness, split_coloring
-from .core import LooseTemplate, cycle_template, endpoints, path_template, shift
+from .coloring import TwoColoring, edge_rank, lower_bound_witness, split_coloring
+from .core import LooseTemplate, cycle_template, path_template
 from .embedder import (
     UNKNOWN,
     Embedding,
-    MaximalityQuery,
     count_copies,
     find_embedding,
     is_maximal_wrt,
@@ -47,10 +46,9 @@ from .prover import (
 )
 
 __all__ = [
-    "LooseTemplate", "path_template", "cycle_template", "endpoints", "shift",
-    "TwoColoring", "SplitSpec", "split_coloring", "edge_rank", "edge_unrank",
-    "lower_bound_witness",
-    "Embedding", "MaximalityQuery", "UNKNOWN",
+    "LooseTemplate", "path_template", "cycle_template",
+    "TwoColoring", "split_coloring", "edge_rank", "lower_bound_witness",
+    "Embedding", "UNKNOWN",
     "find_embedding", "count_copies", "is_maximal_wrt", "verify_embedding",
     "GoodConfiguration", "validate_good_configuration",
     "find_good_configuration", "AbsorptionResult", "absorb_blue_path",

@@ -55,22 +55,6 @@ def edge_rank(e: Iterable[int], N: int, k: int) -> int:
     return colex_rank(as_edge(e, k=k, n_vertices=N))
 
 
-def edge_unrank(rank: int, N: int, k: int) -> Edge:
-    """Inverse of edge_rank: the k-subset of 1..N at the given colex rank."""
-    if not 0 <= rank < math.comb(N, k):
-        raise ValueError(f"rank {rank} out of range for C({N},{k})")
-    out = []
-    r = rank
-    for i in range(k, 0, -1):
-        # largest c with C(c, i) <= r; vertex label is c + 1
-        c = i - 1
-        while math.comb(c + 1, i) <= r:
-            c += 1
-        out.append(c + 1)
-        r -= math.comb(c, i)
-    return tuple(sorted(out))
-
-
 _MAX_EDGES = 1 << 31  # edge ranks must fit the int32 variables of `_kernels`
 
 
@@ -131,9 +115,6 @@ class TwoColoring:
     def color_of(self, e: Iterable[int]) -> str:
         return "red" if self.is_red(e) else "blue"
 
-    def has_color(self, e: Iterable[int], red: bool) -> bool:
-        return bool(self.bits[self.rank_of(e)]) == red
-
     def red_edges(self) -> list[Edge]:
         es = all_edges(self.n_vertices, self.k)
         return [es[i] for i in np.flatnonzero(self.bits)]
@@ -155,32 +136,11 @@ class TwoColoring:
             bits[edge_rank(e, N, k)] = 1
         return cls(k, N, bits)
 
-    def with_flipped(self, e: Iterable[int]) -> "TwoColoring":
-        bits = self.bits.copy()
-        r = self.rank_of(e)
-        bits[r] ^= 1
-        return TwoColoring(self.k, self.n_vertices, bits)
-
     def with_edges(self, edges: Iterable[Iterable[int]], red: bool) -> "TwoColoring":
         bits = self.bits.copy()
         for e in edges:
             bits[self.rank_of(e)] = 1 if red else 0
         return TwoColoring(self.k, self.n_vertices, bits)
-
-    def restrict(self, vertices: Sequence[int]) -> tuple["TwoColoring", dict[int, int]]:
-        """Induced coloring on a vertex subset, relabeled to 1..|subset|.
-
-        Returns the sub-coloring and the old-label -> new-label map.
-        """
-        vs = sorted(set(int(v) for v in vertices))
-        if vs and (vs[0] < 1 or vs[-1] > self.n_vertices):
-            raise ValueError("restriction vertices out of range")
-        relabel = {v: i + 1 for i, v in enumerate(vs)}
-        bits = _blank_bits(self.k, len(vs))
-        for e in combinations(vs, self.k):
-            bits[edge_rank([relabel[v] for v in e], len(vs), self.k)] = \
-                self.bits[self.rank_of(e)]
-        return TwoColoring(self.k, len(vs), bits), relabel
 
     # -- serialization ---------------------------------------------------
 
@@ -303,25 +263,18 @@ def adjacent_twins(c: TwoColoring) -> np.ndarray:
     return twins
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Red-core size: vertices 1..a form A, the rest form B."""
-
-    a: int
-
-
-def split_coloring(k: int, N: int, spec: SplitSpec) -> TwoColoring:
+def split_coloring(k: int, N: int, a: int) -> TwoColoring:
     """Edge red iff all its vertices lie in 1..a; blue otherwise.
 
     Subsets of 1..a are exactly the colex-initial segment of ranks, so the
     red class is a prefix of C(a,k) ones.
     """
-    if not 0 <= spec.a <= N:
-        raise ValueError(f"split size a={spec.a} out of range 0..{N}")
+    if not 0 <= a <= N:
+        raise ValueError(f"split size a={a} out of range 0..{N}")
     if k < 1 or N < k:
         raise ValueError(f"need N >= k >= 1, got N={N}, k={k}")
     bits = _blank_bits(k, N)
-    bits[:math.comb(spec.a, k)] = 1
+    bits[:math.comb(a, k)] = 1
     return TwoColoring(k, N, bits)
 
 
@@ -361,7 +314,7 @@ def lower_bound_witness(k: int, n: int, m: int, pair: str) -> tuple[int, TwoColo
         blue_target = path_template(k, m) if pair == "PP" else (
             cycle_template(k, m) if m >= 3 else None)
 
-    c = split_coloring(k, N, SplitSpec(a))
+    c = split_coloring(k, N, a)
 
     if embedder.find_embedding(c, "red", red_target) is not None:
         raise AssertionError(f"witness construction bug: red {red_target} "

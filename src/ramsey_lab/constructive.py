@@ -22,9 +22,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coloring import TwoColoring
 from .core import CYCLE, PATH, Edge, LooseTemplate, cycle_template, path_template
-from .embedder import (UNKNOWN, Embedding, MaximalityQuery,
-                       embedding_from_edge_sequence, find_embedding,
-                       is_maximal_wrt, verify_embedding)
+from .embedder import (UNKNOWN, Embedding, embedding_from_edge_sequence,
+                       find_embedding, is_maximal_wrt, verify_embedding)
 from .errors import BlueEdgeEncountered, HypothesisViolation, ProofGap
 
 __all__ = [
@@ -61,6 +60,44 @@ def _A_host(asg: Sequence[int], j: int) -> Tuple[int, ...]:
     if j == 1:
         return (_hv(asg, 1),)
     return (_hv(asg, 2 * j - 2), _hv(asg, 2 * j - 1))
+
+
+# ---------------------------------------------------------------------------
+# checks shared by the lemmas
+# ---------------------------------------------------------------------------
+
+def _require_valid(c: TwoColoring, S: Embedding, color: str, what: str) -> None:
+    """Raise HypothesisViolation unless the input structure S is a valid
+    `color` copy of its template in c."""
+    res = verify_embedding(c, replace(S, claimed_color=color))
+    if not res:
+        raise HypothesisViolation(f"{what} not {color}-valid: {res.reason}")
+
+
+def _budget_ran_out(c: TwoColoring, color: str, t: LooseTemplate,
+                    max_nodes: int, what: str) -> bool:
+    """Check under a node budget that c has no `color` copy of t: a copy
+    found raises HypothesisViolation with it as the witness; otherwise
+    return whether the budget ran out first."""
+    hit = find_embedding(c, color, t, max_nodes=max_nodes)
+    if hit is UNKNOWN:
+        return True
+    if hit is not None:
+        raise HypothesisViolation(f"a {what} is present", witness=hit)
+    return False
+
+
+def _verified_cycle(c: TwoColoring, edges: Sequence, color: str,
+                    what: str) -> Embedding:
+    """The loose cycle through `edges` in order, re-verified against c; a
+    failure is a ProofGap carrying the coloring and the edges."""
+    emb = embedding_from_edge_sequence(edges, CYCLE, color)
+    res = verify_embedding(c, emb)
+    if not res:
+        raise ProofGap(f"{what} fails verification: {res.reason}",
+                       instance={"coloring": c.to_json_obj(),
+                                 "edges": [sorted(x) for x in edges]})
+    return emb
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +282,7 @@ def _iter_good_configurations(c: TwoColoring, P: Embedding, W: frozenset,
 
 def _check_maximal(c: TwoColoring, P: Embedding, W: frozenset) -> None:
     try:
-        maximal = is_maximal_wrt(c, MaximalityQuery(P, W))
+        maximal = is_maximal_wrt(c, P, W)
     except ValueError as exc:
         raise HypothesisViolation(str(exc)) from exc
     if not maximal:
@@ -390,27 +427,19 @@ def case2_blue_cycle(c: TwoColoring, C: Embedding, W: Sequence[int],
             f"need at least {needed} reservoir vertices, got {len(xs)}")
     if len(set(xs)) != len(xs) or set(xs) & C.image:
         raise HypothesisViolation("reservoir vertices must be fresh and distinct")
-    n1 = C.template.n
-    nv = 2 * n1
+    nv = 2 * C.template.n
     maxv = 3 * m // 2 + 1 if m % 2 == 0 else (3 * m - 1) // 2
     if nv < maxv:
         raise HypothesisViolation("host cycle too short for the target length")
-    res = verify_embedding(c, replace(C, claimed_color="red"))
-    if not res:
-        raise HypothesisViolation(f"host cycle not red-valid: {res.reason}")
+    _require_valid(c, C, "red", "host cycle")
+    bridge = _red_bridge(c, C, xs)
+    if bridge is not None:
+        raise HypothesisViolation(
+            "bridge hypothesis fails: red edge over the cycle", witness=bridge)
     asg = C.assignment
 
     def V(j: int) -> int:
         return asg[(j - 1) % nv]
-
-    for j in range(1, n1 + 1):
-        w1, w2, w3 = V(2 * j - 1), V(2 * j), V(2 * j + 1)
-        for z in xs:
-            for e in ((w1, w2, z), (w2, w3, z)):
-                if c.is_red(e):
-                    raise HypothesisViolation(
-                        "bridge hypothesis fails: red edge over the cycle",
-                        witness=tuple(sorted(e)))
 
     edges: List[Tuple[int, int, int]] = []
     for fi in range(1, m):
@@ -424,27 +453,22 @@ def case2_blue_cycle(c: TwoColoring, C: Embedding, W: Sequence[int],
     else:
         edges.append((xs[(m + 1) // 2 - 1], V(1), V(2)))
 
-    emb = embedding_from_edge_sequence(edges, CYCLE, "blue")
-    res = verify_embedding(c, emb)
-    if not res:
-        raise ProofGap(f"formula cycle fails verification: {res.reason}",
-                       instance={"coloring": c.to_json_obj(),
-                                 "edges": [sorted(e) for e in edges]})
-    return emb
+    return _verified_cycle(c, edges, "blue", "formula cycle")
 
 
-def _case2_holds(c: TwoColoring, C: Embedding, xs: Sequence[int]) -> bool:
-    n1 = C.template.n
-    nv = 2 * n1
+def _red_bridge(c: TwoColoring, C: Embedding,
+                xs: Sequence[int]) -> Optional[Edge]:
+    """The first red bridge {v_{2i-1},v_{2i},z} or {v_{2i},v_{2i+1},z} over
+    the 3-uniform cycle C with z in xs, sorted; None when all are blue."""
+    nv = 2 * C.template.n
     asg = C.assignment
-    for j in range(1, n1 + 1):
-        w1 = asg[(2 * j - 2) % nv]
-        w2 = asg[(2 * j - 1) % nv]
-        w3 = asg[(2 * j) % nv]
+    for j in range(0, nv, 2):
+        w1, w2, w3 = asg[j], asg[j + 1], asg[(j + 2) % nv]
         for z in xs:
-            if c.is_red((w1, w2, z)) or c.is_red((w2, w3, z)):
-                return False
-    return True
+            for e in ((w1, w2, z), (w2, w3, z)):
+                if c.is_red(e):
+                    return tuple(sorted(e))
+    return None
 
 
 def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
@@ -469,23 +493,16 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
             f"host must have {2 * n + (m - 1) // 2} vertices")
     if C.template.kind != CYCLE or C.template.k != 3 or C.template.n != n - 1:
         raise HypothesisViolation("given embedding is not a (n-1)-cycle")
-    res = verify_embedding(c, replace(C, claimed_color="red"))
-    if not res:
-        raise HypothesisViolation(f"cycle not red-valid: {res.reason}")
+    _require_valid(c, C, "red", "cycle")
 
-    budget_out = False
-    hit = find_embedding(c, "red", cycle_template(3, n), max_nodes=max_nodes)
-    if hit is UNKNOWN:
-        budget_out = True
-    elif hit is not None:
-        raise HypothesisViolation("a red cycle of full length is present",
-                                  witness=hit)
+    budget_out = _budget_ran_out(c, "red", cycle_template(3, n), max_nodes,
+                                 "red cycle of full length")
     if meta is not None:
         meta["budget_exhausted"] = budget_out
 
     xs = sorted(set(range(1, c.n_vertices + 1)) - C.image)
     assert len(xs) == (m - 1) // 2 + 2
-    if _case2_holds(c, C, xs):
+    if _red_bridge(c, C, xs) is None:
         if meta is not None:
             meta["case"] = 2
         return case2_blue_cycle(c, C, xs, m)
@@ -567,9 +584,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
     if C1.image & C2.image:
         raise HypothesisViolation("cycles are not vertex-disjoint")
     for C in (C1, C2):
-        res = verify_embedding(c, replace(C, claimed_color="red"))
-        if not res:
-            raise HypothesisViolation(f"cycle not red-valid: {res.reason}")
+        _require_valid(c, C, "red", "cycle")
 
     kk = k - 1
     nv1, nv2 = n * kk, m * kk
@@ -615,13 +630,8 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
         steps.append(JoinStep(index, tuple(g), gc, tuple(h), hc, chosen))
         return g if chosen == "g" else h
 
-    def finish(kind: str, edge_seq: Sequence, color: str) -> JoinTrace:
-        emb = embedding_from_edge_sequence(list(edge_seq), CYCLE, color)
-        res = verify_embedding(c, emb)
-        if not res:
-            raise ProofGap(f"join assembly fails verification: {res.reason}",
-                           instance={"coloring": c.to_json_obj(),
-                                     "edges": [sorted(x) for x in edge_seq]})
+    def finish(kind: str, edge_seq: list, color: str) -> JoinTrace:
+        emb = _verified_cycle(c, edge_seq, color, "join assembly")
         return JoinTrace(tuple(steps), kind, emb)
 
     # step 1: exchange the connector blocks at the shared start
@@ -807,13 +817,7 @@ def _reservoir_cycle(c: TwoColoring, e1_edge: set, mid_edge: set, mid_w: int,
     chain = [tuple(seq[j * (k - 1): j * (k - 1) + k]) for j in range(t - 3)]
     edges = [tuple(sorted(e1_edge)), tuple(sorted(mid_edge))] \
         + chain + [tuple(sorted(end_edge))]
-    emb = embedding_from_edge_sequence(edges, CYCLE, "red")
-    res = verify_embedding(c, emb)
-    if not res:
-        raise ProofGap(f"forced red cycle fails verification: {res.reason}",
-                       instance={"coloring": c.to_json_obj(),
-                                 "edges": [sorted(x) for x in edges]})
-    return emb
+    return _verified_cycle(c, edges, "red", "forced red cycle")
 
 
 def _exhaustive_disjoint_pairs(c: TwoColoring):
@@ -856,18 +860,10 @@ def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
     if c.n_vertices != t * (k - 1) + 1:
         raise HypothesisViolation(f"host must have {t * (k - 1) + 1} vertices")
 
-    budget_out = False
-    hit = find_embedding(c, "red", cycle_template(k, t), max_nodes=max_nodes)
-    if hit is UNKNOWN:
-        budget_out = True
-    elif hit is not None:
-        raise HypothesisViolation("a red cycle of length t is present",
-                                  witness=hit)
-    hit = find_embedding(c, "blue", cycle_template(k, 3), max_nodes=max_nodes)
-    if hit is UNKNOWN:
-        budget_out = True
-    elif hit is not None:
-        raise HypothesisViolation("a blue 3-cycle is present", witness=hit)
+    budget_out = _budget_ran_out(c, "red", cycle_template(k, t), max_nodes,
+                                 "red cycle of length t")
+    budget_out |= _budget_ran_out(c, "blue", cycle_template(k, 3), max_nodes,
+                                  "blue 3-cycle")
     if meta is not None:
         meta["budget_exhausted"] = budget_out
     if c.red_count in (0, c.n_edges):
@@ -981,9 +977,7 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
         raise HypothesisViolation(f"host must have {i * (k - 1) + 1} vertices")
     if C4.template.kind != CYCLE or C4.template.k != k or C4.template.n != 4:
         raise HypothesisViolation("given embedding is not a 4-cycle")
-    res = verify_embedding(c, replace(C4, claimed_color="blue"))
-    if not res:
-        raise HypothesisViolation(f"4-cycle not blue-valid: {res.reason}")
+    _require_valid(c, C4, "blue", "4-cycle")
 
     nv = 4 * (k - 1)
     asg = C4.assignment
@@ -1026,13 +1020,7 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
         if not c.is_red(se):
             raise BlueEdgeEncountered(
                 "a listed edge of the lift is blue", edge=se)
-    emb = embedding_from_edge_sequence(edges, CYCLE, "red")
-    res = verify_embedding(c, emb)
-    if not res:
-        raise ProofGap(f"lift cycle fails verification: {res.reason}",
-                       instance={"coloring": c.to_json_obj(),
-                                 "edges": [sorted(x) for x in edges]})
-    return emb
+    return _verified_cycle(c, edges, "red", "lift cycle")
 
 
 # ---------------------------------------------------------------------------

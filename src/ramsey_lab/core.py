@@ -37,28 +37,6 @@ def as_edge(vertices: Iterable[int], k: int | None = None,
     return e
 
 
-def shift(s: Iterable[int], t: int, modulus: int) -> Edge:
-    """Shift every label by t, wrapping into 1..modulus.
-
-    The wrap is x -> ((x + t - 1) mod modulus) + 1, so label arithmetic stays
-    1-based.  Labels outside 1..modulus are rejected.
-    """
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    out = []
-    for x in s:
-        if not 1 <= x <= modulus:
-            raise ValueError(f"label {x} out of range 1..{modulus}")
-        out.append((x + t - 1) % modulus + 1)
-    return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
-class EdgeEndpoints:
-    first: int
-    last: int
-
-
 @dataclass(frozen=True)
 class LooseTemplate:
     """A k-uniform loose path (kind="path") or loose cycle (kind="cycle").
@@ -103,23 +81,6 @@ def path_template(k: int, n: int) -> LooseTemplate:
 def cycle_template(k: int, n: int) -> LooseTemplate:
     """The loose cycle C^k_n on n(k-1) vertices; needs n >= 3."""
     return LooseTemplate(CYCLE, k, n)
-
-
-def endpoints(t: LooseTemplate, i: int) -> EdgeEndpoints:
-    """First and last vertex labels of template edge i (1-based edge index).
-
-    Edge i covers template vertices (i-1)(k-1)+1 .. i(k-1)+1; for cycles the
-    labels are reduced modulo n(k-1), so the last edge wraps back to vertex 1.
-    """
-    if not 1 <= i <= t.n:
-        raise ValueError(f"edge index {i} out of range 1..{t.n}")
-    first = (i - 1) * (t.k - 1) + 1
-    last = i * (t.k - 1) + 1
-    if t.kind == CYCLE:
-        m = t.n_vertices
-        first = (first - 1) % m + 1
-        last = (last - 1) % m + 1
-    return EdgeEndpoints(first, last)
 
 
 @lru_cache(maxsize=None)

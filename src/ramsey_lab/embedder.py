@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -226,8 +226,8 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
     """
     if t.k != c.k:
         raise ValueError(f"incompatible-uniformity: template k={t.k}, host k={c.k}")
-    if color not in ("red", "blue", "any"):
-        raise ValueError(f"color must be red/blue/any, got {color!r}")
+    if color not in ("red", "blue"):
+        raise ValueError(f"color must be red/blue, got {color!r}")
     N = c.n_vertices
 
     fixed = dict(fixed) if fixed else {}
@@ -258,7 +258,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
         for v in e:
             degree[v] = degree.get(v, 0) + 1
 
-    want = None if color == "any" else (1 if color == "red" else 0)
+    want = 1 if color == "red" else 0
 
     # remaining unassigned positions per edge; edges completed up front get
     # their color checked before the search starts
@@ -270,8 +270,6 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
             pos_edges[v].append(i)
 
     def edge_ok(i: int) -> bool:
-        if want is None:
-            return True
         img = tuple(sorted(assign[v] for v in edges[i]))
         return c.bits[colex_rank(img)] == want
 
@@ -508,19 +506,9 @@ def count_copies(N: int, k: int, t: LooseTemplate) -> int:
 # maximality with respect to a reservoir W
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaximalityQuery:
-    """A red loose path plus a disjoint vertex reservoir W."""
-
-    path: Embedding
-    W: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "W", frozenset(int(v) for v in self.W))
-
-
-def is_maximal_wrt(c: TwoColoring, q: MaximalityQuery) -> bool:
-    """True iff no red (n+1)-edge path covers V(P) plus k-1 reservoir vertices.
+def is_maximal_wrt(c: TwoColoring, P: Embedding, W: Iterable[int]) -> bool:
+    """True iff the red loose path P has no red (n+1)-edge path covering V(P)
+    plus k-1 vertices of the disjoint reservoir W.
 
     The replacement swaps a window e_i..e_{i+r-1} of P for r+1 new red edges
     whose vertices are the window's plus a fresh W' from W; if the window
@@ -529,25 +517,25 @@ def is_maximal_wrt(c: TwoColoring, q: MaximalityQuery) -> bool:
     space per (W', r, i) collapses to an embedding search over the window
     vertices, W', and one attachment vertex on each surviving side.
     """
-    P = q.path
+    W = frozenset(int(v) for v in W)
     t = P.template
     if t.kind != PATH:
         raise ValueError("precondition-violation: maximality is defined for paths")
     red_ok = verify_embedding(c, replace(P, claimed_color="red"))
     if not red_ok:
         raise ValueError(f"precondition-violation: path not red-valid ({red_ok.reason})")
-    if q.W & P.image:
+    if W & P.image:
         raise ValueError("precondition-violation: W intersects the path image")
 
     k, n = t.k, t.n
-    if len(q.W) < k - 1:
+    if len(W) < k - 1:
         return True
     old_edges = P.edge_images()
     vp = set(P.image)
     first_v = P.vertex_image(1)
     last_v = P.vertex_image(t.n_vertices)
 
-    for Wp in combinations(sorted(q.W), k - 1):
+    for Wp in combinations(sorted(W), k - 1):
         base = vp | set(Wp)
         for r in range(1, n + 1):
             seg = path_template(k, r + 1)

@@ -1,5 +1,5 @@
-"""Template construction laws, shifts, loose-sequence recognition, and the
-one file writer."""
+"""Template construction laws, loose-sequence recognition, and the one file
+writer."""
 
 import ast
 import itertools
@@ -17,10 +17,8 @@ from ramsey_lab.core import (
     as_edge,
     atomic_write,
     cycle_template,
-    endpoints,
     is_loose_sequence,
     path_template,
-    shift,
 )
 
 import oracles as O
@@ -75,24 +73,6 @@ def test_as_edge_validates():
         as_edge([1, 2, 9], k=3, n_vertices=5)
     with pytest.raises(ValueError):
         as_edge([1, 2], k=3, n_vertices=5)
-
-
-def test_shift_wraps_one_based():
-    assert shift([1], 1, 5) == (2,)
-    assert shift([5], 1, 5) == (1,)
-    assert shift([3], 10, 5) == (3,)
-    assert shift([1], -1, 5) == (5,)
-    assert shift([1, 2, 3], 2, 6) == (3, 4, 5)
-
-
-def test_endpoints_path():
-    t = path_template(3, 3)
-    assert endpoints(t, 1).first == 1
-    e3 = endpoints(t, 3)
-    assert (e3.first, e3.last) == (5, 7)
-    c = cycle_template(3, 3)
-    e3 = endpoints(c, 3)
-    assert (e3.first, e3.last) == (5, 1)
 
 
 def test_is_loose_sequence_accepts_template():

@@ -6,12 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from ramsey_lab.coloring import SplitSpec, TwoColoring, all_edges, split_coloring
+from ramsey_lab.coloring import TwoColoring, all_edges, split_coloring
 from ramsey_lab.core import cycle_template, path_template
 from ramsey_lab.embedder import (
     UNKNOWN,
     Embedding,
-    MaximalityQuery,
     VerifyResult,
     copy_rank_matrix,
     count_copies,
@@ -157,7 +156,7 @@ def test_find_none_is_provable_absence():
 
 
 def test_unknown_sentinel_semantics():
-    c = split_coloring(3, 8, SplitSpec(a=5))
+    c = split_coloring(3, 8, a=5)
     res = find_embedding(c, "red", path_template(3, 3), max_nodes=1)
     assert res is UNKNOWN
     with pytest.raises(TypeError):
@@ -264,9 +263,9 @@ def test_maximality_positive_and_negative():
     P = Embedding(t, tuple(range(1, 6)), "red")
     pe = set(P.edge_images())
     blue_world = TwoColoring.all_blue(k, N).with_edges(list(pe), red=True)
-    assert is_maximal_wrt(blue_world, MaximalityQuery(P, frozenset({6, 7, 8})))
+    assert is_maximal_wrt(blue_world, P, frozenset({6, 7, 8}))
     red_world = TwoColoring.all_red(k, N)
-    assert not is_maximal_wrt(red_world, MaximalityQuery(P, frozenset({6, 7, 8})))
+    assert not is_maximal_wrt(red_world, P, frozenset({6, 7, 8}))
 
 
 def test_maximality_precondition_errors():
@@ -274,10 +273,10 @@ def test_maximality_precondition_errors():
     P = Embedding(path_template(k, n), tuple(range(1, 6)), "red")
     c = TwoColoring.all_blue(k, N)
     with pytest.raises(ValueError, match="precondition-violation"):
-        is_maximal_wrt(c, MaximalityQuery(P, frozenset({6, 7, 8})))
+        is_maximal_wrt(c, P, frozenset({6, 7, 8}))
     c2 = TwoColoring.all_red(k, N)
     with pytest.raises(ValueError, match="precondition-violation"):
-        is_maximal_wrt(c2, MaximalityQuery(P, frozenset({5, 6, 7})))
+        is_maximal_wrt(c2, P, frozenset({5, 6, 7}))
 
 
 def test_maximality_monotone_under_blue_flips():
@@ -293,7 +292,7 @@ def test_maximality_monotone_under_blue_flips():
     was_maximal = False
     for e in flippable:
         cur = cur.with_edges([e], red=False)
-        now = is_maximal_wrt(cur, MaximalityQuery(P, W))
+        now = is_maximal_wrt(cur, P, W)
         assert not (was_maximal and not now)
         was_maximal = now
     assert was_maximal

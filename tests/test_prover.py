@@ -12,7 +12,6 @@ import pytest
 from ramsey_lab import _kernels
 from ramsey_lab.certificates import Certificate, make_certificate
 from ramsey_lab.coloring import (
-    SplitSpec,
     TwoColoring,
     all_edges,
     lower_bound_witness,
