@@ -89,10 +89,10 @@ def _structure(kind: str, k: int, verts: tuple, color: str) -> Embedding:
     return Embedding(t, verts, color)
 
 
-def _report_skeleton(args, subcommand: str, inputs: dict) -> dict:
+def _report_skeleton(args, command: list, inputs: dict) -> dict:
     return {
-        "command": [subcommand],
-        "subcommand": subcommand,
+        "command": command,
+        "subcommand": args.subcommand,
         "inputs": inputs,
         "version": __version__,
         "backend": BACKEND,
@@ -183,7 +183,8 @@ def _run_arrow(args, report: dict) -> int:
     report["results"] = verdict.to_json_obj()
     report["timings"].update(enumerate_s=verdict.stats["enumerate_s"],
                              build_s=verdict.stats["build_s"],
-                             search_s=verdict.stats["wall_secs"])
+                             search_s=verdict.stats["wall_secs"],
+                             verify_s=verdict.stats["verify_s"])
     if verdict.status == "SAT" and verdict.witness is not None:
         _save_witness(args, report, verdict.witness, red, blue, "arrowing-sat",
                       f"arrow-k{args.k}-N{args.n_vertices}")
@@ -472,10 +473,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     inputs = {key: val for key, val in sorted(vars(args).items())
               if key not in ("fn",) and val is not None}
-    report = _report_skeleton(args, args.subcommand, inputs)
-    report["command"] = [args.subcommand] + [
-        a for a in (argv if argv is not None else sys.argv[1:])
-        if a != args.subcommand]
+    # the subcommand is argv[0], so the argument list replays the run
+    command = list(argv if argv is not None else sys.argv[1:])
+    report = _report_skeleton(args, command, inputs)
 
     try:
         code = args.fn(args, report)

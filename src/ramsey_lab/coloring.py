@@ -55,18 +55,26 @@ def edge_rank(e: Iterable[int], N: int, k: int) -> int:
     return colex_rank(as_edge(e, k=k, n_vertices=N))
 
 
-_MAX_EDGES = 1 << 31  # edge ranks must fit the int32 variables of `_kernels`
+# edge ranks and copy-table rows must fit the int32 variable and clause ids
+# of `_kernels`
+_MAX_EDGES = 1 << 31
 
 
-def _blank_bits(k: int, N: int, fill: int = BLUE) -> np.ndarray:
-    """One bit per edge of K^k_N, all `fill`, for the coloring constructors;
-    a host with 2**31 edges or more is refused before anything is
-    allocated."""
+def host_edges(k: int, N: int) -> int:
+    """C(N, k), the number of edges of K^k_N; a host with 2**31 edges or
+    more is refused as `host-too-large`."""
     n_edges = math.comb(N, k)
     if n_edges >= _MAX_EDGES:
         raise ValueError(f"host-too-large: K^{k}_{N} has {n_edges} edges, "
                          f"at most {_MAX_EDGES - 1} are supported")
-    return np.full(n_edges, fill, dtype=np.uint8)
+    return n_edges
+
+
+def _blank_bits(k: int, N: int, fill: int = BLUE) -> np.ndarray:
+    """One bit per edge of K^k_N, all `fill`, for the coloring constructors;
+    a host too large for `host_edges` is refused before anything is
+    allocated."""
+    return np.full(host_edges(k, N), fill, dtype=np.uint8)
 
 
 def all_edges(N: int, k: int) -> list[Edge]:

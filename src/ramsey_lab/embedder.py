@@ -37,7 +37,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import TwoColoring, adjacent_twins, colex_rank
+from .coloring import _MAX_EDGES, TwoColoring, adjacent_twins, colex_rank
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -386,6 +386,9 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     deadline is checked before each step.
     """
     n, total = t.n, _n_copies(N, k, t)
+    if total >= _MAX_EDGES:
+        raise ValueError(f"copy-table-too-large: {t} has {total} copies in "
+                         f"K^{k}_{N}, at most {_MAX_EDGES - 1} rows are supported")
     out = np.empty((total, n), dtype=np.int64)
     if total == 0 or n == 1:
         out[:, 0] = np.arange(total)
@@ -467,7 +470,8 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
 
     Every edge-set-distinct copy is one row, rows in lexicographic order,
     so the int64 matrix is canonical; it is read-only.  Cached in memory.
-    With a `deadline` (a `time.monotonic()` reading), enumeration raises
+    A table of 2**31 rows or more is refused as `copy-table-too-large`
+    before anything is allocated.  With a `deadline` (a `time.monotonic()` reading), enumeration raises
     SearchBudgetExceeded once it passes, and nothing is cached.
     """
     if t.k != k:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -31,10 +30,11 @@ import numpy as np
 
 from . import _kernels
 from ._backend import BACKEND
-from .coloring import TwoColoring, all_edges, decoding, swap_pairs
+from .coloring import (_MAX_EDGES, TwoColoring, all_edges, decoding,
+                       host_edges, swap_pairs)
 from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
                    path_template)
-from .embedder import copy_rank_matrix, find_embedding
+from .embedder import copy_rank_matrix, count_copies, find_embedding
 from .errors import SearchBudgetExceeded
 
 
@@ -102,21 +102,32 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     verified witness coloring; UNKNOWN only on budget exhaustion.
 
     `max_secs` is one deadline for the whole call, copy enumeration
-    included; `stats["wall_secs"]` is the search time alone, and
+    included; `stats["wall_secs"]` is the search time alone,
     `stats["enumerate_s"]` and `stats["build_s"]` time the copy enumeration
-    and the clause instance build before it.  `stats["n_vars"]` is the
-    number of edges, C(N, k), and `stats["n_clauses"]` the number of red and
-    blue copies the instance holds (0 if the deadline passed before it was
-    built).
+    and the clause instance build before it, and `stats["verify_s"]` the
+    re-check of a SAT witness after it (0.0 for other verdicts).
+    `stats["n_vars"]` is the number of edges, C(N, k), and
+    `stats["n_clauses"]` the number of red and blue copies the instance
+    holds (0 if the deadline passed before it was built).
+
+    A host with 2**31 edges or more (`host-too-large`), or 2**31 red and
+    blue copies together (`copy-table-too-large`), does not fit the
+    kernel's int32 ids and is refused before anything is built.
     """
     if red_target.k != k or blue_target.k != k:
         raise ValueError("invalid-parameter: target uniformity differs from k")
     if not (isinstance(N, int) and N >= 0):
         raise ValueError(f"invalid-parameter: N={N}")
 
+    n_vars = host_edges(k, N)
+    n_red, n_blue = (count_copies(N, k, t) for t in (red_target, blue_target))
+    if n_red + n_blue >= _MAX_EDGES:
+        raise ValueError(f"copy-table-too-large: {n_red} red and {n_blue} blue "
+                         f"copies in K^{k}_{N}, at most {_MAX_EDGES - 1} "
+                         f"clauses are supported")
+
     t0 = time.monotonic()
     deadline = None if max_secs is None else t0 + max_secs
-    n_vars = math.comb(N, k)
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
               "symmetry": symmetry, "backend": BACKEND}
     try:
@@ -125,7 +136,7 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     except SearchBudgetExceeded:
         stats = {"nodes": 0, "propagations": 0, "wall_secs": 0.0,
                  "enumerate_s": time.monotonic() - t0, "build_s": 0.0,
-                 "n_vars": n_vars, "n_clauses": 0}
+                 "verify_s": 0.0, "n_vars": n_vars, "n_clauses": 0}
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
     t1 = time.monotonic()
     instance = _kernels.build_instance(n_vars, red_rows, blue_rows)
@@ -139,16 +150,18 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
                                                    deadline)
     stats = {"nodes": nodes, "propagations": props,
              "wall_secs": time.monotonic() - t2,
-             "enumerate_s": t1 - t0, "build_s": t2 - t1,
+             "enumerate_s": t1 - t0, "build_s": t2 - t1, "verify_s": 0.0,
              "n_vars": n_vars, "n_clauses": len(red_rows) + len(blue_rows)}
     witness = None
     if status == "SAT":
         # free vars: any value works; pick red
         bits = np.where(assign < 0, 1, assign).astype(np.uint8)
         witness = TwoColoring(k, N, bits)
+        t3 = time.monotonic()
         for color, t in (("red", red_target), ("blue", blue_target)):
             if find_embedding(witness, color, t) is not None:
                 raise AssertionError(f"engine bug: witness contains a {color} copy")
+        stats["verify_s"] = time.monotonic() - t3
     return ArrowingVerdict(status, witness, stats, budget)
 
 
@@ -205,11 +218,13 @@ def export_dimacs(k: int, N: int, red_target: LooseTemplate,
     Variable rank+1 asserts "edge of colex rank is red"; red copies become
     all-negative clauses, blue copies all-positive, in canonical row order.
     A target with more vertices than the host has no copy and adds no
-    clause, as in `decide_arrowing`.
+    clause, as in `decide_arrowing`.  A host with 2**31 edges or more is
+    refused as `host-too-large` before anything is built, and a copy table
+    of 2**31 rows or more as `copy-table-too-large`.
     """
     if red_target.k != k or blue_target.k != k:
         raise ValueError("invalid-parameter: target uniformity differs from k")
-    E = math.comb(N, k)
+    E = host_edges(k, N)
     red_rows = copy_rank_matrix(N, k, red_target)
     blue_rows = copy_rank_matrix(N, k, blue_target)
     varmap = {str(r + 1): list(e) for r, e in enumerate(all_edges(N, k))}

@@ -96,6 +96,17 @@ def test_export_cnf(tmp_path):
     assert rep["results"]["clauses"] == 240
 
 
+def test_report_command_replays_the_run(tmp_path):
+    # an argument that equals the subcommand's name is kept
+    argv = ["export-cnf", "--k", "3", "--n-vertices", "6", "--red", "cycle:3",
+            "--blue", "cycle:3", "--stem", "export-cnf",
+            "--out", str(tmp_path / "report.json"), "--dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["command"] == argv
+    assert rep["results"]["cnf"] == str(tmp_path / "export-cnf.cnf")
+
+
 def test_export_cnf_target_larger_than_host(tmp_path):
     # P^4_2 has 7 vertices, K^4_6 has 6: the red target adds no clause,
     # and the exported CNF gets the verdict arrow gives
@@ -237,6 +248,18 @@ def test_usage_errors(tmp_path, capsys):
                  "--dir", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "host-too-large" in capsys.readouterr().err
+    # a copy table, or a host, past the int32 ids of the search is refused
+    # before anything is enumerated or allocated; export-cnf checks the host
+    # before it lists the 4.5e9 edges of K^3_3000
+    for argv, refusal in [
+            (["arrow", "--k", "3", "--n-vertices", "40",
+              "--red", "cycle:5", "--blue", "cycle:3"], "copy-table-too-large"),
+            (["arrow", "--k", "3", "--n-vertices", "3000",
+              "--red", "cycle:2000", "--blue", "cycle:2000"], "host-too-large"),
+            (["export-cnf", "--k", "3", "--n-vertices", "3000",
+              "--red", "cycle:2000", "--blue", "cycle:2000"], "host-too-large")]:
+        assert main(argv + ["--dir", str(tmp_path)]) == EXIT_USAGE, argv
+        assert f"usage error: {refusal}: " in capsys.readouterr().err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["c.json"]
 
 
@@ -349,10 +372,11 @@ def test_phase_timings_sum_within_total(tmp_path):
     assert code == EXIT_OK
     stats = rep["results"]["stats"]
     assert stats["enumerate_s"] >= 0 and stats["build_s"] >= 0
+    assert stats["verify_s"] > 0  # the SAT witness was re-checked
     assert stats["n_vars"] == math.comb(6, 3)
     assert stats["n_clauses"] == 2 * count_copies(6, 3, cycle_template(3, 3))
     timings = rep["timings"]
-    phases = ("enumerate_s", "build_s", "search_s", "certify_s")
+    phases = ("enumerate_s", "build_s", "search_s", "verify_s", "certify_s")
     assert all(timings[key] >= 0 for key in phases)
     assert sum(timings[key] for key in phases) <= timings["total_secs"]
     code, rep = run(tmp_path, "witness", "--k", "3", "--pair", "CC",

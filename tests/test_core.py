@@ -187,14 +187,10 @@ def _file_writes(source: str, writer: str = None) -> list:
     """Line numbers of the calls in `source` that write a file other than
     through the function named `writer`: json.dump, write_text/write_bytes,
     os.open, shutil copies and moves, open/fdopen/Path.open in a write mode
-    or a mode that is not a string literal, and np.save/savez/savetxt and
-    ndarray.tofile into anything but a handle from `with atomic_write(...)`."""
+    or a mode that is not a string literal, np.save/savez/savetxt and
+    ndarray.tofile.  `atomic_write` yields only text handles, so an array
+    saver is a write even into one of those."""
     tree = ast.parse(source)
-    handles = {item.optional_vars.id for node in ast.walk(tree)
-               if isinstance(node, ast.With) for item in node.items
-               if isinstance(item.context_expr, ast.Call)
-               and ast.unparse(item.context_expr.func).endswith("atomic_write")
-               and isinstance(item.optional_vars, ast.Name)}
     found = []
 
     def visit(node):
@@ -204,14 +200,9 @@ def _file_writes(source: str, writer: str = None) -> list:
             name = ast.unparse(node.func).replace("numpy.", "np.", 1)
             attr = name.rsplit(".", 1)[-1]
             if name in ("json.dump", "os.open") or name in _COPIERS \
-                    or attr in ("write_text", "write_bytes"):
+                    or name in _ARRAY_SAVERS \
+                    or attr in ("write_text", "write_bytes", "tofile"):
                 found.append(node.lineno)
-            elif name in _ARRAY_SAVERS or attr == "tofile":
-                dest = node.args[0] if node.args else next(
-                    (kw.value for kw in node.keywords
-                     if kw.arg in ("file", "fname", "fid")), None)
-                if not (isinstance(dest, ast.Name) and dest.id in handles):
-                    found.append(node.lineno)
             elif name in _OPENERS or attr == "open":
                 pos = _OPENERS.get(name, 0)
                 mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
@@ -245,14 +236,14 @@ def test_file_write_scan_finds_writes():
         "shutil.move(a, b)",
         "open(p)", "open(p, 'rb')", "path.open()", "json.dumps(obj)",
         "np.load(p)", "cert.save(p)",
-        "with atomic_write(p, 'wb') as fh:",
+        "with atomic_write(p) as fh:",
+        "    fh.write(text)",
         "    np.save(fh, arr)",
-        "    arr.tofile(fh)",
         "def atomic_write(path):",
         "    with os.fdopen(os.open(path, 1), mode) as fh:",
         "        yield fh",
     ])
-    direct = list(range(1, 15))
+    direct = list(range(1, 15)) + [23]
     assert _file_writes(src) == direct + [25, 25]
     assert _file_writes(src, writer="atomic_write") == direct
 
@@ -269,3 +260,41 @@ def test_every_file_write_goes_through_atomic_write():
             writes[path.name] = lines
     assert writes == {}
     assert _file_writes(pathlib.Path(core.__file__).read_text()) != []
+
+
+# Library definitions that only tests call, kept on purpose: tests build
+# their colorings with these constructors many times over, and a copy of
+# them under tests/ would not shrink the code.
+_TEST_ONLY = {
+    "all_red",  # the all-red coloring of K^k_N
+    "all_blue",  # the all-blue coloring of K^k_N
+    "with_edges",  # a copy of a coloring with listed edges recolored
+}
+
+
+def _references(tree: ast.AST) -> set:
+    """Every name read as a bare Name or as an attribute in `tree`."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_library_code_has_callers_outside_tests():
+    # every function, class and method of the package is used by the
+    # package itself (its re-exports aside) or by the benchmark
+    package = pathlib.Path(ramsey_lab.__file__).parent
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    defined, used = {}, set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+        if path.name != "__init__.py":
+            used |= _references(tree)
+    for path in sorted(perfbench.glob("*.py")):
+        used |= _references(ast.parse(path.read_text()))
+    assert {name: where for name, where in defined.items()
+            if name not in used and name not in _TEST_ONLY} == {}
+    assert _TEST_ONLY <= defined.keys() - used

@@ -117,6 +117,14 @@ def test_copy_sort_key_overflow_is_internal_error(monkeypatch):
     assert embedder._COPY_CACHE == {}
 
 
+def test_copy_table_too_large_is_refused():
+    # C^3_5 has 40!/(30! * 10) copies in K^3_40, past the int32 clause ids
+    # of the search; the 10.9 PiB table is refused, not allocated
+    with pytest.raises(ValueError, match=r"copy-table-too-large: cycle:5 \(k=3\) "
+                                         r"has 307599052400640 copies in K\^3_40"):
+        copy_rank_matrix(40, 3, cycle_template(3, 5))
+
+
 def test_count_copies_never_enumerates(monkeypatch):
     from ramsey_lab import embedder
 

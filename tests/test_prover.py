@@ -232,7 +232,8 @@ def test_time_budget_bounds_copy_enumeration(monkeypatch):
     assert time.monotonic() - t0 < 3.0
     assert v.status == "UNKNOWN"
     assert (v.stats["nodes"], v.stats["propagations"]) == (0, 0)
-    assert (v.stats["n_vars"], v.stats["n_clauses"]) == (120, 0)
+    assert (v.stats["n_vars"], v.stats["n_clauses"], v.stats["verify_s"]) == \
+        (120, 0, 0.0)
     assert (10, 3, "path", 4) not in embedder._COPY_CACHE
 
 
