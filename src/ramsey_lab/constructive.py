@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .coloring import TwoColoring
 from .core import CYCLE, PATH, Edge, LooseTemplate, cycle_template, path_template
