@@ -68,7 +68,6 @@ class Certificate:
 
 def make_certificate(type_: str, coloring: TwoColoring, payload: dict, *,
                      lemma: str, seed: Optional[int] = None,
-                     budget_exhausted: bool = False, **extra) -> Certificate:
+                     budget_exhausted: bool = False) -> Certificate:
     meta = {"lemma": lemma, "seed": seed, "budget_exhausted": budget_exhausted}
-    meta.update(extra)
     return Certificate(type_, coloring, payload, meta)

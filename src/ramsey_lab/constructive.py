@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .certificates import make_certificate
 from .coloring import TwoColoring
 from .core import CYCLE, PATH, Edge, LooseTemplate, cycle_template, path_template
 from .embedder import (UNKNOWN, Embedding, embedding_from_edge_sequence,
@@ -820,27 +821,6 @@ def _reservoir_cycle(c: TwoColoring, e1_edge: set, mid_edge: set, mid_w: int,
     return _verified_cycle(c, edges, "red", "forced red cycle")
 
 
-def _exhaustive_disjoint_pairs(c: TwoColoring):
-    """Complete search: try every adjacent pair as the first of the two."""
-    k = c.k
-    verts = range(1, c.n_vertices + 1)
-    for core in itertools.combinations(verts, k - 1):
-        outside = [x for x in verts if x not in core]
-        reds = [x for x in outside if c.is_red(core + (x,))]
-        blues = [x for x in outside if not c.is_red(core + (x,))]
-        for ra, bb in itertools.product(reds, blues):
-            p = BichromaticPair(core + (ra,), core + (bb,))
-            remainder = sorted(set(verts) - p.union)
-            if len(remainder) < k + 1:
-                continue
-            try:
-                q = adjacent_bichromatic_pair(c, within=remainder)
-            except ValueError:
-                continue
-            return (p, q)
-    return None
-
-
 def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
                                max_nodes: int = 200_000,
                                meta: Optional[dict] = None
@@ -897,15 +877,10 @@ def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
 
     if result is not None:
         pa, pb = result
-        ok_a, why_a = pa.validate(c)
-        ok_b, why_b = pb.validate(c)
-        if ok_a and ok_b and not (pa.union & pb.union):
+        if pa.validate(c)[0] and pb.validate(c)[0] and not (pa.union & pb.union):
             return (pa, pb)
-
-    found = _exhaustive_disjoint_pairs(c)
-    if found is not None:
-        return found
-    raise ProofGap("no two disjoint bichromatic pairs exist",
+    raise ProofGap("the reservoir case analysis yielded no two valid disjoint "
+                   "bichromatic pairs",
                    instance={"coloring": c.to_json_obj(), "t": t})
 
 
@@ -1031,7 +1006,6 @@ def to_certificate(c: TwoColoring, obj, *, lemma: str,
                    seed: Optional[int] = None,
                    budget_exhausted: bool = False):
     """Wrap an operation output in a self-contained certificate document."""
-    from .certificates import make_certificate
     kw = dict(lemma=lemma, seed=seed, budget_exhausted=budget_exhausted)
     if isinstance(obj, Embedding):
         return make_certificate("embedding", c,

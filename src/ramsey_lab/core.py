@@ -100,6 +100,8 @@ def is_loose_sequence(edges: list[Edge], kind: str) -> bool:
 
     Consecutive edges (cyclically for kind="cycle") must share exactly one
     vertex; all other pairs must be disjoint.  Single-edge paths are valid.
+    The three shared vertices of a 3-cycle must differ: three edges through
+    one common vertex pass the pairwise test but are not a cycle.
     """
     n = len(edges)
     if n == 0 or (kind == CYCLE and n < 3):
@@ -111,7 +113,7 @@ def is_loose_sequence(edges: list[Edge], kind: str) -> bool:
             want = 1 if adjacent else 0
             if len(sets[i] & sets[j]) != want:
                 return False
-    return True
+    return not (n == 3 and kind == CYCLE and sets[0] & sets[1] & sets[2])
 
 
 @contextmanager

@@ -30,9 +30,11 @@ cached in memory for the life of the process.
 from __future__ import annotations
 
 import math
+import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -139,8 +141,12 @@ def embedding_from_edge_sequence(edges: Sequence[Sequence[int]], kind: str,
                                  color: str = "any") -> Embedding:
     """Recover an Embedding from an explicit ordered loose edge sequence.
 
-    Connectors are read off the consecutive intersections; the remaining
-    vertices of each edge fill the interchangeable slots in ascending order.
+    The assignment lists, edge by edge, first the vertex an edge shares
+    with the previous edge (for a cycle, edge 0's previous edge is the
+    last one), then its other vertices in ascending order, leaving out the
+    one it shares with the next edge, which that edge lists first.  This is
+    the template's own layout, with the interchangeable degree-1 vertices
+    of each edge ascending.
     """
     es = [tuple(sorted(int(v) for v in e)) for e in edges]
     if not es:
@@ -150,39 +156,13 @@ def embedding_from_edge_sequence(edges: Sequence[Sequence[int]], kind: str,
         raise ValueError("edges must be distinct k-sets of equal size")
     if not is_loose_sequence(es, kind):
         raise ValueError(f"edge sequence does not form a loose {kind}")
-    n = len(es)
-    t = LooseTemplate(kind, k, n)
-    assignment: Dict[int, int] = {}
-
-    def shared(a, b):
-        (x,) = set(a) & set(b)
-        return x
-
-    for i, e in enumerate(es, start=1):
-        first_pos = (i - 1) * (k - 1) + 1
-        last_pos = i * (k - 1) + 1
-        if kind == CYCLE:
-            last_pos = (last_pos - 1) % t.n_vertices + 1
-        pinned = {}
-        if i > 1:
-            pinned[first_pos] = shared(es[i - 2], e)
-        elif kind == CYCLE:
-            pinned[first_pos] = shared(es[-1], e)
-        if i < n:
-            pinned[last_pos] = shared(e, es[i])
-        elif kind == CYCLE:
-            pinned[last_pos] = shared(e, es[0])
-        free_hosts = sorted(set(e) - set(pinned.values()))
-        free_pos = [p for p in range(first_pos, first_pos + k)
-                    if ((p - 1) % t.n_vertices + 1) not in pinned]
-        free_pos = [(p - 1) % t.n_vertices + 1 for p in free_pos]
-        for p, v in pinned.items():
-            if p in assignment and assignment[p] != v:
-                raise ValueError("inconsistent connector structure")
-            assignment[p] = v
-        for p, v in zip(free_pos, free_hosts):
-            assignment[p] = v
-    return Embedding(t, tuple(assignment[j] for j in range(1, t.n_vertices + 1)), color)
+    n, closed = len(es), kind == CYCLE
+    assignment = []
+    for i, e in enumerate(es):
+        prev = set(e) & set(es[i - 1]) if i or closed else set()
+        nxt = set(e) & set(es[(i + 1) % n]) if i < n - 1 or closed else set()
+        assignment += sorted(prev) + sorted(set(e) - prev - nxt)
+    return Embedding(LooseTemplate(kind, k, n), tuple(assignment), color)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +203,13 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
     sentinel when a node budget ran out first.  `fixed` pins template
     vertices to host vertices; only extensions of it are returned.
     `within` restricts the free template vertices to a host subset.
+
+    The search plan is worked out once, before the search: one slot per
+    unfixed template position, in order of first appearance (edge by edge,
+    ascending inside an edge).  A slot holding a degree-1 position is
+    bounded below by the host vertex of the previous degree-1 slot of its
+    edge.  Each template edge is color-checked once, at the slot that fills
+    its last unfixed position, or up front when every vertex is fixed.
     """
     if t.k != c.k:
         raise ValueError(f"incompatible-uniformity: template k={t.k}, host k={c.k}")
@@ -246,93 +233,70 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
         if hosts and (hosts[0] < 1 or hosts[-1] > N):
             raise ValueError("within-vertices out of host range")
 
-    assign: Dict[int, int] = dict(fixed)
     used = set(fixed.values())
     free_hosts = [h for h in hosts if h not in used]
     if t.n_vertices - len(fixed) > len(free_hosts):
         return None
 
     edges = t.edges
-    degree: Dict[int, int] = {}
-    for e in edges:
-        for v in e:
-            degree[v] = degree.get(v, 0) + 1
-
     want = 1 if color == "red" else 0
+    # assign[p] is the host vertex at template position p; assign[0] = 0 is
+    # the lower bound of a slot with no interchangeable predecessor
+    assign = [0] * (t.n_vertices + 1)
+    for tv, hv in fixed.items():
+        assign[tv] = hv
 
-    # remaining unassigned positions per edge; edges completed up front get
-    # their color checked before the search starts
-    remaining = []
-    pos_edges: Dict[int, list] = {v: [] for e in edges for v in e}
-    for i, e in enumerate(edges):
-        remaining.append(sum(1 for v in e if v not in assign))
+    def edge_ok(e: Edge) -> bool:
+        return c.bits[colex_rank(tuple(sorted(assign[v] for v in e)))] == want
+
+    # the search plan; degree-1 positions of one edge are interchangeable
+    degree = Counter(v for e in edges for v in e)
+    slot_of: Dict[int, int] = {}
+    slots = []  # (position, lower-bound position, edges it completes)
+    for e in edges:
+        prev_free = 0
         for v in e:
-            pos_edges[v].append(i)
-
-    def edge_ok(i: int) -> bool:
-        img = tuple(sorted(assign[v] for v in edges[i]))
-        return c.bits[colex_rank(img)] == want
-
-    for i in range(len(edges)):
-        if remaining[i] == 0 and not edge_ok(i):
-            return None
-
-    # slot order: first appearance, edge by edge, ascending inside an edge;
-    # degree-1 slots of one edge form an interchangeable class kept ascending
-    slots = []  # (position, class_prev_slot_position or None)
-    seen_pos = set()
-    for i, e in enumerate(edges):
-        prev_free = None
-        for v in e:
-            if v in seen_pos:
+            if v in fixed or v in slot_of:
                 continue
-            seen_pos.add(v)
-            if v in assign:
-                continue
+            slot_of[v] = len(slots)
+            slots.append((v, prev_free if degree[v] == 1 else 0, []))
             if degree[v] == 1:
-                slots.append((v, prev_free))
                 prev_free = v
-            else:
-                slots.append((v, None))
+    for e in edges:
+        last = max((slot_of[v] for v in e if v in slot_of), default=None)
+        if last is not None:
+            slots[last][2].append(e)
+        elif not edge_ok(e):
+            return None
 
     twin = _twin_classes(c)
     nodes = 0
 
     def rec(si: int):
+        """The first complete assignment below slot si, _BUDGET, or None."""
         nonlocal nodes
         if si == len(slots):
-            return dict(assign)
-        p, class_prev = slots[si]
-        lo = assign[class_prev] if class_prev is not None else 0
+            return tuple(assign[1:])
+        p, lo_pos, completes = slots[si]
+        lo = assign[lo_pos]
         seen_classes = set()
         for v in free_hosts:
-            if v <= lo or v in used:
-                continue
-            tc = twin[v]
-            if tc in seen_classes:
+            if v <= lo or v in used or twin[v] in seen_classes:
                 continue
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 return _BUDGET
             assign[p] = v
-            used.add(v)
-            ok = True
-            touched = []
-            for ei in pos_edges[p]:
-                remaining[ei] -= 1
-                touched.append(ei)
-                if remaining[ei] == 0 and not edge_ok(ei):
-                    ok = False
-            res = rec(si + 1) if ok else None
-            for ei in touched:
-                remaining[ei] += 1
-            del assign[p]
-            used.discard(v)
-            if isinstance(res, dict):
-                return res
-            if res is _BUDGET:
-                return _BUDGET
-            seen_classes.add(tc)
+            for e in completes:
+                if not edge_ok(e):
+                    break
+            else:
+                used.add(v)
+                res = rec(si + 1)
+                used.discard(v)
+                if res is not None:
+                    return res
+            seen_classes.add(twin[v])
         return None
 
     res = rec(0)
@@ -340,7 +304,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
         return UNKNOWN
     if res is None:
         return None
-    emb = Embedding(t, tuple(res[j] for j in range(1, t.n_vertices + 1)), color)
+    emb = Embedding(t, res, color)
     check = verify_embedding(c, emb)
     if not check:
         raise AssertionError(f"internal search bug: invalid embedding ({check.reason})")
@@ -354,6 +318,15 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
 _COPY_CACHE: Dict[tuple, np.ndarray] = {}
 
 _CELLS = 1 << 12  # (partial copy, move) pairs per enumeration step: a few ms
+
+# peak resident bytes of a decision per byte of its largest copy table: a
+# cold c53@11 decision peaks at 533 MB for its 152 MB table
+_PEAK_PER_TABLE_BYTE = 4
+
+
+def _memory_bytes() -> int:
+    """The host's physical memory in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _moves(a: int, s: int, branch: bool):
@@ -389,6 +362,12 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     if total >= _MAX_EDGES:
         raise ValueError(f"copy-table-too-large: {t} has {total} copies in "
                          f"K^{k}_{N}, at most {_MAX_EDGES - 1} rows are supported")
+    nbytes, memory = total * n * 8, _memory_bytes()
+    if _PEAK_PER_TABLE_BYTE * nbytes > memory:
+        raise ValueError(f"copy-table-too-large: {t} has {total} copies in "
+                         f"K^{k}_{N}, a {nbytes}-byte table; a decision peaks at "
+                         f"about {_PEAK_PER_TABLE_BYTE} times that, past the "
+                         f"host's {memory} bytes of memory")
     out = np.empty((total, n), dtype=np.int64)
     if total == 0 or n == 1:
         out[:, 0] = np.arange(total)
@@ -470,8 +449,10 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
 
     Every edge-set-distinct copy is one row, rows in lexicographic order,
     so the int64 matrix is canonical; it is read-only.  Cached in memory.
-    A table of 2**31 rows or more is refused as `copy-table-too-large`
-    before anything is allocated.  With a `deadline` (a `time.monotonic()` reading), enumeration raises
+    A table of 2**31 rows or more, or one whose decision would need more
+    than the host's physical memory (4 times the table's bytes), is refused
+    as `copy-table-too-large` before anything is allocated.  With a
+    `deadline` (a `time.monotonic()` reading), enumeration raises
     SearchBudgetExceeded once it passes, and nothing is cached.
     """
     if t.k != k:
@@ -546,50 +527,34 @@ def is_maximal_wrt(c: TwoColoring, P: Embedding, W: Iterable[int]) -> bool:
             seg_last = (r + 1) * (k - 1) + 1
             for i in range(1, n - r + 2):
                 kept = old_edges[:i - 1] + old_edges[i + r - 1:]
-                kept_vs = set().union(*kept) if kept else set()
-                pool_core = base - kept_vs
+                pool_core = base - set().union(*kept)
 
+                # (segment position, host vertex) options for each end: the
+                # attachment vertex on a kept side, or P's old extreme vertex
+                # (already in pool_core) in either slot of the extreme edge
                 if i >= 2:
-                    cp_cands = set(old_edges[i - 2])
-                    if i >= 3:
-                        cp_cands -= set(old_edges[i - 3])
-                    starts = [({1: cp}, cp) for cp in sorted(cp_cands)]
+                    cands = set(old_edges[i - 2]) - set(old_edges[i - 3] if i >= 3 else ())
+                    starts = [(1, v) for v in sorted(cands)]
                 else:
-                    starts = [({1: first_v}, None), ({k: first_v}, None)]
+                    starts = [(1, first_v), (k, first_v)]
                 if i + r <= n:
-                    cs_cands = set(old_edges[i + r - 1])
-                    if i + r + 1 <= n:
-                        cs_cands -= set(old_edges[i + r])
-                    ends = [({seg_last: cs}, cs) for cs in sorted(cs_cands)]
+                    cands = set(old_edges[i + r - 1]) - set(old_edges[i + r] if i + r < n else ())
+                    ends = [(seg_last, v) for v in sorted(cands)]
                 else:
-                    ends = [({seg_last: last_v}, None),
-                            ({r * (k - 1) + 1: last_v}, None)]
+                    ends = [(seg_last, last_v), (r * (k - 1) + 1, last_v)]
 
-                for sfix, cp in starts:
-                    for efix, cs in ends:
-                        fixed = dict(sfix)
-                        conflict = False
-                        for p, v in efix.items():
-                            if p in fixed and fixed[p] != v:
-                                conflict = True
-                            fixed[p] = v
-                        if conflict or len(set(fixed.values())) != len(fixed):
-                            continue
-                        pool = set(pool_core)
-                        if cp is not None:
-                            pool.add(cp)
-                        if cs is not None:
-                            pool.add(cs)
-                        if len(pool) != seg.n_vertices:
-                            raise AssertionError("internal: replacement pool size\
- mismatch")
-                        found = find_embedding(c, "red", seg, fixed, within=pool)
-                        if found is None:
-                            continue
-                        new_edges = found.edge_images()
-                        full = old_edges[:i - 1] + new_edges + old_edges[i + r - 1:]
-                        if not is_loose_sequence(full, PATH):
-                            raise AssertionError("internal: replacement assembly\
- is not loose")
-                        return False
+                for (sp, sv), (ep, ev) in product(starts, ends):
+                    # one slot takes one vertex, two slots two vertices
+                    if (sp == ep) != (sv == ev):
+                        continue
+                    pool = pool_core | {sv, ev}
+                    if len(pool) != seg.n_vertices:
+                        raise AssertionError("internal: replacement pool size mismatch")
+                    found = find_embedding(c, "red", seg, {sp: sv, ep: ev}, within=pool)
+                    if found is None:
+                        continue
+                    full = old_edges[:i - 1] + found.edge_images() + old_edges[i + r - 1:]
+                    if not is_loose_sequence(full, PATH):
+                        raise AssertionError("internal: replacement assembly is not loose")
+                    return False
     return True

@@ -34,7 +34,10 @@ from .coloring import (_MAX_EDGES, TwoColoring, all_edges, decoding,
                        host_edges, swap_pairs)
 from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
                    path_template)
-from .embedder import copy_rank_matrix, count_copies, find_embedding
+from .certificates import Certificate
+from .constructive import BichromaticPair, GoodConfiguration, validate_good_configuration
+from .embedder import (Embedding, copy_rank_matrix, count_copies, find_embedding,
+                       verify_embedding)
 from .errors import SearchBudgetExceeded
 
 
@@ -112,7 +115,9 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
 
     A host with 2**31 edges or more (`host-too-large`), or 2**31 red and
     blue copies together (`copy-table-too-large`), does not fit the
-    kernel's int32 ids and is refused before anything is built.
+    kernel's int32 ids and is refused before anything is built; a copy
+    table too large for the host's memory is refused as
+    `copy-table-too-large` before it is allocated.
     """
     if red_target.k != k or blue_target.k != k:
         raise ValueError("invalid-parameter: target uniformity differs from k")
@@ -220,7 +225,8 @@ def export_dimacs(k: int, N: int, red_target: LooseTemplate,
     A target with more vertices than the host has no copy and adds no
     clause, as in `decide_arrowing`.  A host with 2**31 edges or more is
     refused as `host-too-large` before anything is built, and a copy table
-    of 2**31 rows or more as `copy-table-too-large`.
+    of 2**31 rows or more, or one too large for the host's memory, as
+    `copy-table-too-large`.
     """
     if red_target.k != k or blue_target.k != k:
         raise ValueError("invalid-parameter: target uniformity differs from k")
@@ -302,9 +308,6 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
 
 def _decode_payload(cert) -> tuple:
     """The typed fields of a certificate's payload, decoded but unchecked."""
-    from .constructive import BichromaticPair, GoodConfiguration
-    from .embedder import Embedding
-
     p = cert.payload
     if cert.type == "witness-coloring":
         return (_template_of(cert.coloring.k, (p["red_target"]["kind"],
@@ -320,7 +323,8 @@ def _decode_payload(cert) -> tuple:
     if cert.type == "join-trace":
         result = p.get("result")
         return ([(as_edge(step["edge"]), step["color"]) for step in p["steps"]],
-                None if result is None else Embedding.from_json_obj(result))
+                None if result is None else Embedding.from_json_obj(result),
+                p.get("outcome_kind"))
     if cert.type == "configuration":
         return (GoodConfiguration.from_json_obj(p["configuration"]),)
     raise ValueError(f"malformed-certificate: unknown type {cert.type!r}")
@@ -333,10 +337,6 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     report); structural problems raise `malformed-certificate` errors while
     semantic failures come back as ok=False with machine-readable reasons.
     """
-    from .certificates import Certificate
-    from .constructive import validate_good_configuration
-    from .embedder import verify_embedding
-
     if isinstance(cert, dict):
         cert = Certificate.from_json_obj(cert)
     if not isinstance(cert, Certificate):
@@ -373,7 +373,7 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             if pairs[0].union & pairs[1].union:
                 reasons.append("pairs-not-disjoint")
     elif cert.type == "join-trace":
-        steps, result = fields
+        steps, result, outcome_kind = fields
         for i, (e, want) in enumerate(steps):
             if c.color_of(e) != want:
                 reasons.append("edge-color-mismatch")
@@ -382,6 +382,8 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             res = verify_embedding(c, result)
             if not res:
                 reasons.append(f"result:{res.reason}")
+            if outcome_kind != f"{result.claimed_color}-cycle":
+                reasons.append("outcome-kind-mismatch")
     elif cert.type == "configuration":
         res = validate_good_configuration(c, fields[0])
         if not res[0]:

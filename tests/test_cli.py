@@ -263,6 +263,19 @@ def test_usage_errors(tmp_path, capsys):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["c.json"]
 
 
+def test_arrow_refuses_copy_table_past_memory(tmp_path, capsys, monkeypatch):
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.setattr(embedder, "_memory_bytes", lambda: 100_000_000)
+    code = main(["arrow", "--k", "3", "--n-vertices", "11", "--red", "cycle:5",
+                 "--blue", "cycle:3", "--dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "usage error: copy-table-too-large: cycle:5 (k=3) has 3991680 copies " \
+        "in K^3_11" in capsys.readouterr().err
+    assert embedder._COPY_CACHE == {}
+
+
 def test_arrow_symmetry_at_host_size_k(tmp_path):
     code, rep = run(tmp_path, "arrow", "--k", "3", "--n-vertices", "3",
                     "--red", "path:1", "--blue", "path:1", "--symmetry")

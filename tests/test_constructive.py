@@ -83,6 +83,27 @@ def test_join_randomized_always_certifies(seed):
     certify_roundtrip(c, tr, "join")
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_join_certificate_with_forged_outcome_kind_is_rejected(seed):
+    # seed 1 joins into a red C^4_6, seed 0 closes a blue C^4_3; the trace
+    # must not verify once its outcome_kind names the other color
+    k, N = 4, 18
+    rng = np.random.default_rng(seed)
+    bits = (rng.random(len(all_edges(N, k))) < 0.5).astype(np.uint8)
+    C1, C2 = ident_cycle(k, 3, 1), ident_cycle(k, 3, 10)
+    plant = list(C1.edge_images()) + list(C2.edge_images())
+    c = TwoColoring(k, N, bits).with_edges(plant, red=True)
+    tr = join_red_cycles(c, C1, C2, 3)
+    assert tr.outcome_kind == ("red-cycle" if seed else "blue-cycle")
+    obj = certify_roundtrip(c, tr, "join").to_json_obj()
+    obj["payload"]["outcome_kind"] = "blue-cycle" if seed else "red-cycle"
+    ok, report = verify_certificate(obj)
+    assert not ok
+    assert report["reasons"] == ["outcome-kind-mismatch"]
+    del obj["payload"]["outcome_kind"]
+    assert verify_certificate(obj)[1]["reasons"] == ["outcome-kind-mismatch"]
+
+
 def test_join_rejects_overlapping_cycles():
     k = 4
     c = TwoColoring.all_red(k, 18)
@@ -387,6 +408,52 @@ def test_disjoint_pairs_randomized(seed):
         ok, why = pr.validate(c)
         assert ok, why
     assert not (p1.union & p2.union)
+
+
+def _dense_red(k, t, p_red, seed):
+    N = t * (k - 1) + 1
+    rng = np.random.default_rng(seed)
+    return TwoColoring(k, N, (rng.random(len(all_edges(N, k))) < p_red).astype(np.uint8))
+
+
+# (k, t, P(red), seed) whose reservoir is all red: the first two yield pairs,
+# the rest close a red t-cycle through the reservoir
+@pytest.mark.parametrize("k,t,p_red,seed,pairs", [
+    (3, 5, 0.9, 74, True), (3, 6, 0.99, 165, True),
+    (3, 5, 0.9, 102, False), (3, 6, 0.93, 42, False), (4, 5, 0.99, 28, False),
+])
+def test_disjoint_pairs_all_red_reservoir(monkeypatch, k, t, p_red, seed, pairs):
+    from ramsey_lab import constructive
+
+    calls = []
+    real = constructive._all_red_reservoir_pairs
+    monkeypatch.setattr(constructive, "_all_red_reservoir_pairs",
+                        lambda *a: calls.append(a) or real(*a))
+    c = _dense_red(k, t, p_red, seed)
+    if pairs:
+        p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=1)
+        assert p1.validate(c)[0] and p2.validate(c)[0]
+        assert not (p1.union & p2.union)
+    else:
+        with pytest.raises(HypothesisViolation,
+                           match="red t-cycle assembled through the reservoir") as ei:
+            disjoint_bichromatic_pairs(c, t, max_nodes=1)
+        w = ei.value.witness
+        assert w.template == cycle_template(k, t) and w.claimed_color == "red"
+        assert verify_embedding(c, w).ok
+    assert len(calls) == 1
+
+
+def test_disjoint_pairs_failed_case_analysis_is_a_proof_gap(monkeypatch):
+    from ramsey_lab import constructive
+
+    # overlapping pairs from the case analysis are a gap, not a reason to search
+    monkeypatch.setattr(constructive, "_all_red_reservoir_pairs",
+                        lambda c, t, pair1, Wv: (pair1, pair1))
+    c = _dense_red(3, 5, 0.9, 74)
+    with pytest.raises(ProofGap, match="case analysis") as ei:
+        disjoint_bichromatic_pairs(c, 5, max_nodes=1)
+    assert ei.value.instance == {"coloring": c.to_json_obj(), "t": 5}
 
 
 def test_bichromatic_pair_validate_rejects():

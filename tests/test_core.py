@@ -85,6 +85,9 @@ def test_is_loose_sequence_accepts_template():
 def test_is_loose_sequence_rejects_bad_overlap():
     assert not is_loose_sequence([(1, 2, 3), (2, 3, 4)], kind=PATH)
     assert not is_loose_sequence([(1, 2, 3), (4, 5, 6)], kind=PATH)
+    # a 3-cycle's shared vertices differ; a sunflower is not a cycle
+    assert is_loose_sequence([(1, 2, 3), (3, 4, 5), (5, 6, 1)], kind=CYCLE)
+    assert not is_loose_sequence([(1, 2, 3), (1, 4, 5), (1, 6, 7)], kind=CYCLE)
 
 
 def test_template_equality_and_hash():

@@ -125,6 +125,22 @@ def test_copy_table_too_large_is_refused():
         copy_rank_matrix(40, 3, cycle_template(3, 5))
 
 
+def test_copy_table_past_memory_is_refused(monkeypatch):
+    # with 100 MB of memory, the 159.7 MB table of C^3_5 in K^3_11 (a
+    # decision peaks near 4 times that) is refused before anything is
+    # allocated or cached
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.setattr(embedder, "_memory_bytes", lambda: 100_000_000)
+    with pytest.raises(ValueError, match=r"copy-table-too-large: cycle:5 \(k=3\) has "
+                                         r"3991680 copies in K\^3_11, a 159667200-byte "
+                                         r"table; .* past the host's 100000000 bytes"):
+        copy_rank_matrix(11, 3, cycle_template(3, 5))
+    assert embedder._COPY_CACHE == {}
+    assert len(copy_rank_matrix(7, 3, cycle_template(3, 3))) == 840
+
+
 def test_count_copies_never_enumerates(monkeypatch):
     from ramsey_lab import embedder
 
@@ -254,6 +270,52 @@ def test_embedding_from_edge_sequence():
         frozenset({1, 2, 3}), frozenset({3, 4, 5}), frozenset({5, 6, 1})}
     with pytest.raises(ValueError):
         embedding_from_edge_sequence([(1, 2, 3), (2, 3, 4)], "path", "red")
+
+
+_SEQUENCE_SHAPES = [(k, "path", n) for k in (3, 4, 5) for n in range(1, 7)] + \
+    [(k, "cycle", n) for k in (3, 4, 5) for n in range(3, 7)]
+
+
+@pytest.mark.parametrize("k,kind,n", _SEQUENCE_SHAPES)
+def test_embedding_from_edge_sequence_round_trip(k, kind, n):
+    t = path_template(k, n) if kind == "path" else cycle_template(k, n)
+    rng = np.random.default_rng(1000 * k + 10 * n + (kind == "cycle"))
+    for _ in range(5):
+        N = t.n_vertices + int(rng.integers(0, 5))
+        asg = tuple(int(v) for v in rng.permutation(N)[:t.n_vertices] + 1)
+        edges = Embedding(t, asg).edge_images()
+        orders = [edges]
+        if kind == "cycle":
+            orders += [edges[s:] + edges[:s] for s in range(1, n)]
+            orders += [o[::-1] for o in list(orders)]
+        else:
+            orders.append(edges[::-1])
+        for seq in orders:
+            # shuffled vertices inside an edge do not matter
+            got = embedding_from_edge_sequence(
+                [tuple(rng.permutation(e)) for e in seq], kind, "blue")
+            assert got.template == t and got.claimed_color == "blue"
+            assert got.edge_images() == seq
+            assert set(got.assignment) == set(asg)
+            assert verify_embedding(TwoColoring.all_blue(k, N), got).ok
+            # a fixpoint on its own output
+            assert embedding_from_edge_sequence(got.edge_images(), kind,
+                                                "blue") == got
+
+
+@pytest.mark.parametrize("edges,kind,message", [
+    ([], "path", "empty edge sequence"),
+    ([(1, 2, 3), (3, 4, 5, 6)], "path", "edges must be distinct k-sets of equal size"),
+    ([(1, 2, 3), (3, 3, 4)], "path", "edges must be distinct k-sets of equal size"),
+    ([(1, 2, 3), (2, 3, 4)], "path", "edge sequence does not form a loose path"),
+    ([(1, 2, 3), (3, 4, 5)], "cycle", "edge sequence does not form a loose cycle"),
+    # three edges through one vertex pass every pairwise test
+    ([(1, 2, 3), (1, 4, 5), (1, 6, 7)], "cycle",
+     "edge sequence does not form a loose cycle"),
+])
+def test_embedding_from_edge_sequence_rejects(edges, kind, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        embedding_from_edge_sequence(edges, kind)
 
 
 def test_embedding_json_roundtrip():

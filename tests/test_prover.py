@@ -342,13 +342,16 @@ def test_witness_certificate_roundtrip(tmp_path):
 
 
 def _witness_cert(**meta):
+    """The CC witness certificate on K^3_6, with `meta` added to its meta."""
     N, c = lower_bound_witness(3, 3, 3, "CC")
-    return make_certificate(
+    cert = make_certificate(
         "witness-coloring", c,
         {"red_target": {"kind": "cycle", "length": 3},
          "blue_target": {"kind": "cycle", "length": 3},
          "n_vertices": N},
-        lemma="lower-bound", seed=7, **meta)
+        lemma="lower-bound", seed=7)
+    cert.meta.update(meta)
+    return cert
 
 
 @pytest.mark.parametrize("explicit", [False, True])
