@@ -6,7 +6,7 @@ using embedder primitives only.  Types:
 
 * witness-coloring — a host coloring avoiding both forbidden structures;
 * embedding        — a single monochromatic structure placement;
-* pair-set         — two placements with an optional disjointness claim;
+* pair-set         — bichromatic pairs and a pairwise-disjointness claim;
 * join-trace       — a list of (edge, color) facts plus a result placement;
 * configuration    — a two-edge bridge configuration (see `constructive`).
 

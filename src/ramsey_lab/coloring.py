@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Edge, as_edge, atomic_write
+from .core import Edge, as_edge, atomic_write, cycle_template, path_template
 
 RED = 1
 BLUE = 0
@@ -298,7 +298,6 @@ def lower_bound_witness(k: int, n: int, m: int, pair: str) -> tuple[int, TwoColo
     before returning; a failure here is a construction bug, not user error.
     """
     from . import embedder
-    from .core import cycle_template, path_template
 
     if pair not in ("PP", "PC", "CC"):
         raise ValueError(f"pair must be PP, PC or CC, got {pair!r}")

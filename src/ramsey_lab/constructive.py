@@ -748,6 +748,21 @@ class BichromaticPair:
         return cls(tuple(obj["red_edge"]), tuple(obj["blue_edge"]))
 
 
+def _first_red_and_blue(c: TwoColoring, verts: Sequence[int]
+                        ) -> Tuple[Optional[Edge], Optional[Edge]]:
+    """The first red and first blue k-subset of verts, None if absent."""
+    red = blue = None
+    for e0 in itertools.combinations(verts, c.k):
+        if c.is_red(e0):
+            if red is None:
+                red = e0
+        elif blue is None:
+            blue = e0
+        if red is not None and blue is not None:
+            break
+    return red, blue
+
+
 def adjacent_bichromatic_pair(c: TwoColoring, *,
                               within: Optional[Sequence[int]] = None,
                               stats: Optional[dict] = None) -> BichromaticPair:
@@ -762,15 +777,7 @@ def adjacent_bichromatic_pair(c: TwoColoring, *,
         else list(range(1, c.n_vertices + 1))
     if len(verts) < k + 1:
         raise ValueError("host-too-small: need at least k+1 vertices")
-    red = blue = None
-    for e0 in itertools.combinations(verts, k):
-        if c.is_red(e0):
-            if red is None:
-                red = e0
-        elif blue is None:
-            blue = e0
-        if red is not None and blue is not None:
-            break
+    red, blue = _first_red_and_blue(c, verts)
     if red is None or blue is None:
         raise ValueError("monochromatic-coloring: both colors required")
 
@@ -853,19 +860,12 @@ def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
     pair1 = adjacent_bichromatic_pair(c)
     Wv = sorted(set(range(1, c.n_vertices + 1)) - pair1.union)
 
-    has_red = has_blue = False
-    for e0 in itertools.combinations(Wv, k):
-        if c.is_red(e0):
-            has_red = True
-        else:
-            has_blue = True
-        if has_red and has_blue:
-            break
+    red, blue = _first_red_and_blue(c, Wv)
 
     result: Optional[Tuple[BichromaticPair, BichromaticPair]] = None
-    if has_red and has_blue:
+    if red is not None and blue is not None:
         result = (pair1, adjacent_bichromatic_pair(c, within=Wv))
-    elif not has_red:
+    elif red is None:
         # all reservoir edges blue: a blue 3-cycle sits inside W
         emb = Embedding(cycle_template(k, 3), tuple(Wv[:3 * (k - 1)]), "blue")
         res = verify_embedding(c, emb)
@@ -1020,9 +1020,7 @@ def to_certificate(c: TwoColoring, obj, *, lemma: str,
     if isinstance(obj, JoinTrace):
         return make_certificate("join-trace", c, obj.to_payload(), **kw)
     if isinstance(obj, BichromaticPair):
-        return make_certificate("pair-set", c,
-                                {"pairs": [obj.to_json_obj()],
-                                 "disjoint": False}, **kw)
+        obj = (obj,)
     if isinstance(obj, (tuple, list)) \
             and all(isinstance(p, BichromaticPair) for p in obj):
         return make_certificate("pair-set", c,

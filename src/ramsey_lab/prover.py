@@ -21,6 +21,7 @@ up first.  Each transposition reaches the kernel as one row pair of
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ class RamseyClaim:
     value: Optional[int]
     lower: int
     upper: Optional[int]
-    provenance: str  # paper-formula | search-verified | witness-only | theorem-derived | theorem-extended
+    provenance: str  # search-verified | witness-only | theorem-derived | theorem-extended
     chain: Tuple[str, ...] = ()
     witness: Optional[TwoColoring] = None
     stats: dict = field(default_factory=dict)
@@ -306,87 +307,74 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
 # certificate verification
 # ---------------------------------------------------------------------------
 
-def _decode_payload(cert) -> tuple:
-    """The typed fields of a certificate's payload, decoded but unchecked."""
-    p = cert.payload
-    if cert.type == "witness-coloring":
-        return (_template_of(cert.coloring.k, (p["red_target"]["kind"],
-                                               p["red_target"]["length"])),
-                _template_of(cert.coloring.k, (p["blue_target"]["kind"],
-                                               p["blue_target"]["length"])),
-                int(p["n_vertices"]))
-    if cert.type == "embedding":
-        return (Embedding.from_json_obj(p["embedding"]),)
-    if cert.type == "pair-set":
-        return ([BichromaticPair.from_json_obj(o) for o in p["pairs"]],
-                bool(p.get("disjoint")))
-    if cert.type == "join-trace":
-        result = p.get("result")
-        return ([(as_edge(step["edge"]), step["color"]) for step in p["steps"]],
-                None if result is None else Embedding.from_json_obj(result),
-                p.get("outcome_kind"))
-    if cert.type == "configuration":
-        return (GoodConfiguration.from_json_obj(p["configuration"]),)
-    raise ValueError(f"malformed-certificate: unknown type {cert.type!r}")
-
-
 def verify_certificate(cert) -> Tuple[bool, dict]:
-    """Re-validate a certificate via embedder primitives only.
+    """Re-check a certificate's claim against its coloring.
 
-    Accepts a Certificate object or its JSON dict form.  Returns (ok,
-    report); structural problems raise `malformed-certificate` errors while
-    semantic failures come back as ok=False with machine-readable reasons.
+    Accepts a Certificate object or its JSON dict form and returns (ok,
+    report).  Each type decodes its payload fields under
+    `decoding("certificate")` before any check, so a missing or ill-typed
+    field raises `malformed-certificate`; a claim the coloring does not
+    bear out returns ok=False with machine-readable `report["reasons"]`.
+    Every field the producers write is required, except that a join
+    trace's `outcome_kind` may be absent (it must name the result's color
+    either way); a `disjoint` pair-set is checked over every two pairs.
     """
     if isinstance(cert, dict):
         cert = Certificate.from_json_obj(cert)
     if not isinstance(cert, Certificate):
         raise ValueError("malformed-certificate: not a certificate")
-    with decoding("certificate"):
-        fields = _decode_payload(cert)
-    c = cert.coloring
+    c, p = cert.coloring, cert.payload
     reasons: List[str] = []
     report: dict = {"type": cert.type, "reasons": reasons}
 
     if cert.type == "witness-coloring":
-        red, blue, n_vertices = fields
+        with decoding("certificate"):
+            red, blue = (_template_of(c.k, (p[key]["kind"], p[key]["length"]))
+                         for key in ("red_target", "blue_target"))
+            n_vertices = int(p["n_vertices"])
         if n_vertices != c.n_vertices:
             reasons.append("host-size-mismatch")
-        hit = find_embedding(c, "red", red)
-        if hit is not None:
-            reasons.append("red-copy-found")
-            report["red_copy"] = hit.to_json_obj()
-        hit = find_embedding(c, "blue", blue)
-        if hit is not None:
-            reasons.append("blue-copy-found")
-            report["blue_copy"] = hit.to_json_obj()
+        for color, t in (("red", red), ("blue", blue)):
+            hit = find_embedding(c, color, t)
+            if hit is not None:
+                reasons.append(f"{color}-copy-found")
+                report[f"{color}_copy"] = hit.to_json_obj()
     elif cert.type == "embedding":
-        res = verify_embedding(c, fields[0])
+        with decoding("certificate"):
+            emb = Embedding.from_json_obj(p["embedding"])
+        res = verify_embedding(c, emb)
         if not res:
             reasons.append(res.reason)
     elif cert.type == "pair-set":
-        pairs, disjoint = fields
-        for i, p in enumerate(pairs):
-            ok, why = p.validate(c)
+        with decoding("certificate"):
+            pairs = [BichromaticPair.from_json_obj(o) for o in p["pairs"]]
+            disjoint = bool(p["disjoint"])
+        for i, pair in enumerate(pairs):
+            ok, why = pair.validate(c)
             if not ok:
                 reasons.append(f"pair-{i}:{why}")
-        if disjoint and len(pairs) == 2:
-            if pairs[0].union & pairs[1].union:
-                reasons.append("pairs-not-disjoint")
+        if disjoint and any(a.union & b.union
+                            for a, b in itertools.combinations(pairs, 2)):
+            reasons.append("pairs-not-disjoint")
     elif cert.type == "join-trace":
-        steps, result, outcome_kind = fields
+        with decoding("certificate"):
+            steps = [(as_edge(s["edge"]), s["color"]) for s in p["steps"]]
+            result = Embedding.from_json_obj(p["result"])
+            outcome_kind = p.get("outcome_kind")
         for i, (e, want) in enumerate(steps):
             if c.color_of(e) != want:
                 reasons.append("edge-color-mismatch")
                 report.setdefault("bad_steps", []).append(i)
-        if result is not None:
-            res = verify_embedding(c, result)
-            if not res:
-                reasons.append(f"result:{res.reason}")
-            if outcome_kind != f"{result.claimed_color}-cycle":
-                reasons.append("outcome-kind-mismatch")
-    elif cert.type == "configuration":
-        res = validate_good_configuration(c, fields[0])
-        if not res[0]:
-            reasons.append(res[1])
+        res = verify_embedding(c, result)
+        if not res:
+            reasons.append(f"result:{res.reason}")
+        if outcome_kind != f"{result.claimed_color}-cycle":
+            reasons.append("outcome-kind-mismatch")
+    else:  # configuration
+        with decoding("certificate"):
+            cfg = GoodConfiguration.from_json_obj(p["configuration"])
+        ok, why = validate_good_configuration(c, cfg)
+        if not ok:
+            reasons.append(why)
 
     return (not reasons), report

@@ -312,6 +312,8 @@ def test_malformed_coloring_file_is_usage_error(tmp_path, obj):
      "payload": {"embedding": {"kind": "path", "k": 3, "length": 1,
                                "assignment": [1, 2, 3]}},
      "coloring": {"k": 3, "n_vertices": 200000, "red_edges": []}},
+    {"type": "join-trace", "payload": {"steps": [], "outcome_kind": "red-cycle"},
+     "coloring": TwoColoring.all_red(4, 18).to_json_obj()},
 ])
 def test_malformed_certificate_file_is_usage_error(tmp_path, obj):
     cpath = tmp_path / "c.cert.json"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ramsey_lab.coloring import TwoColoring, all_edges
+from ramsey_lab.certificates import CERT_TYPES, Certificate, make_certificate
+from ramsey_lab.coloring import TwoColoring, all_edges, lower_bound_witness
 from ramsey_lab.constructive import (
     AbsorptionResult,
     BichromaticPair,
@@ -434,6 +435,11 @@ def test_disjoint_pairs_all_red_reservoir(monkeypatch, k, t, p_red, seed, pairs)
         p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=1)
         assert p1.validate(c)[0] and p2.validate(c)[0]
         assert not (p1.union & p2.union)
+        obj = certify_roundtrip(c, (p1, p2), "disjoint-pairs").to_json_obj()
+        # disjointness is claimed of every two pairs, not only of a first two
+        obj["payload"]["pairs"].append(obj["payload"]["pairs"][0])
+        assert verify_certificate(obj) == (
+            False, {"type": "pair-set", "reasons": ["pairs-not-disjoint"]})
     else:
         with pytest.raises(HypothesisViolation,
                            match="red t-cycle assembled through the reservoir") as ei:
@@ -556,3 +562,48 @@ def test_certificate_meta_budget_flag():
     assert cert.meta["budget_exhausted"] is True
     assert cert.meta["seed"] == 11
     assert cert.meta["lemma"] == "x"
+
+
+def _one_certificate_per_type():
+    """A small valid certificate of every type, keyed by type."""
+    N, wc = lower_bound_witness(3, 3, 3, "CC")
+    c4 = TwoColoring.all_red(4, 18)
+    tr = join_red_cycles(c4, ident_cycle(4, 3, 1), ident_cycle(4, 3, 10), 3)
+    c3 = TwoColoring.all_red(3, 8).with_edges([(1, 2, 3), (5, 6, 7)],
+                                              red=False)
+    pairs = (adjacent_bichromatic_pair(c3, within=[1, 2, 3, 4]),
+             adjacent_bichromatic_pair(c3, within=[5, 6, 7, 8]))
+    cfg_c, P, W = final_case_coloring()
+    certs = [
+        make_certificate("witness-coloring", wc,
+                         {"red_target": {"kind": "cycle", "length": 3},
+                          "blue_target": {"kind": "cycle", "length": 3},
+                          "n_vertices": N}, lemma="x"),
+        to_certificate(c4, tr.outcome, lemma="x"),
+        to_certificate(c3, pairs, lemma="x"),
+        to_certificate(c4, tr, lemma="x"),
+        to_certificate(cfg_c, find_good_configuration(cfg_c, P, W, 2, 2),
+                       lemma="x"),
+    ]
+    return {cert.type: cert for cert in certs}
+
+
+def test_checker_survives_every_missing_or_ill_typed_payload_field():
+    # a checker branch that trusts a field's presence or type lets a
+    # forged certificate crash check-cert instead of being refused
+    certs = _one_certificate_per_type()
+    assert sorted(certs) == sorted(CERT_TYPES)
+    bad_values = [None, 5, "x", [], {}, [5], -1, 1.5]
+    for cert in certs.values():
+        assert verify_certificate(cert) == (True, {"type": cert.type,
+                                                   "reasons": []})
+        for key in cert.payload:
+            variants = [{k: v for k, v in cert.payload.items() if k != key}]
+            variants += [{**cert.payload, key: bad} for bad in bad_values]
+            for payload in variants:
+                forged = Certificate(cert.type, cert.coloring, payload)
+                try:
+                    ok, report = verify_certificate(forged)
+                except ValueError:
+                    continue
+                assert isinstance(ok, bool) and report["type"] == cert.type

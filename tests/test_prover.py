@@ -443,3 +443,9 @@ def test_malformed_certificate_raises():
                                "n_vertices": 5}, lemma="x")
     with pytest.raises(ValueError, match="malformed-certificate"):
         verify_certificate(nested)
+    # a join trace must carry the cycle its outcome_kind claims
+    no_result = make_certificate("join-trace", TwoColoring.all_red(4, 18),
+                                 {"steps": [], "outcome_kind": "red-cycle"},
+                                 lemma="join")
+    with pytest.raises(ValueError, match="malformed-certificate"):
+        verify_certificate(no_result)
