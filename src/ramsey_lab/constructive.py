@@ -111,8 +111,6 @@ class GoodConfiguration:
 
     Self-contained: carries the ambient red path's assignment, the reservoir
     and the entry vertex u, so that validation needs only the coloring.
-    excluded_end reports the at most one reservoir vertex that cannot serve
-    as an end vertex at this anchor (None when no exception applies).
     """
 
     x: int
@@ -125,7 +123,6 @@ class GoodConfiguration:
     u: int
     path_assignment: Tuple[int, ...]
     W: frozenset
-    excluded_end: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "path_assignment",
@@ -149,7 +146,6 @@ class GoodConfiguration:
             "u": self.u,
             "path_assignment": list(self.path_assignment),
             "W": sorted(self.W),
-            "excluded_end": self.excluded_end,
         }
 
     @classmethod
@@ -157,9 +153,7 @@ class GoodConfiguration:
         return cls(int(obj["x"]), int(obj["y"]), int(obj["a1"]),
                    int(obj["a2"]), int(obj["a3"]), int(obj["anchor_i"]),
                    int(obj["avoided_vertex"]), int(obj["u"]),
-                   tuple(obj["path_assignment"]), frozenset(obj["W"]),
-                   None if obj.get("excluded_end") is None
-                   else int(obj["excluded_end"]))
+                   tuple(obj["path_assignment"]), frozenset(obj["W"]))
 
 
 def validate_good_configuration(c: TwoColoring,
@@ -210,12 +204,12 @@ def _iter_good_configurations(c: TwoColoring, P: Embedding, W: frozenset,
                               ) -> Iterator[GoodConfiguration]:
     """Validated configurations at anchor i, in proof order.
 
-    Candidate generation follows the case analysis of the underlying
-    argument (reroute through v_{2i}, reroute through v_{2i+2}/v_{2i+3},
-    one of the four u/v_{2i} bridges blue, all four red), then falls back
-    to exhaustive enumeration over the allowed S pool.  Every candidate is
-    filtered through validate_good_configuration, so a case whose blueness
-    assumptions fail on this instance contributes nothing.
+    Candidates are exactly the cases of the underlying argument (reroute
+    through v_{2i}, reroute through v_{2i+2}/v_{2i+3}, one of the four
+    u/v_{2i} bridges blue, all four red).  Every candidate is filtered
+    through validate_good_configuration, so a case whose blueness
+    assumptions fail on this instance contributes nothing; when no case
+    applies the iterator is empty and the caller raises ProofGap.
     """
     asg = P.assignment
     v2i_1, v2i, v2i1 = _edge_host(asg, i)
@@ -228,13 +222,13 @@ def _iter_good_configurations(c: TwoColoring, P: Embedding, W: frozenset,
             if c.is_red((u, v2i, x)):
                 rest = [w for w in Wl if w != x]
                 for xp, xpp in itertools.permutations(rest, 2):
-                    yield (xp, v2i1, v2i, v2i2, xpp, v2i3, x)
+                    yield (xp, v2i1, v2i, v2i2, xpp, v2i3)
         # reroute at the far pair: some {v_{2i+2},v_{2i+3},x} red
         for x in Wl:
             if c.is_red((v2i2, v2i3, x)):
                 rest = [w for w in Wl if w != x]
                 for xp, xpp in itertools.permutations(rest, 2):
-                    yield (xp, v2i1, v2i2, v2i, xpp, v2i3, x)
+                    yield (xp, v2i1, v2i2, v2i, xpp, v2i3)
         # one of the four short bridges from {u, v_{2i}} is blue
         for y in Wl:
             bridges = (
@@ -250,24 +244,13 @@ def _iter_good_configurations(c: TwoColoring, P: Embedding, W: frozenset,
                             continue
                         for avoided in (v2i3, v2i2):
                             if avoided != a3v:
-                                yield (x, a1v, a2v, a3v, y, avoided, None)
+                                yield (x, a1v, a2v, a3v, y, avoided)
         # all four bridges red: close through v_{2i+3}
         for a, b in itertools.permutations(Wl, 2):
-            yield (a, u, v2i, v2i3, b, v2i2, None)
-        # exhaustive fallback over the allowed pool
-        ei1 = set(_edge_host(asg, i + 1))
-        diff = sorted(ei1 - set(_edge_host(asg, i)))
-        for v_ex in _A_host(asg, i + 2):
-            pool = sorted(({v2i, v2i1, u} | ei1) - {v_ex})
-            for trip in itertools.permutations(pool, 3):
-                for avoided in diff:
-                    if avoided in trip:
-                        continue
-                    for x, y in itertools.permutations(Wl, 2):
-                        yield (x,) + trip + (y, avoided, None)
+            yield (a, u, v2i, v2i3, b, v2i2)
 
     seen = set()
-    for x, a1, a2, a3, y, avoided, excl in candidates():
+    for x, a1, a2, a3, y, avoided in candidates():
         for xx, b1, b2, b3, yy in ((x, a1, a2, a3, y), (y, a3, a2, a1, x)):
             if require_x is not None and xx != require_x:
                 continue
@@ -276,7 +259,7 @@ def _iter_good_configurations(c: TwoColoring, P: Embedding, W: frozenset,
                 continue
             seen.add(key)
             cfg = GoodConfiguration(xx, yy, b1, b2, b3, i, avoided, u,
-                                    asg, W, excl)
+                                    asg, W)
             if validate_good_configuration(c, cfg)[0]:
                 yield cfg
 
@@ -356,31 +339,30 @@ def absorb_blue_path(c: TwoColoring, P: Embedding, W) -> AbsorptionResult:
     _check_maximal(c, P, W)
     asg = P.assignment
 
-    best: List[Tuple[GoodConfiguration, ...]] = []
-
     def dfs(k: int, used: frozenset, u_k: int,
-            chain: Tuple[GoodConfiguration, ...]) -> bool:
+            chain: Tuple[GoodConfiguration, ...]
+            ) -> Optional[Tuple[GoodConfiguration, ...]]:
         rem = n - 2 * (k - 1)
         fresh = len(W) - k
         if rem < 2 or fresh < 2:
-            best.append(chain)
-            return True
+            return chain
         require = chain[-1].y if chain else None
         for cfg in _iter_good_configurations(c, P, W, 2 * k - 1, u_k,
                                              require_x=require):
-            if cfg.y in used or (require is None and cfg.x in used):
+            if cfg.y in used:  # x is fresh at k = 1 and is y_{k-1} after
                 continue
-            if dfs(k + 1, used | {cfg.x, cfg.y}, cfg.avoided_vertex,
-                   chain + (cfg,)):
-                return True
-        return False
+            done = dfs(k + 1, used | {cfg.x, cfg.y}, cfg.avoided_vertex,
+                       chain + (cfg,))
+            if done is not None:
+                return done
+        return None
 
-    if not dfs(1, frozenset(), _hv(asg, 1), ()):
+    chain = dfs(1, frozenset(), _hv(asg, 1), ())
+    if chain is None:
         raise ProofGap(
             "absorption chain could not be completed",
             instance={"coloring": c.to_json_obj(), "path": P.to_json_obj(),
                       "W": sorted(W)})
-    chain = best[0]
     t = len(chain)
     qasg: List[int] = [chain[0].x]
     for cfg in chain:
@@ -1007,16 +989,14 @@ def to_certificate(c: TwoColoring, obj, *, lemma: str,
                    budget_exhausted: bool = False):
     """Wrap an operation output in a self-contained certificate document."""
     kw = dict(lemma=lemma, seed=seed, budget_exhausted=budget_exhausted)
+    if isinstance(obj, AbsorptionResult):
+        obj = obj.Q
     if isinstance(obj, Embedding):
         return make_certificate("embedding", c,
                                 {"embedding": obj.to_json_obj()}, **kw)
     if isinstance(obj, GoodConfiguration):
         return make_certificate("configuration", c,
                                 {"configuration": obj.to_json_obj()}, **kw)
-    if isinstance(obj, AbsorptionResult):
-        payload = {"embedding": obj.Q.to_json_obj(),
-                   "W_used": sorted(obj.W_used), "r": obj.r}
-        return make_certificate("embedding", c, payload, **kw)
     if isinstance(obj, JoinTrace):
         return make_certificate("join-trace", c, obj.to_payload(), **kw)
     if isinstance(obj, BichromaticPair):

@@ -166,6 +166,38 @@ def test_extract_join(tmp_path):
     assert rep["results"]["outcome_kind"] == "red-cycle"
 
 
+def test_extract_good_configuration(tmp_path):
+    # red 4-path 1..9 on an otherwise blue K^3_12: the path is maximal
+    cpath = tmp_path / "c.json"
+    path = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9)]
+    TwoColoring.all_blue(3, 12).with_edges(path, red=True).save(cpath)
+    code, rep = run(tmp_path, "extract", "--lemma", "good-configuration",
+                    "--coloring", str(cpath), "--path", "1,2,3,4,5,6,7,8,9",
+                    "--W", "10,11,12", "--anchor", "2", "--entry", "3")
+    assert code == EXIT_OK
+    assert rep["certificates"][0]["verified"]
+    with open(rep["certificates"][0]["path"]) as fh:
+        cert = json.load(fh)
+    assert cert["payload"]["configuration"] == rep["results"]["configuration"]
+
+
+def test_extract_absorb(tmp_path):
+    cpath = tmp_path / "c.json"
+    TwoColoring.all_blue(3, 8).with_edges(
+        [(1, 2, 3), (3, 4, 5)], red=True).save(cpath)
+    code, rep = run(tmp_path, "extract", "--lemma", "absorb",
+                    "--coloring", str(cpath), "--path", "1,2,3,4,5",
+                    "--W", "6,7,8")
+    assert code == EXIT_OK
+    assert rep["certificates"][0]["verified"]
+    assert rep["results"]["r"] == 0 and len(rep["results"]["W_used"]) == 2
+    with open(rep["certificates"][0]["path"]) as fh:
+        cert = json.load(fh)
+    # the certificate claims only what check-cert replays: the blue path
+    assert list(cert["payload"]) == ["embedding"]
+    assert cert["payload"]["embedding"] == rep["results"]["Q"]
+
+
 def test_extract_max_nodes_zero_is_a_budget(tmp_path):
     # the full embedding search on this split coloring meets a blue 3-cycle
     # (exit 3); a budget of 0 nodes must stop it before that, as 1 does

@@ -250,10 +250,32 @@ def test_good_configuration_validator_rejects_tampering():
     bad = GoodConfiguration(
         x=cfg.x, y=cfg.y, a1=cfg.a1, a2=cfg.a2, a3=cfg.a3,
         anchor_i=cfg.anchor_i, avoided_vertex=cfg.a1,  # avoided inside S
-        u=cfg.u, path_assignment=cfg.path_assignment, W=cfg.W,
-        excluded_end=cfg.excluded_end)
+        u=cfg.u, path_assignment=cfg.path_assignment, W=cfg.W)
     ok, why = validate_good_configuration(c, bad)
     assert not ok
+
+
+def test_configuration_miss_is_a_proof_gap(monkeypatch):
+    from ramsey_lab import constructive
+
+    # when no proof case yields a valid configuration the lemma reports a
+    # gap with its instance; nothing searches beyond the cases, so only the
+    # cases' candidates are validated (an exhaustive search over the
+    # anchor's vertex pool would validate 288 and 576)
+    calls = []
+    monkeypatch.setattr(constructive, "validate_good_configuration",
+                        lambda c, cfg: calls.append(cfg) or (False, "no"))
+    c, P, W = final_case_coloring()
+    with pytest.raises(ProofGap, match="no good configuration") as ei:
+        find_good_configuration(c, P, W, 2, 2)
+    assert sorted(ei.value.instance) == ["W", "coloring", "i", "path", "u"]
+    assert len(calls) == 12
+    calls.clear()
+    c, P = absorb_coloring(3, 4, {10, 11, 12, 13})
+    with pytest.raises(ProofGap, match="absorption chain") as ei:
+        absorb_blue_path(c, P, {10, 11, 12, 13})
+    assert sorted(ei.value.instance) == ["W", "coloring", "path"]
+    assert len(calls) == 168
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -373,20 +395,22 @@ def test_adjacent_pair_randomized(k, seed):
 
 
 def test_disjoint_pairs_split_instance():
+    # red inside {1..6} and inside {7..11}: the hypothesis check finds the
+    # blue 3-cycle across the split; a budget of one node stops it first,
+    # and the case analysis then yields one pair on each side
     k, t = 3, 5
     N = t * (k - 1) + 1
     reds = [e for e in all_edges(N, k) if max(e) <= 6 or min(e) >= 7]
     c = TwoColoring.all_blue(k, N).with_edges(reds, red=True)
-    try:
-        p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=500)
-    except HypothesisViolation as exc:
-        if isinstance(exc.witness, Embedding):
-            assert verify_embedding(c, exc.witness).ok
-        return
-    for pr in (p1, p2):
-        ok, why = pr.validate(c)
-        assert ok, why
-    assert not (p1.union & p2.union)
+    with pytest.raises(HypothesisViolation,
+                       match="a blue 3-cycle is present") as ei:
+        disjoint_bichromatic_pairs(c, t, max_nodes=500)
+    assert verify_embedding(c, ei.value.witness).ok
+    meta = {}
+    p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=1, meta=meta)
+    assert meta["budget_exhausted"] is True
+    assert (p1.red_edge, p1.blue_edge) == ((1, 2, 3), (1, 2, 7))
+    assert (p2.red_edge, p2.blue_edge) == ((4, 5, 6), (4, 5, 8))
     certify_roundtrip(c, (p1, p2), "disjoint-pairs")
 
 
@@ -565,7 +589,7 @@ def test_certificate_meta_budget_flag():
 
 
 def _one_certificate_per_type():
-    """A small valid certificate of every type, keyed by type."""
+    """A small valid certificate of every type, plus an absorb one."""
     N, wc = lower_bound_witness(3, 3, 3, "CC")
     c4 = TwoColoring.all_red(4, 18)
     tr = join_red_cycles(c4, ident_cycle(4, 3, 1), ident_cycle(4, 3, 10), 3)
@@ -585,21 +609,27 @@ def _one_certificate_per_type():
         to_certificate(cfg_c, find_good_configuration(cfg_c, P, W, 2, 2),
                        lemma="x"),
     ]
-    return {cert.type: cert for cert in certs}
+    W = {6, 7, 8}
+    ca, Pa = absorb_coloring(3, 2, W)
+    certs.append(to_certificate(ca, absorb_blue_path(ca, Pa, W), lemma="x"))
+    return certs
 
 
 def test_checker_survives_every_missing_or_ill_typed_payload_field():
     # a checker branch that trusts a field's presence or type lets a
-    # forged certificate crash check-cert instead of being refused
+    # forged certificate crash check-cert instead of being refused, and a
+    # field it never reads is a claim nobody checks: every payload field
+    # must be needed for the certificate to verify
     certs = _one_certificate_per_type()
-    assert sorted(certs) == sorted(CERT_TYPES)
+    assert sorted({cert.type for cert in certs}) == sorted(CERT_TYPES)
     bad_values = [None, 5, "x", [], {}, [5], -1, 1.5]
-    for cert in certs.values():
+    for cert in certs:
         assert verify_certificate(cert) == (True, {"type": cert.type,
                                                    "reasons": []})
         for key in cert.payload:
-            variants = [{k: v for k, v in cert.payload.items() if k != key}]
-            variants += [{**cert.payload, key: bad} for bad in bad_values]
+            missing = {k: v for k, v in cert.payload.items() if k != key}
+            variants = [missing] + [{**cert.payload, key: bad}
+                                    for bad in bad_values]
             for payload in variants:
                 forged = Certificate(cert.type, cert.coloring, payload)
                 try:
@@ -607,3 +637,4 @@ def test_checker_survives_every_missing_or_ill_typed_payload_field():
                 except ValueError:
                     continue
                 assert isinstance(ok, bool) and report["type"] == cert.type
+                assert payload is not missing or not ok, (cert.type, key)
