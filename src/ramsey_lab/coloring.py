@@ -55,8 +55,8 @@ def edge_rank(e: Iterable[int], N: int, k: int) -> int:
     return colex_rank(as_edge(e, k=k, n_vertices=N))
 
 
-# edge ranks and copy-table rows must fit the int32 variable and clause ids
-# of `_kernels`
+# edge ranks and copy-table rows must stay below 2**31: `_kernels` keeps
+# its clause ids in int32 watch lists
 _MAX_EDGES = 1 << 31
 
 

@@ -1,8 +1,9 @@
 """Arrowing decisions, Ramsey-value scans, DIMACS export, table derivation.
 
-The engine is a counter-based DPLL over edge variables (1 = red): every
-copy of the red target contributes an all-negative covering clause, every
-copy of the blue target an all-positive one.  Unit propagation over these
+The engine is a DPLL over edge variables (1 = red) that watches two
+literals per clause: every copy of the red target contributes an
+all-negative covering clause, every copy of the blue target an
+all-positive one.  Unit propagation over these
 clauses plus chronological backtracking is complete, so UNSAT verdicts are
 sound; witnesses are re-verified by the embedder before being returned.
 `decide_arrowing` enumerates the copies and hands them to `_kernels`,
@@ -112,7 +113,11 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     re-check of a SAT witness after it (0.0 for other verdicts).
     `stats["n_vars"]` is the number of edges, C(N, k), and
     `stats["n_clauses"]` the number of red and blue copies the instance
-    holds (0 if the deadline passed before it was built).
+    holds (0 if the deadline passed before it was built).  Of the search,
+    `stats` gives the `nodes`, the `propagations` (literals implied at
+    conflict-free unit-propagation fixpoints), the `conflicts` (nodes that
+    ended in a falsified clause or a symmetry prune) and the `max_depth`
+    (most decisions open at once); see `_kernels.search`.
 
     A host with 2**31 edges or more (`host-too-large`), or 2**31 red and
     blue copies together (`copy-table-too-large`), does not fit the
@@ -140,7 +145,8 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
         red_rows = copy_rank_matrix(N, k, red_target, deadline=deadline)
         blue_rows = copy_rank_matrix(N, k, blue_target, deadline=deadline)
     except SearchBudgetExceeded:
-        stats = {"nodes": 0, "propagations": 0, "wall_secs": 0.0,
+        stats = {"nodes": 0, "propagations": 0, "conflicts": 0,
+                 "max_depth": 0, "wall_secs": 0.0,
                  "enumerate_s": time.monotonic() - t0, "build_s": 0.0,
                  "verify_s": 0.0, "n_vars": n_vars, "n_clauses": 0}
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
@@ -152,9 +158,10 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
         if lo.size:  # at N <= k no swap moves an edge
             sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
     t2 = time.monotonic()
-    status, nodes, props, assign = _kernels.search(instance, sym, max_nodes,
-                                                   deadline)
-    stats = {"nodes": nodes, "propagations": props,
+    status, nodes, props, conflicts, depth, assign = _kernels.search(
+        instance, sym, max_nodes, deadline)
+    stats = {"nodes": nodes, "propagations": props, "conflicts": conflicts,
+             "max_depth": depth,
              "wall_secs": time.monotonic() - t2,
              "enumerate_s": t1 - t0, "build_s": t2 - t1, "verify_s": 0.0,
              "n_vars": n_vars, "n_clauses": len(red_rows) + len(blue_rows)}
@@ -180,21 +187,25 @@ def compute_ramsey(k: int, red_family: Tuple[str, int], blue_family: Tuple[str, 
 
     Starts at the larger target's vertex count (below which any coloring is
     admissible) and stops at the first UNSAT, which is the value by
-    monotonicity.  Budget exhaustion yields a bounds-only claim.
+    monotonicity.  Budget exhaustion yields a bounds-only claim.  The
+    claim's stats sum the nodes, propagations and conflicts of every level
+    and keep the largest max_depth.
     """
     red_t = _template_of(k, red_family)
     blue_t = _template_of(k, blue_family)
     start = max(red_t.n_vertices, blue_t.n_vertices)
     lower = start  # every N < start is SAT: the larger target cannot fit
     chain: List[str] = []
-    stats: Dict[str, int] = {"nodes": 0, "propagations": 0}
+    stats: Dict[str, int] = {"nodes": 0, "propagations": 0, "conflicts": 0,
+                             "max_depth": 0}
     witness = None
     N = start
     while max_N is None or N <= max_N:
         v = decide_arrowing(k, N, red_t, blue_t, max_nodes=max_nodes,
                             max_secs=max_secs, symmetry=symmetry)
-        stats["nodes"] += v.stats["nodes"]
-        stats["propagations"] += v.stats["propagations"]
+        for key in ("nodes", "propagations", "conflicts"):
+            stats[key] += v.stats[key]
+        stats["max_depth"] = max(stats["max_depth"], v.stats["max_depth"])
         if v.status == "SAT":
             lower = N + 1
             witness = v.witness

@@ -266,19 +266,22 @@ def oracle_transpositions(N: int, k: int) -> List[List[int]]:
 
 def counting_dpll(n_vars: int, clauses: List[List[int]],
                   generators: Sequence[Sequence[int]] = ()):
-    """(status, nodes, propagations, model bits) under the library's rule.
+    """(status, nodes, propagations, conflicts, max_depth, model bits)
+    under the library's rule.
 
     Every clause must be all-positive or all-negative.  Chronological
     backtracking branches on the lowest unassigned variable, True first; a
     node is a decision or a flip.  Propagation walks the trail in order:
     each variable visits its clauses in clause order, and a clause no
     propagated literal satisfies with exactly one literal not yet
-    propagated enqueues that literal's variable if it is still unassigned
-    (one propagation).  A clause with every literal propagated false is a
-    conflict, noticed after the variable's clauses are all visited.  After
-    a conflict-free fixpoint, each generator (a permutation of variable
-    indices) prunes when its first moved position that is unassigned or
-    differs from its image reads False against True.
+    propagated enqueues that literal's variable if it is still unassigned.
+    A clause with every literal propagated false is a conflict, noticed
+    after the variable's clauses are all visited.  After a conflict-free
+    fixpoint, the variables it enqueued count as propagations, and each
+    generator (a permutation of variable indices) prunes when its first
+    moved position that is unassigned or differs from its image reads
+    False against True.  A node that ends in a conflict or a prune counts
+    as one conflict; max_depth is the most decisions open at once.
     """
     sv = [1 if cl[0] > 0 else 0 for cl in clauses]
     members = [[abs(lit) - 1 for lit in cl] for cl in clauses]
@@ -291,9 +294,10 @@ def counting_dpll(n_vars: int, clauses: List[List[int]],
     assign = [-1] * n_vars
     trail: List[int] = []
     levels: List[Tuple[int, bool, int]] = []  # (variable, flipped, trail start)
-    qhead = nodes = props = 0
+    qhead = nodes = props = conflicts = depth = 0
     while True:
         conflict = False
+        implied = 0
         while qhead < len(trail) and not conflict:
             v = trail[qhead]
             qhead += 1
@@ -310,8 +314,9 @@ def counting_dpll(n_vars: int, clauses: List[List[int]],
                         if free:
                             assign[free[0]] = sv[ci]
                             trail.append(free[0])
-                            props += 1
+                            implied += 1
         if not conflict:
+            props += implied
             for perm in generators:
                 for p, q in enumerate(perm):
                     if p == q:
@@ -325,6 +330,7 @@ def counting_dpll(n_vars: int, clauses: List[List[int]],
                 if conflict:
                     break
         if conflict:
+            conflicts += 1
             while levels:
                 var, flipped, start = levels.pop()
                 for t in range(len(trail) - 1, start - 1, -1):
@@ -344,12 +350,13 @@ def counting_dpll(n_vars: int, clauses: List[List[int]],
                     nodes += 1
                     break
             else:
-                return "UNSAT", nodes, props, None
+                return "UNSAT", nodes, props, conflicts, depth, None
             continue
         free = [v for v in range(n_vars) if assign[v] < 0]
         if not free:
-            return "SAT", nodes, props, assign
+            return "SAT", nodes, props, conflicts, depth, assign
         levels.append((free[0], False, len(trail)))
+        depth = max(depth, len(levels))
         assign[free[0]] = 1
         trail.append(free[0])
         nodes += 1

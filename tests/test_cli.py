@@ -73,6 +73,22 @@ def test_ramsey_value(tmp_path):
     assert rep["results"]["value"] == 7
 
 
+def test_search_counts_in_reports(tmp_path):
+    # arrow reports how its search went; ramsey sums the counts of its
+    # levels (SAT at N = 6, UNSAT at N = 7) and keeps the deepest search
+    code, rep = run(tmp_path, "arrow", "--k", "3", "--n-vertices", "7",
+                    "--red", "cycle:3", "--blue", "cycle:3")
+    assert code == EXIT_UNSAT
+    stats = rep["results"]["stats"]
+    assert (stats["nodes"], stats["propagations"], stats["conflicts"],
+            stats["max_depth"]) == (94, 0, 48, 8)
+    code, rep = run(tmp_path, "ramsey", "--k", "3", "--red", "cycle:3",
+                    "--blue", "cycle:3")
+    assert code == EXIT_OK
+    assert rep["results"]["stats"] == {"nodes": 99, "propagations": 15,
+                                       "conflicts": 48, "max_depth": 8}
+
+
 def test_count_golden(tmp_path):
     code, rep = run(tmp_path, "count", "--k", "3", "--n-vertices", "6",
                     "--target", "cycle:3")
@@ -116,7 +132,7 @@ def test_export_cnf_target_larger_than_host(tmp_path):
     assert rep["results"]["clauses"] == 15
     with open(rep["results"]["cnf"]) as fh:
         n_vars, clauses = O.parse_dimacs(fh.read())
-    status, _, _, _ = O.counting_dpll(n_vars, clauses)
+    status = O.counting_dpll(n_vars, clauses)[0]
     code, rep = run(tmp_path, "arrow", *inst)
     assert code == EXIT_OK
     assert status == rep["results"]["status"] == "SAT"
