@@ -3,9 +3,9 @@
 The engine is a DPLL over edge variables (1 = red) that watches two
 literals per clause: every copy of the red target contributes an
 all-negative covering clause, every copy of the blue target an
-all-positive one.  Unit propagation over these
-clauses plus chronological backtracking is complete, so UNSAT verdicts are
-sound; witnesses are re-verified by the embedder before being returned.
+all-positive one.  Unit propagation over these clauses plus chronological
+backtracking is complete, so UNSAT verdicts are sound; witnesses are
+re-verified by the embedder before being returned.
 `decide_arrowing` enumerates the copies and hands them to `_kernels`,
 which builds the clause instance and runs the library's only search,
 `_kernels.search`, in one process; it checks the node and time budgets

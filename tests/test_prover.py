@@ -162,6 +162,18 @@ def test_symmetric_search_matches_reference_rule_k4(N, red, blue):
                             True)
 
 
+def _search_matches_oracle(E, red, blue, sym, gens):
+    # the kernel and the plain-list loop agree on every count and the model
+    instance = _kernels.build_instance(E, red, blue)
+    *counts, assign = _kernels.search(instance, sym, None, None)
+    clauses = [[-(int(r) + 1) for r in row] for row in red] + \
+        [[int(r) + 1 for r in row] for row in blue]
+    *o_counts, model = O.counting_dpll(E, clauses, gens)
+    assert counts == o_counts
+    assert (assign.tolist() if counts[0] == "SAT" else None) == model
+    return instance, counts
+
+
 @pytest.mark.parametrize("k,N", [(4, 6), (4, 7), (5, 7), (5, 8)])
 def test_half_swap_rows_prune_like_full_permutations(k, N):
     # arrowing instances at k >= 4 small enough for the oracle settle in a
@@ -175,15 +187,7 @@ def test_half_swap_rows_prune_like_full_permutations(k, N):
     for seed in range(4):
         rng = np.random.default_rng(100 * k + 10 * N + seed)
         rows = np.sort([rng.choice(E, 3, replace=False) for _ in range(2 * E)], axis=1)
-        red, blue = rows[:E], rows[E:]
-        instance = _kernels.build_instance(E, red, blue)
-        *counts, assign = _kernels.search(instance, sym, None, None)
-        clauses = [[-(int(r) + 1) for r in row] for row in red] + \
-            [[int(r) + 1 for r in row] for row in blue]
-        *o_counts, model = O.counting_dpll(E, clauses, gens)
-        assert counts == o_counts, seed
-        if counts[0] == "SAT":
-            assert np.where(assign < 0, 1, assign).tolist() == model
+        instance, counts = _search_matches_oracle(E, rows[:E], rows[E:], sym, gens)
         pruned += counts[1] != _kernels.search(instance, (), None, None)[1]
     assert pruned
 
@@ -210,22 +214,16 @@ def test_search_matches_oracle_on_random_cnfs(symmetry):
         E = math.comb(N, 3)
         widths = rng.choice(np.arange(1, 6), 2, replace=False)
         red, blue = (_random_one_signed_rows(rng, E, int(w)) for w in widths)
-        instance = _kernels.build_instance(E, red, blue)
-        if np.diff(instance[3]).max() >= _kernels._FILTER_MIN:
-            seen.add("filtered")
-        if 1 in widths:
-            seen.add("width-1")
         sym, gens = (), ()
         if symmetry:
             lo, hi = swap_pairs(N, 3)
             sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
             gens = O.oracle_transpositions(N, 3)
-        *counts, assign = _kernels.search(instance, sym, None, None)
-        clauses = [[-(int(r) + 1) for r in row] for row in red] + \
-            [[int(r) + 1 for r in row] for row in blue]
-        *o_counts, model = O.counting_dpll(E, clauses, gens)
-        assert counts == o_counts, seed
-        assert (assign.tolist() if counts[0] == "SAT" else None) == model, seed
+        instance, counts = _search_matches_oracle(E, red, blue, sym, gens)
+        if np.diff(instance[3]).max() >= _kernels._FILTER_MIN:
+            seen.add("filtered")
+        if 1 in widths:
+            seen.add("width-1")
         seen.add(counts[0])
     assert seen == {"filtered", "width-1", "SAT", "UNSAT"}
 
