@@ -79,8 +79,8 @@ def search(instance, sym, max_nodes, deadline):
     decisions = []  # trail position of each open decision; flipped = blue
     qhead = nodes = props = conflicts = depth = hint = start = 0
     if sym:  # every generator's pairs end with (E, E + 1): red, then blue
-        moved_at = np.concatenate([np.append(m, E) for m, _ in sym])
-        image_at = np.concatenate([np.append(i, E + 1) for _, i in sym])
+        sym_lo = np.concatenate([np.append(m, E) for m, _ in sym])
+        sym_hi = np.concatenate([np.append(i, E + 1) for _, i in sym])
         heads = np.cumsum([0] + [m.size + 1 for m, _ in sym[:-1]])
 
     def result(status):
@@ -137,7 +137,7 @@ def search(instance, sym, max_nodes, deadline):
             props += len(trail) - start
             # ---- symmetry leader check (red precedes blue) ----------------
             if sym:
-                a, b = assign[moved_at], assign[image_at]
+                a, b = assign[sym_lo], assign[sym_hi]
                 stop = np.flatnonzero((a != b) | (a == 2))
                 p = stop[np.searchsorted(stop, heads)]
                 conflict = bool(((a[p] == 0) & (b[p] == 1)).any())
