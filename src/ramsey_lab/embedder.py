@@ -20,11 +20,13 @@ whether one is found, so absence answers remain sound.  An optional node
 budget turns "absent" into the distinct UNKNOWN verdict when exhausted.
 
 `copy_rank_matrix` lists every copy of a template in the complete host
-K^k_N as a row of colex edge ranks, the input of the prover's clauses.  It
-grows all partial copies one edge per step on numpy arrays, keeps each copy
-in one orientation from one start edge, and checks the count against the
-closed form that `count_copies` returns without enumerating.  Tables are
-cached in memory for the life of the process.
+K^k_N as a row of colex edge ranks, the input of the prover's clauses.  On
+v = |V(t)| labels it grows all partial copies one edge per step on numpy
+arrays, keeps each copy in one orientation from one start edge, and checks
+the count against the closed form that `count_copies` returns without
+enumerating; on more labels it lifts that spanning table over the v-subsets
+of the host.  Tables, spanning ones included, are cached in memory for the
+life of the process.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import _MAX_EDGES, TwoColoring, adjacent_twins, colex_rank
+from .coloring import _MAX_EDGES, TwoColoring, adjacent_twins, all_edges, colex_rank
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -320,7 +322,7 @@ _COPY_CACHE: Dict[tuple, np.ndarray] = {}
 _CELLS = 1 << 12  # (partial copy, move) pairs per enumeration step: a few ms
 
 # peak resident bytes of a decision per byte of its largest copy table: a
-# cold c53@11 decision peaks at 533 MB for its 152 MB table
+# cold c53@11 decision peaks at 428 MB for its 152 MB table up to its search
 _PEAK_PER_TABLE_BYTE = 4
 
 
@@ -347,13 +349,20 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
                       deadline: Optional[float]) -> np.ndarray:
     """Copies of t in K^k_N as sorted rows of edge ranks, rows unordered.
 
-    A partial copy is a row of edge ranks, a connector (the vertex its next
-    edge contains), for a cycle the closing vertex (the one its last edge
-    contains), and its free vertices.  Paths start from every edge and
-    connector in it, cycles from every edge and ordered (closing vertex,
-    connector) pair in it; each step adds one edge to every partial copy at
-    once.  A path is kept when rank(e_1) < rank(e_n), a cycle when e_1 is
-    its least edge and rank(e_2) < rank(e_n), so each copy comes out once.
+    When N > v = t.n_vertices, each copy is its vertex set plus a copy
+    spanning v labels: the rows are the spanning table of K^k_v
+    (`copy_rank_matrix`, cached) mapped through every ascending v-subset
+    of 1..N, which keeps each row ascending and each copy distinct.  The
+    deadline is checked once between the two.
+
+    Only at N = v are copies grown.  A partial copy is a row of edge
+    ranks, a connector (the vertex its next edge contains), for a cycle
+    the closing vertex (the one its last edge contains), and its free
+    vertices.  Paths start from every edge and connector in it, cycles
+    from every edge and ordered (closing vertex, connector) pair in it;
+    each step adds one edge to every partial copy at once.  A path is kept
+    when rank(e_1) < rank(e_n), a cycle when e_1 is its least edge and
+    rank(e_2) < rank(e_n), so each copy comes out once.
     A step covers at most _CELLS (partial copy, move) pairs and is grown to
     complete copies before the next, which bounds temporary memory; the
     deadline is checked before each step.
@@ -376,6 +385,18 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     # colex rank of v_0 < ... < v_{k-1} is the sum of binom[v_i, i]
     binom = np.array([[math.comb(v - 1, i + 1) if v else 0 for i in range(k)]
                       for v in range(N + 1)], dtype=np.int64)
+    v = t.n_vertices
+    if N > v:
+        # lift the spanning table: an ascending v-subset maps local labels
+        # monotonically, which keeps every row ascending and distinct
+        span = copy_rank_matrix(v, k, t, deadline=deadline)
+        if deadline is not None and time.monotonic() >= deadline:
+            raise SearchBudgetExceeded("copy enumeration passed the deadline")
+        local = np.array(all_edges(v, k), dtype=np.intp) - 1
+        subsets = np.array(list(combinations(range(1, N + 1), v)), dtype=np.intp)
+        ranks = binom[subsets[:, local], np.arange(k)].sum(axis=2)
+        np.take(ranks, span, axis=1, out=out.reshape(len(subsets), len(span), n))
+        return out
 
     def rank(edges: np.ndarray) -> np.ndarray:
         return binom[np.sort(edges, axis=-1), np.arange(k)].sum(axis=-1)
@@ -443,21 +464,29 @@ def _n_copies(N: int, k: int, t: LooseTemplate) -> int:
     return math.perm(N, t.n_vertices) // aut
 
 
+def _copy_key(N: int, k: int, t: LooseTemplate) -> tuple:
+    """The `_COPY_CACHE` key of the copies of t in K^k_N."""
+    return (N, k, t.kind, t.n)
+
+
 def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
                      deadline: Optional[float] = None) -> np.ndarray:
     """Copies of t in K^k_N as rows of ascending colex edge ranks.
 
     Every edge-set-distinct copy is one row, rows in lexicographic order,
     so the int64 matrix is canonical; it is read-only.  Cached in memory.
+    Copies are grown only on N = v = t.n_vertices labels; a larger host's
+    table is lifted from that spanning table, which is cached too.
     A table of 2**31 rows or more, or one whose decision would need more
     than the host's physical memory (4 times the table's bytes), is refused
     as `copy-table-too-large` before anything is allocated.  With a
     `deadline` (a `time.monotonic()` reading), enumeration raises
-    SearchBudgetExceeded once it passes, and nothing is cached.
+    SearchBudgetExceeded once it passes, and the table is not cached (a
+    spanning table finished before then is).
     """
     if t.k != k:
         raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")
-    key = (N, k, t.kind, t.n)
+    key = _copy_key(N, k, t)
     hit = _COPY_CACHE.get(key)
     if hit is not None:
         return hit

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, embedder
 from ._backend import BACKEND
 from .coloring import (_MAX_EDGES, TwoColoring, all_edges, decoding,
                        host_edges, swap_pairs)
@@ -118,6 +118,9 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     conflict-free unit-propagation fixpoints), the `conflicts` (nodes that
     ended in a falsified clause or a symmetry prune) and the `max_depth`
     (most decisions open at once); see `_kernels.search`.
+    `stats["cached_tables"]` counts the red and blue copy tables (0, 1 or
+    2) that `copy_rank_matrix` answered from memory; a cached spanning
+    table a table is lifted from does not count.
 
     A host with 2**31 edges or more (`host-too-large`), or 2**31 red and
     blue copies together (`copy-table-too-large`), does not fit the
@@ -141,15 +144,19 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     deadline = None if max_secs is None else t0 + max_secs
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
               "symmetry": symmetry, "backend": BACKEND}
+    tables, cached = [], 0
     try:
-        red_rows = copy_rank_matrix(N, k, red_target, deadline=deadline)
-        blue_rows = copy_rank_matrix(N, k, blue_target, deadline=deadline)
+        for t in (red_target, blue_target):
+            cached += embedder._copy_key(N, k, t) in embedder._COPY_CACHE
+            tables.append(copy_rank_matrix(N, k, t, deadline=deadline))
     except SearchBudgetExceeded:
         stats = {"nodes": 0, "propagations": 0, "conflicts": 0,
                  "max_depth": 0, "wall_secs": 0.0,
                  "enumerate_s": time.monotonic() - t0, "build_s": 0.0,
-                 "verify_s": 0.0, "n_vars": n_vars, "n_clauses": 0}
+                 "verify_s": 0.0, "n_vars": n_vars, "n_clauses": 0,
+                 "cached_tables": cached}
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
+    red_rows, blue_rows = tables
     t1 = time.monotonic()
     instance = _kernels.build_instance(n_vars, red_rows, blue_rows)
     sym = ()
@@ -164,7 +171,8 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
              "max_depth": depth,
              "wall_secs": time.monotonic() - t2,
              "enumerate_s": t1 - t0, "build_s": t2 - t1, "verify_s": 0.0,
-             "n_vars": n_vars, "n_clauses": len(red_rows) + len(blue_rows)}
+             "n_vars": n_vars, "n_clauses": len(red_rows) + len(blue_rows),
+             "cached_tables": cached}
     witness = None
     if status == "SAT":
         # free vars: any value works; pick red

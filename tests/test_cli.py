@@ -44,7 +44,10 @@ def test_witness_roundtrip(tmp_path):
     assert os.path.exists(rep["results"]["coloring"])
 
 
-def test_arrow_unsat_exit(tmp_path):
+def test_arrow_unsat_exit(tmp_path, monkeypatch):
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
     code, rep = run(tmp_path, "arrow", "--k", "3", "--n-vertices", "7",
                     "--red", "cycle:3", "--blue", "cycle:3")
     assert code == EXIT_UNSAT
@@ -52,6 +55,7 @@ def test_arrow_unsat_exit(tmp_path):
     stats = rep["results"]["stats"]  # how the search went
     assert (stats["nodes"], stats["propagations"], stats["conflicts"],
             stats["max_depth"]) == (94, 0, 48, 8)
+    assert stats["cached_tables"] == 1  # blue reuses red's cold table
 
 
 def test_arrow_sat_writes_witness_cert(tmp_path):

@@ -83,6 +83,8 @@ def test_copy_tables_stay_in_memory(tmp_path, monkeypatch):
     (3, "path", 1, 8), (3, "path", 2, 8), (3, "path", 3, 8),
     (3, "cycle", 3, 8), (3, "cycle", 4, 8),
     (4, "path", 1, 7), (4, "path", 2, 7),
+    # lifted from K^4_7, with 3 private vertices in each end edge
+    (4, "path", 2, 9),
 ])
 def test_copy_matrix_matches_oracle(k, kind, n, N_max):
     t = cycle_template(k, n) if kind == "cycle" else path_template(k, n)
@@ -91,6 +93,32 @@ def test_copy_matrix_matches_oracle(k, kind, n, N_max):
         got = set(map(tuple, rows.tolist()))
         assert rows.dtype == np.int64 and rows.shape[1] == n
         assert got == _ranked_copies(N, k, kind, n) and len(got) == len(rows), N
+        # each row strictly ascending, the rows in strict lexicographic order
+        assert (np.diff(rows, axis=1) > 0).all(), N
+        step = rows[1:] - rows[:-1]
+        first = np.argmax(step != 0, axis=1)
+        assert (step[np.arange(len(step)), first] > 0).all(), N
+
+
+def test_copy_grow_runs_only_on_spanning_hosts(monkeypatch):
+    # a table on more than v = |V(C^3_3)| = 6 labels is lifted from the
+    # cached spanning table, so only K^3_6 grows copies edge by edge
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    free = []  # free vertices before each grown edge, N - k first
+    real_moves = embedder._moves
+
+    def moves(a, s, branch):
+        free.append(a)
+        return real_moves(a, s, branch)
+
+    monkeypatch.setattr(embedder, "_moves", moves)
+    c3 = cycle_template(3, 3)
+    assert (len(copy_rank_matrix(7, 3, c3)), len(copy_rank_matrix(9, 3, c3))) == \
+        (840, 10080)
+    assert free == [6 - 3, 1]  # one grow run, at N = 6
+    assert (6, 3, "cycle", 3) in embedder._COPY_CACHE
 
 
 @pytest.mark.parametrize("kind,k,n,N", list(F.COPY_MATRIX_SHA256))

@@ -263,22 +263,36 @@ def test_time_budget_honored():
     assert v.stats["nodes"] < 44588
 
 
+def test_cached_tables_counts_copy_tables_from_memory(monkeypatch):
+    # blue reuses red's table; a cached spanning table (K^3_8 for C^3_4,
+    # K^3_6 for C^3_3) that a table is lifted from does not count
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    c3, c4 = cycle_template(3, 3), cycle_template(3, 4)
+    assert decide_arrowing(3, 7, c3, c3).stats["cached_tables"] == 1
+    assert decide_arrowing(3, 9, c4, c3, symmetry=True).stats["cached_tables"] == 0
+    assert (8, 3, "cycle", 4) in embedder._COPY_CACHE
+    assert decide_arrowing(3, 9, c4, c3, symmetry=True).stats["cached_tables"] == 2
+
+
 def test_time_budget_bounds_copy_enumeration(monkeypatch):
-    # cold, P^3_4 in K^3_10 takes a few tenths of a second to enumerate;
+    # cold, C^3_5 in K^3_11 takes more than half a second to enumerate;
     # the deadline must stop the enumeration itself, and leave nothing
     # partial in the cache
     from ramsey_lab import embedder
 
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-    p4 = path_template(3, 4)
+    c5 = cycle_template(3, 5)
     t0 = time.monotonic()
-    v = decide_arrowing(3, 10, p4, p4, max_secs=0.05)
+    v = decide_arrowing(3, 11, c5, c5, max_secs=0.05)
     assert time.monotonic() - t0 < 3.0
     assert v.status == "UNKNOWN"
     assert (v.stats["nodes"], v.stats["propagations"]) == (0, 0)
     assert (v.stats["n_vars"], v.stats["n_clauses"], v.stats["verify_s"]) == \
-        (120, 0, 0.0)
-    assert (10, 3, "path", 4) not in embedder._COPY_CACHE
+        (165, 0, 0.0)
+    assert v.stats["cached_tables"] == 0
+    assert (11, 3, "cycle", 5) not in embedder._COPY_CACHE
 
 
 # ------------------------------------------------------------ exact values
