@@ -322,7 +322,8 @@ _COPY_CACHE: Dict[tuple, np.ndarray] = {}
 _CELLS = 1 << 12  # (partial copy, move) pairs per enumeration step: a few ms
 
 # peak resident bytes of a decision per byte of its largest copy table: a
-# cold c53@11 decision peaks at 428 MB for its 152 MB table up to its search
+# cold c53@11 decision peaks at 377 MB for its 152 MB table up to its search,
+# a peak set by the int64 argsort of the clause build's watch keys
 _PEAK_PER_TABLE_BYTE = 4
 
 
@@ -333,16 +334,57 @@ def _memory_bytes() -> int:
 
 def _moves(a: int, s: int, branch: bool):
     """The ways a partial copy with a free vertices puts s of them into its
-    next edge, as index arrays into its ascending free vertices, one row per
-    move: the positions taken, the taken one that becomes the next
-    connector (None unless `branch`), and the a - s positions left free."""
+    next edge, one column or row per move: a 0/1 (a, moves) matrix of the
+    positions taken among its ascending free vertices, the taken one that
+    becomes the next connector (None unless `branch`), and the a - s
+    positions left free."""
     combos = list(combinations(range(a), s))
     pairs = [(c, j) for c in combos for j in c] if branch else [(c, 0) for c in combos]
-    take = np.array([c for c, _ in pairs], dtype=np.intp).reshape(len(pairs), s)
+    pick = np.zeros((a, len(pairs)), dtype=np.int64)
+    for col, (c, _) in enumerate(pairs):
+        pick[list(c), col] = 1
     rest = np.array([[p for p in range(a) if p not in c] for c, _ in pairs],
                     dtype=np.intp).reshape(len(pairs), a - s)
     nxt = np.array([j for _, j in pairs], dtype=np.intp) if branch else None
-    return take, nxt, rest
+    return pick, nxt, rest
+
+
+def _colex_parts(N: int, k: int) -> np.ndarray:
+    """part[x, i] = C(x - 1, i + 1), vertex x's share of the colex rank at
+    position i of a k-subset of 1..N, so v_0 < ... < v_{k-1} ranks at the
+    sum of part[v_i, i]; column k, for positions past the subset, is 0."""
+    return np.array([[math.comb(x - 1, i + 1) if x and i < k else 0 for i in range(k + 1)]
+                     for x in range(N + 1)], dtype=np.int64)
+
+
+def _mask_ranker(N: int, k: int):
+    """The colex rank of k-subsets of 1..N given as vertex masks, the sums
+    of 1 << x over their vertices x, as a function on int64 arrays.
+
+    A mask splits at bit h = (N + 1) // 2.  The low table gives the low
+    bits' share of the rank; the high table, for each count of low bits,
+    the high bits' share.  Each holds about 2^h entries, (k + 1) of them
+    for the high table, where one table over whole masks would hold 2^(N+1).
+    Masks fit int64 for N < 63, which every table under 2^31 rows spans.
+    """
+    h, part = (N + 1) // 2, _colex_parts(N, k)
+    low, count = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)
+    for x in range(h):
+        low = np.concatenate([low, low + part[x, np.minimum(count, k)]])
+        count = np.concatenate([count, count + 1])
+    high, above = np.zeros((k + 1, 1), dtype=np.int64), np.zeros(1, dtype=np.intp)
+    below = np.arange(k + 1)[:, None]
+    for x in range(h, N + 1):
+        high = np.concatenate([high, high + part[x, np.minimum(below + above, k)]], axis=1)
+        above = np.concatenate([above, above + 1])
+    row = np.minimum(count, k) * high.shape[1]
+    high, low_bits = high.ravel(), (1 << h) - 1
+
+    def rank(masks: np.ndarray) -> np.ndarray:
+        lo = masks & low_bits
+        return low[lo] + high[row[lo] + (masks >> h)]
+
+    return rank
 
 
 def _enumerate_copies(N: int, k: int, t: LooseTemplate,
@@ -363,9 +405,14 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     each step adds one edge to every partial copy at once.  A path is kept
     when rank(e_1) < rank(e_n), a cycle when e_1 is its least edge and
     rank(e_2) < rank(e_n), so each copy comes out once.
-    A step covers at most _CELLS (partial copy, move) pairs and is grown to
-    complete copies before the next, which bounds temporary memory; the
-    deadline is checked before each step.
+    A new edge is ranked by its vertex mask (`_mask_ranker`): one integer
+    matmul sums the masks of the taken free vertices for every move.  Each
+    (partial copy, move) pair is one cell of a block that repeats the
+    partial copy's ranks and appends the new one; the kept cells are
+    selected with one boolean mask, or by a reshape where every cell is kept.
+    A step covers at most _CELLS cells and is grown to complete copies
+    before the next, which bounds temporary memory; the deadline is
+    checked before each step.
     """
     n, total = t.n, _n_copies(N, k, t)
     if total >= _MAX_EDGES:
@@ -382,9 +429,6 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
         out[:, 0] = np.arange(total)
         return out
     cycle = t.kind == CYCLE
-    # colex rank of v_0 < ... < v_{k-1} is the sum of binom[v_i, i]
-    binom = np.array([[math.comb(v - 1, i + 1) if v else 0 for i in range(k)]
-                      for v in range(N + 1)], dtype=np.int64)
     v = t.n_vertices
     if N > v:
         # lift the spanning table: an ascending v-subset maps local labels
@@ -393,14 +437,21 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
         if deadline is not None and time.monotonic() >= deadline:
             raise SearchBudgetExceeded("copy enumeration passed the deadline")
         local = np.array(all_edges(v, k), dtype=np.intp) - 1
+        if span.min() < 0 or span.max() >= len(local):
+            raise AssertionError(f"internal: spanning table of {t} past C({v}, {k})")
         subsets = np.array(list(combinations(range(1, N + 1), v)), dtype=np.intp)
-        ranks = binom[subsets[:, local], np.arange(k)].sum(axis=2)
-        np.take(ranks, span, axis=1, out=out.reshape(len(subsets), len(span), n))
+        # the local edges' ranks in every subset, one vertex position at a
+        # time, so no index array spans every (subset, edge, position)
+        part, ranks = _colex_parts(N, k), np.zeros((len(subsets), len(local)), dtype=np.int64)
+        for i in range(k):
+            ranks += part[subsets, i][:, local[:, i]]
+        # in range, so "clip" clips nothing and, unlike "raise", needs no
+        # buffer the size of the table
+        np.take(ranks, span, axis=1, out=out.reshape(len(subsets), len(span), n),
+                mode="clip")
         return out
 
-    def rank(edges: np.ndarray) -> np.ndarray:
-        return binom[np.sort(edges, axis=-1), np.arange(k)].sum(axis=-1)
-
+    rank = _mask_ranker(N, k)
     # moves for the second edge onwards; before edge d + 2 there are
     # N - k - d(k-1) free vertices
     moves = [_moves(N - k - d * (k - 1), k - 2 if cycle and d == n - 2 else k - 1,
@@ -409,35 +460,47 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
 
     def grow(ranks, conn, close, free):
         nonlocal filled
-        last = ranks.shape[1] == n - 1
+        d = ranks.shape[1]
+        last = d == n - 1
         closing = cycle and last
-        take, nxt, rest = moves[ranks.shape[1] - 1]
-        step = max(1, _CELLS // len(take))
+        pick, nxt, rest = moves[d - 1]
+        cells = pick.shape[1]
+        step = max(1, _CELLS // cells)
+
+        def select(a):
+            """The kept cells of a (partial copy, move) array, one row each;
+            a path is checked only at its last edge, so before it every cell
+            is kept."""
+            return a[keep] if cycle else a.reshape((m * cells,) + a.shape[2:])
+
         for lo in range(0, len(ranks), step):
             if deadline is not None and time.monotonic() >= deadline:
                 raise SearchBudgetExceeded("copy enumeration passed the deadline")
             r, f = ranks[lo:lo + step], free[lo:lo + step]
-            taken = f[:, take]
-            fixed = [conn[lo:lo + step]] + ([close[lo:lo + step]] if closing else [])
-            er = rank(np.concatenate(
-                [np.broadcast_to(v[:, None, None], taken.shape[:2] + (1,)) for v in fixed]
-                + [taken], axis=2))
-            keep = np.ones(er.shape, dtype=bool)
+            m = len(r)
+            fixed = 1 << conn[lo:lo + step]
+            if closing:
+                fixed += 1 << close[lo:lo + step]
+            er = rank((1 << f) @ pick + fixed[:, None])
+            block = np.empty((m, cells, d + 1), dtype=np.int64)
+            block[:, :, :d] = r[:, None]
+            block[:, :, d] = er
             if cycle or last:
-                keep &= er > r[:, :1]
+                keep = er > r[:, :1]
             if closing:
                 keep &= er > r[:, 1:2]
-            i, j = np.nonzero(keep)
-            grown = np.concatenate([r[i], er[i, j, None]], axis=1)
-            if not last:
-                grow(grown, f[i, nxt[j]], close[lo:lo + step][i] if cycle else None,
-                     f[i[:, None], rest[j]])
+            if last:
+                got = int(np.count_nonzero(keep))
+                if filled + got > total:
+                    raise AssertionError("internal: more copies than the closed form")
+                rows = out[filled:filled + got]
+                np.compress(keep.ravel(), block.reshape(m * cells, n), axis=0, out=rows)
+                rows.sort(axis=1)
+                filled += got
                 continue
-            if filled + len(grown) > total:
-                raise AssertionError("internal: more copies than the closed form")
-            grown.sort(axis=1)
-            out[filled:filled + len(grown)] = grown
-            filled += len(grown)
+            grow(select(block), select(f[:, nxt]),
+                 select(np.broadcast_to(close[lo:lo + step, None], (m, cells)))
+                 if cycle else None, select(f[:, rest]))
 
     firsts = np.array(list(combinations(range(1, N + 1), k)), dtype=np.intp)
     outside = np.ones((len(firsts), N + 1), dtype=bool)
@@ -447,7 +510,7 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     ends = list(permutations(range(k), 2)) if cycle else [(c, c) for c in range(k)]
     close_at, conn_at = (np.tile(col, len(firsts)) for col in np.array(ends).T)
     start = np.repeat(np.arange(len(firsts)), len(ends))
-    grow(rank(firsts)[start, None], firsts[start, conn_at],
+    grow(rank((1 << firsts).sum(axis=1))[start, None], firsts[start, conn_at],
          firsts[start, close_at] if cycle else None, free[start])
     if filled != total:
         raise AssertionError(f"internal: {filled} copies, closed form {total}")
@@ -476,7 +539,10 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     Every edge-set-distinct copy is one row, rows in lexicographic order,
     so the int64 matrix is canonical; it is read-only.  Cached in memory.
     Copies are grown only on N = v = t.n_vertices labels; a larger host's
-    table is lifted from that spanning table, which is cached too.
+    table is lifted from that spanning table, which is cached too.  The
+    rows are ordered in place: each becomes one base-C(N, k) int64 key, the
+    keys are sorted, and the columns are decoded back from them, so beyond
+    the table only the keys are held.
     A table of 2**31 rows or more, or one whose decision would need more
     than the host's physical memory (4 times the table's bytes), is refused
     as `copy-table-too-large` before anything is allocated.  With a
@@ -500,7 +566,12 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
         for col in arr.T[1:]:
             packed *= base
             packed += col
-        arr = arr[np.argsort(packed)]
+        # sort the keys themselves and decode them back into the table, so
+        # no index array or second table is held
+        packed.sort()
+        for col in arr.T[:0:-1]:
+            np.divmod(packed, base, out=(packed, col))
+        arr[:, 0] = packed
     arr.flags.writeable = False
     _COPY_CACHE[key] = arr
     return arr

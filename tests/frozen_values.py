@@ -45,6 +45,14 @@ COPY_MATRIX_SHA256 = {
     ("cycle", 3, 4, 8): (5040, "795e9fc3701b1cf3103dc297df7248e94ec51d8decc2cd7edea90198ca755efe"),
     ("cycle", 4, 3, 9): (7560, "91780d0f8ceb8699e6f1011383f6529143ab8d09e153e2a94d16f70b2b012c7e"),
     ("path", 3, 4, 10): (453600, "12699a5276d053f96b5e225b1cea6d1b65378bbb63b853c1105401e568ae379a"),
+    # wider edges, taken from the rank-gathering enumerator that vertex-mask
+    # ranks replaced: masks past the low half of the split lookup, and the
+    # closing moves of k - 2 vertices at k = 5; spanning and lifted tables
+    ("path", 5, 2, 9): (315, "0e027278d7d81a25719067990dfbfb4603da76e6a676ceef976360b2c85a559c"),
+    ("path", 5, 2, 10): (3150, "72348ada85a2ddae2e9a91ccbb3cb4ac6cc3bc149c277b6877fc10014794440c"),
+    ("path", 6, 2, 11): (1386, "df33711e2d31e9ca91faa6cc58edf0301b80b9fd390f945b5383cc41dddb4be1"),
+    ("path", 6, 2, 13): (108108, "00786d5f8b5bdcd930e2c76737f285bf0da61bdc7495819bd2d1cbfaebd6edd3"),
+    ("cycle", 5, 3, 12): (369600, "1148b67655ca549eb8913d878abb4a2a68b3ab3638eb02099bd5d4f96ec98357"),
 }
 
 # (N, k) -> (sha256 of lo bytes, sha256 of hi bytes) of coloring.swap_pairs,

@@ -131,6 +131,54 @@ def test_copy_matrix_frozen_sha256(kind, k, n, N):
         F.COPY_MATRIX_SHA256[(kind, k, n, N)]
 
 
+@pytest.mark.parametrize("N,k", [(7, 3), (8, 3), (9, 4), (10, 4), (11, 5), (12, 6), (13, 5)])
+def test_mask_ranker_matches_colex_rank(N, k):
+    # the enumerator ranks a new edge by its vertex mask, split into a low
+    # and a high half; every k-subset of 1..N must get its colex rank
+    from ramsey_lab.coloring import colex_rank
+    from ramsey_lab.embedder import _mask_ranker
+
+    subsets = list(itertools.combinations(range(1, N + 1), k))
+    masks = np.array([sum(1 << x for x in e) for e in subsets], dtype=np.int64)
+    assert _mask_ranker(N, k)(masks).tolist() == [colex_rank(e) for e in subsets]
+
+
+def test_lifted_copy_table_peaks_near_its_size(monkeypatch):
+    # with the spanning table warm, lifting P^3_4 into K^3_10 (13.8 MB)
+    # holds the table and one int64 sort key per row at most: no buffer
+    # for the lift's take, no argsort index and no second table
+    import tracemalloc
+
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    p4 = path_template(3, 4)
+    copy_rank_matrix(9, 3, p4)
+    tracemalloc.start()
+    try:
+        rows = copy_rank_matrix(10, 3, p4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes == 453600 * 4 * 8
+    assert peak < 1.5 * rows.nbytes, peak / rows.nbytes
+
+
+def test_lift_refuses_spanning_ranks_out_of_range(monkeypatch):
+    # the lift takes without bounds checks, so a spanning table with a
+    # rank at or past C(v, k) is an internal error, not a clipped table
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    c3 = cycle_template(3, 3)
+    span = copy_rank_matrix(6, 3, c3).copy()
+    span[-1, -1] = 20
+    embedder._COPY_CACHE[(6, 3, "cycle", 3)] = span
+    with pytest.raises(AssertionError, match=r"past C\(6, 3\)"):
+        copy_rank_matrix(7, 3, c3)
+    assert (7, 3, "cycle", 3) not in embedder._COPY_CACHE
+
+
 def test_copy_sort_key_overflow_is_internal_error(monkeypatch):
     # the rows are ordered by one base-C(N, k) int64 per row; a template
     # whose key would pass 2^63 has no table that fits in memory, and a
