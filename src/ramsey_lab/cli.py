@@ -154,6 +154,11 @@ def _save_witness(args, report: dict, c: TwoColoring, red: tuple, blue: tuple,
 
 def _run_witness(args, report: dict) -> int:
     pair = args.pair.upper()
+    if pair == "PC" and args.m < 3:
+        # the certificate would name a blue cycle of fewer than 3 edges,
+        # which no template decodes; refused before any file is written
+        raise ValueError(f"invalid-parameter: --pair PC needs --m >= 3, "
+                         f"got {args.m}")
     t0 = time.monotonic()
     N, c = lower_bound_witness(args.k, args.n, args.m, pair)
     report["timings"]["witness_s"] = time.monotonic() - t0

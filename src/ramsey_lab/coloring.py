@@ -7,7 +7,8 @@ colorings restrict and extend between host sizes without re-indexing.
 
 `swap_pairs` tabulates the edge-rank pairs each adjacent vertex swap
 (u, u+1) exchanges; the prover's symmetry breaking and the embedder's twin
-classes (`adjacent_twins`) both read it.
+classes (`adjacent_twins`) both read it.  `split_counting` recognizes a
+split coloring and rules targets out by the paper's counting argument.
 """
 
 from __future__ import annotations
@@ -286,6 +287,35 @@ def split_coloring(k: int, N: int, a: int) -> TwoColoring:
     return TwoColoring(k, N, bits)
 
 
+def split_counting(c: TwoColoring, red_vertices: int,
+                   blue_edges: int) -> tuple[int | None, bool, bool]:
+    """The paper's counting argument for split colorings, with no search.
+
+    Detect: c is split when its red bits are exactly the colex prefix of
+    C(a, k) ones, that is when its red edges are the k-subsets of
+    A = 1..a.  a is then the largest such a <= N (k - 1 for an all-blue
+    host): the red count must be C(a, k) and fill the first C(a, k) bits,
+    two numpy counts with no Python loop over edges.  Count: every vertex
+    of a red copy lies in a red edge, hence in A, so no red copy has more
+    than a vertices; every blue edge meets B = a+1..N, and a vertex lies
+    in at most two edges of a loose path or cycle, so no blue copy has
+    more than 2(N - a) edges.
+
+    Returns (a, no red copy on `red_vertices` vertices, no blue copy with
+    `blue_edges` edges), or (None, False, False) when c is not split.
+    """
+    k, N, bits = c.k, c.n_vertices, c.bits
+    reds = int(np.count_nonzero(bits))
+    # C(a, k) = 0 for every a < k and grows strictly from C(k, k) = 1 on
+    a, size = (min(k - 1, N), 0) if reds == 0 else (k, 1)
+    while size < reds:
+        a += 1
+        size = size * a // (a - k)
+    if size != reds or np.count_nonzero(bits[:reds]) != reds:
+        return None, False, False
+    return a, red_vertices > a, 2 * (N - a) < blue_edges
+
+
 def lower_bound_witness(k: int, n: int, m: int, pair: str) -> tuple[int, TwoColoring]:
     """Extremal coloring certifying the lower bound for the given target pair.
 
@@ -294,11 +324,10 @@ def lower_bound_witness(k: int, n: int, m: int, pair: str) -> tuple[int, TwoColo
     claimed Ramsey value; A = 1..a is chosen so the red target cannot fit
     inside A while B is too small to host the blue target (each edge of a
     blue structure meets B, and any vertex lies in at most two edges of a
-    loose path or cycle).  The construction is re-verified by the embedder
-    before returning; a failure here is a construction bug, not user error.
+    loose path or cycle).  The construction is re-checked by that counting
+    argument (`split_counting`), not by a search, before returning; a
+    failure here is a construction bug, not user error.
     """
-    from . import embedder
-
     if pair not in ("PP", "PC", "CC"):
         raise ValueError(f"pair must be PP, PC or CC, got {pair!r}")
     if k < 3:
@@ -311,25 +340,17 @@ def lower_bound_witness(k: int, n: int, m: int, pair: str) -> tuple[int, TwoColo
         N = (k - 1) * n + (m - 1) // 2 - 1
         a = (k - 1) * n - 1
         red_target = cycle_template(k, n)
-        blue_target = cycle_template(k, m)
     else:
         N = (k - 1) * n + (m + 1) // 2 - 1
         a = (k - 1) * n
         red_target = path_template(k, n)
-        # PC with m = 2 leaves B empty: no blue edges at all, so the blue
-        # side is vacuous and needs no cycle template of length 2.
-        blue_target = path_template(k, m) if pair == "PP" else (
-            cycle_template(k, m) if m >= 3 else None)
 
     c = split_coloring(k, N, a)
-
-    if embedder.find_embedding(c, "red", red_target) is not None:
-        raise AssertionError(f"witness construction bug: red {red_target} "
-                             f"embeds in split({k},{N},a={a})")
-    if blue_target is None:
-        if c.red_count != c.n_edges:
-            raise AssertionError("witness construction bug: expected no blue edges")
-    elif embedder.find_embedding(c, "blue", blue_target) is not None:
-        raise AssertionError(f"witness construction bug: blue {blue_target} "
-                             f"embeds in split({k},{N},a={a})")
+    # the blue target has m edges; PC with m = 2 leaves B empty, so the
+    # count rules blue out with no cycle template of length 2
+    _, no_red, no_blue = split_counting(c, red_target.n_vertices, m)
+    if not (no_red and no_blue):
+        raise AssertionError(f"witness construction bug: the count does not rule "
+                             f"out a red {red_target} and a blue target of {m} "
+                             f"edges in split({k},{N},a={a})")
     return N, c

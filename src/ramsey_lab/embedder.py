@@ -36,12 +36,12 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import _MAX_EDGES, TwoColoring, adjacent_twins, all_edges, colex_rank
+from .coloring import _MAX_EDGES, TwoColoring, adjacent_twins, colex_rank
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -349,6 +349,14 @@ def _moves(a: int, s: int, branch: bool):
     return pick, nxt, rest
 
 
+def _subset_rows(labels: range, size: int) -> np.ndarray:
+    """The size-subsets of `labels` as rows, in the order `combinations`
+    lists them, read by numpy straight off the iterator: no list of tuples
+    is built."""
+    return np.fromiter(chain.from_iterable(combinations(labels, size)), dtype=np.intp,
+                       count=math.comb(len(labels), size) * size).reshape(-1, size)
+
+
 def _colex_parts(N: int, k: int) -> np.ndarray:
     """part[x, i] = C(x - 1, i + 1), vertex x's share of the colex rank at
     position i of a k-subset of 1..N, so v_0 < ... < v_{k-1} ranks at the
@@ -436,10 +444,12 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
         span = copy_rank_matrix(v, k, t, deadline=deadline)
         if deadline is not None and time.monotonic() >= deadline:
             raise SearchBudgetExceeded("copy enumeration passed the deadline")
-        local = np.array(all_edges(v, k), dtype=np.intp) - 1
+        # the local edges as 0-based label rows in colex order: listing the
+        # labels downwards gives descending rows in descending colex order
+        local = _subset_rows(range(v - 1, -1, -1), k)[::-1, ::-1]
         if span.min() < 0 or span.max() >= len(local):
             raise AssertionError(f"internal: spanning table of {t} past C({v}, {k})")
-        subsets = np.array(list(combinations(range(1, N + 1), v)), dtype=np.intp)
+        subsets = _subset_rows(range(1, N + 1), v)
         # the local edges' ranks in every subset, one vertex position at a
         # time, so no index array spans every (subset, edge, position)
         part, ranks = _colex_parts(N, k), np.zeros((len(subsets), len(local)), dtype=np.int64)
@@ -502,7 +512,7 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
                  select(np.broadcast_to(close[lo:lo + step, None], (m, cells)))
                  if cycle else None, select(f[:, rest]))
 
-    firsts = np.array(list(combinations(range(1, N + 1), k)), dtype=np.intp)
+    firsts = _subset_rows(range(1, N + 1), k)
     outside = np.ones((len(firsts), N + 1), dtype=bool)
     outside[:, 0] = False
     outside[np.arange(len(firsts))[:, None], firsts] = False

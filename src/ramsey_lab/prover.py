@@ -33,7 +33,7 @@ import numpy as np
 from . import _kernels, embedder
 from ._backend import BACKEND
 from .coloring import (_MAX_EDGES, TwoColoring, all_edges, decoding,
-                       host_edges, swap_pairs)
+                       host_edges, split_counting, swap_pairs)
 from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
                    path_template)
 from .certificates import Certificate
@@ -337,6 +337,13 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     Every field the producers write is required, except that a join
     trace's `outcome_kind` may be absent (it must name the result's color
     either way); a `disjoint` pair-set is checked over every two pairs.
+
+    A `witness-coloring` is first tested once for being split
+    (`coloring.split_counting`); each colour the paper's counting argument
+    rules out needs no search, and the other colours are searched with
+    `find_embedding`, whose copy is reported as `red_copy` or `blue_copy`.
+    The report records the split size as `split_a` when there is one, and
+    `checked_by`, "counting" or "search" for each colour.
     """
     if isinstance(cert, dict):
         cert = Certificate.from_json_obj(cert)
@@ -353,8 +360,13 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             n_vertices = int(p["n_vertices"])
         if n_vertices != c.n_vertices:
             reasons.append("host-size-mismatch")
-        for color, t in (("red", red), ("blue", blue)):
-            hit = find_embedding(c, color, t)
+        a, no_red, no_blue = split_counting(c, red.n_vertices, blue.n)
+        if a is not None:
+            report["split_a"] = a
+        checked_by = report["checked_by"] = {}
+        for color, t, ruled_out in (("red", red, no_red), ("blue", blue, no_blue)):
+            checked_by[color] = "counting" if ruled_out else "search"
+            hit = None if ruled_out else find_embedding(c, color, t)
             if hit is not None:
                 reasons.append(f"{color}-copy-found")
                 report[f"{color}_copy"] = hit.to_json_obj()

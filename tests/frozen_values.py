@@ -53,6 +53,10 @@ COPY_MATRIX_SHA256 = {
     ("path", 6, 2, 11): (1386, "df33711e2d31e9ca91faa6cc58edf0301b80b9fd390f945b5383cc41dddb4be1"),
     ("path", 6, 2, 13): (108108, "00786d5f8b5bdcd930e2c76737f285bf0da61bdc7495819bd2d1cbfaebd6edd3"),
     ("cycle", 5, 3, 12): (369600, "1148b67655ca549eb8913d878abb4a2a68b3ab3638eb02099bd5d4f96ec98357"),
+    # lifts over many vertex subsets (2002 and 924), taken from the lift
+    # that listed its subsets as a list of tuples
+    ("path", 3, 2, 14): (30030, "7fbe7c8a76b943be60bee450df1e021cae1fdbfc93d25351eb7ea993ab18e135"),
+    ("cycle", 3, 3, 12): (110880, "922c3b0d1e9f2f74959ecbeac71cecd28f005261aee790a5c637644011b38c3d"),
 }
 
 # (N, k) -> (sha256 of lo bytes, sha256 of hi bytes) of coloring.swap_pairs,

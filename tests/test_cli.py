@@ -44,6 +44,41 @@ def test_witness_roundtrip(tmp_path):
     assert os.path.exists(rep["results"]["coloring"])
 
 
+def test_witness_refuses_pc_below_three_blue_edges(tmp_path, capsys):
+    # a blue cycle needs 3 edges: no certificate naming cycle:2 is written
+    code, rep = run(tmp_path, "witness", "--k", "3", "--n", "3", "--m", "2",
+                    "--pair", "PC")
+    assert code == EXIT_USAGE and rep is None
+    assert "usage error: invalid-parameter: --pair PC needs --m >= 3" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k,n,m,pair", [
+    (5, 5, 3, "CC"), (5, 5, 3, "PP"), (5, 5, 3, "PC"), (5, 6, 3, "CC"), (6, 4, 3, "CC"),
+    (3, 4, 3, "PC"),
+])
+def test_witness_and_check_cert_count_instead_of_searching(tmp_path, monkeypatch,
+                                                           k, n, m, pair):
+    from ramsey_lab import embedder, prover
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_embedding called on a split witness")
+
+    monkeypatch.setattr(embedder, "find_embedding", no_search)
+    monkeypatch.setattr(prover, "find_embedding", no_search)
+    code, rep = run(tmp_path, "witness", "--k", str(k), "--n", str(n),
+                    "--m", str(m), "--pair", pair)
+    assert code == EXIT_OK
+    [cert] = rep["certificates"]
+    assert cert["verified"] is True
+    code, rep = run(tmp_path, "check-cert", "--file", cert["path"])
+    assert code == EXIT_OK and rep["results"]["ok"] is True
+    check = rep["results"]["check"]
+    assert check["split_a"] == (k - 1) * n - (pair == "CC")
+    assert check["checked_by"] == {"red": "counting", "blue": "counting"}
+
+
 def test_arrow_unsat_exit(tmp_path, monkeypatch):
     from ramsey_lab import embedder
 

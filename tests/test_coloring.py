@@ -16,6 +16,7 @@ from ramsey_lab.coloring import (
     edge_rank,
     lower_bound_witness,
     split_coloring,
+    split_counting,
     swap_pairs,
 )
 from ramsey_lab.core import cycle_template, path_template
@@ -127,6 +128,69 @@ def test_split_coloring_is_colex_prefix():
     assert c.red_count == math.comb(4, 3)
     assert bool(np.all(c.bits[:math.comb(4, 3)] == RED))
     assert bool(np.all(c.bits[math.comb(4, 3):] == BLUE))
+
+
+def test_split_counting_agrees_with_the_embedder():
+    # every split coloring of K^k_N, k in {3, 4}, N <= 9: whatever the count
+    # rules out, the complete search finds no copy of either
+    templates = [path_template(k, n) for k in (3, 4) for n in range(1, 5)] \
+        + [cycle_template(k, n) for k in (3, 4) for n in (3, 4)]
+    ruled_out = {"red": 0, "blue": 0}
+    for k in (3, 4):
+        fits = [t for t in templates if t.k == k]
+        for N in range(k, 10):
+            for a in range(N + 1):
+                c = split_coloring(k, N, a)
+                for t in (t for t in fits if t.n_vertices <= N):
+                    got, no_red, no_blue = split_counting(c, t.n_vertices, t.n)
+                    assert got == max(a, k - 1)
+                    for color, counted in (("red", no_red), ("blue", no_blue)):
+                        if counted:
+                            assert find_embedding(c, color, t) is None, (N, a, t, color)
+                            ruled_out[color] += 1
+    assert ruled_out == {"red": 170, "blue": 43}  # both arguments are exercised
+
+
+def test_split_counting_refuses_colorings_that_are_not_split():
+    k, N, a = 3, 8, 6
+    size = math.comb(a, k)
+    c = split_coloring(k, N, a)
+    assert split_counting(c, 7, 5) == (a, True, True)
+    mutants = []
+    for p in range(size - 1):  # a red bit of the prefix turned blue
+        bits = c.bits.copy()
+        bits[p] = BLUE
+        mutants.append((k, N, bits))
+    for q in range(size + 1, c.n_edges):  # a blue bit past it turned red
+        bits = c.bits.copy()
+        bits[q] = RED
+        mutants.append((k, N, bits))
+    for p, q in ((0, size), (size - 1, c.n_edges - 1), (3, 40)):
+        # C(a, k) red bits, but not the first ones
+        bits = c.bits.copy()
+        bits[p], bits[q] = BLUE, RED
+        assert bits.sum() == size
+        mutants.append((k, N, bits))
+    rng = np.random.default_rng(2)
+    for kr, Nr in ((3, 7), (3, 9), (4, 9), (4, 18)):
+        for _ in range(25):
+            bits = rng.random(math.comb(Nr, kr)) < rng.uniform(0.2, 0.8)
+            mutants.append((kr, Nr, bits.astype(np.uint8)))
+    for km, Nm, bits in mutants:
+        # a blue bit before a red one: no prefix, so no split coloring
+        assert (np.diff(bits.astype(np.int8)) > 0).any()
+        assert split_counting(TwoColoring(km, Nm, bits), 1, 1) == (None, False, False)
+
+
+@pytest.mark.parametrize("k,N", [(3, 3), (3, 8), (4, 9), (5, 7)])
+def test_split_counting_monochromatic_hosts(k, N):
+    # all red is split at a = N: nothing blue, and red fits exactly up to N
+    # vertices; all blue is split at a = k - 1, with labels k..N in B
+    assert split_counting(TwoColoring.all_red(k, N), N, 1) == (N, False, True)
+    assert split_counting(TwoColoring.all_red(k, N), N + 1, 1) == (N, True, True)
+    B = N - k + 1
+    assert split_counting(TwoColoring.all_blue(k, N), k, 2 * B) == (k - 1, True, False)
+    assert split_counting(TwoColoring.all_blue(k, N), k, 2 * B + 1) == (k - 1, True, True)
 
 
 def test_host_too_large_is_refused():

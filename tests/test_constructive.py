@@ -623,9 +623,12 @@ def test_checker_survives_every_missing_or_ill_typed_payload_field():
     certs = _one_certificate_per_type()
     assert sorted({cert.type for cert in certs}) == sorted(CERT_TYPES)
     bad_values = [None, 5, "x", [], {}, [5], -1, 1.5]
+    # the split witness of K^3_6 (A = 1..5) is checked by counting alone
+    counted = {"split_a": 5, "checked_by": {"red": "counting", "blue": "counting"}}
     for cert in certs:
+        extra = counted if cert.type == "witness-coloring" else {}
         assert verify_certificate(cert) == (True, {"type": cert.type,
-                                                   "reasons": []})
+                                                   "reasons": [], **extra})
         for key in cert.payload:
             missing = {k: v for k, v in cert.payload.items() if k != key}
             variants = [missing] + [{**cert.payload, key: bad}

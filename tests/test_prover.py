@@ -19,7 +19,8 @@ from ramsey_lab.coloring import (
     swap_pairs,
 )
 from ramsey_lab.core import cycle_template, path_template
-from ramsey_lab.embedder import copy_rank_matrix, find_embedding
+from ramsey_lab.embedder import (Embedding, copy_rank_matrix, find_embedding,
+                                 verify_embedding)
 from ramsey_lab.prover import (
     compute_ramsey,
     decide_arrowing,
@@ -486,6 +487,48 @@ def test_tampered_certificate_rejected():
     ok2, report2 = verify_certificate(cert2)
     if not ok2:
         assert any(r.endswith("-copy-found") for r in report2["reasons"])
+
+
+def _witness_claim(c, red, blue):
+    """A witness-coloring claim that c has no red `red` and no blue `blue`."""
+    return make_certificate(
+        "witness-coloring", c,
+        {"red_target": {"kind": red[0], "length": red[1]},
+         "blue_target": {"kind": blue[0], "length": blue[1]},
+         "n_vertices": c.n_vertices}, lemma="false-claim")
+
+
+@pytest.mark.parametrize("k,n,m,pair", [
+    (3, 3, 3, "CC"), (3, 4, 3, "CC"), (3, 3, 3, "PP"), (3, 4, 3, "PC"), (4, 3, 3, "CC"),
+])
+def test_split_claim_at_the_value_is_rejected_with_a_copy(k, n, m, pair):
+    # K^k_value arrows the pair, so the witness's split, or one with A a
+    # label larger, on one more vertex carries a copy that the count
+    # cannot rule out and the search finds
+    value = {"PP": F.pp_value, "PC": F.pc_value, "CC": F.cc_value}[pair](k, n, m)
+    red = ("path" if pair[0] == "P" else "cycle", n)
+    blue = ("path" if pair[1] == "P" else "cycle", m)
+    a = (k - 1) * n - (pair == "CC")
+    for split_a in (a, a + 1):
+        c = split_coloring(k, value, split_a)
+        ok, report = verify_certificate(_witness_claim(c, red, blue))
+        assert not ok and report["split_a"] == split_a
+        found = [color for color in ("red", "blue") if f"{color}_copy" in report]
+        assert found and report["reasons"] == [f"{color}-copy-found" for color in found]
+        for color in found:
+            assert report["checked_by"][color] == "search"
+            copy = Embedding.from_json_obj(report[f"{color}_copy"])
+            assert copy.claimed_color == color and verify_embedding(c, copy)
+
+
+def test_claim_about_a_coloring_that_is_not_split_is_searched():
+    # one blue edge at rank 0 ahead of red ones: no prefix, so both colours
+    # are searched and the report names no split size
+    c = TwoColoring.all_red(3, 6).with_edges([(1, 2, 3)], red=False)
+    ok, report = verify_certificate(_witness_claim(c, ("cycle", 3), ("path", 2)))
+    assert not ok and report["reasons"] == ["red-copy-found"]
+    assert "split_a" not in report and "blue_copy" not in report
+    assert report["checked_by"] == {"red": "search", "blue": "search"}
 
 
 def test_malformed_certificate_raises():
