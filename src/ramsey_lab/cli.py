@@ -378,43 +378,30 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
                    help="enable lex-leader symmetry breaking in the engine")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process."""
-    ap = argparse.ArgumentParser(
-        prog="ramsey-lab",
-        description="Loose path/cycle Ramsey toolkit: witnesses, arrowing, "
-                    "constructive extractions, tables, certificates.")
-    ap.add_argument("--version", action="version", version=f"ramsey-lab {__version__}")
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("witness", help="extremal lower-bound coloring")
+def _witness_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--pair", required=True, choices=["PP", "PC", "CC", "pp", "pc", "cc"])
-    _add_common(p)
-    p.set_defaults(fn=_run_witness)
 
-    p = sub.add_parser("arrow", help="decide K -> (red, blue) at one host size")
+
+def _arrow_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-vertices", type=int, required=True)
     p.add_argument("--red", required=True, help="target kind:length, e.g. cycle:3")
     p.add_argument("--blue", required=True)
     _add_budget(p)
-    _add_common(p)
-    p.set_defaults(fn=_run_arrow)
 
-    p = sub.add_parser("ramsey", help="ascending scan for the exact Ramsey value")
+
+def _ramsey_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--red", required=True)
     p.add_argument("--blue", required=True)
     p.add_argument("--max-N", type=int, default=None)
     _add_budget(p)
-    _add_common(p)
-    p.set_defaults(fn=_run_ramsey)
 
-    p = sub.add_parser("extract", help="run a constructive lemma on a coloring")
+
+def _extract_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lemma", required=True, choices=list(_LEMMA_OPTIONS))
     p.add_argument("--coloring", required=True, help="TwoColoring JSON file")
     p.add_argument("--path", help="red path assignment, comma-separated host vertices")
@@ -431,44 +418,91 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, help="host parameter for disjoint-pairs")
     p.add_argument("--i", type=int, help="target length for lift")
     p.add_argument("--max-nodes", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(fn=_run_extract)
 
-    p = sub.add_parser("count", help="copies of a template in the complete host")
+
+def _count_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-vertices", type=int, required=True)
     p.add_argument("--target", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_run_count)
 
-    p = sub.add_parser("table", help="derive path/cycle values from verified bases")
+
+def _table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--base", action="append",
                    help="verified cycle-cycle base entry n,m=value (repeatable)")
     p.add_argument("--extend-to", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(fn=_run_table)
 
-    p = sub.add_parser("export-cnf", help="DIMACS encoding of one arrowing instance")
+
+def _export_cnf_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-vertices", type=int, required=True)
     p.add_argument("--red", required=True)
     p.add_argument("--blue", required=True)
     p.add_argument("--stem", default=None, help="output file stem")
-    _add_common(p)
-    p.set_defaults(fn=_run_export_cnf)
 
-    p = sub.add_parser("check-cert", help="re-verify a certificate file")
+
+def _check_cert_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", required=True)
-    _add_common(p)
-    p.set_defaults(fn=_run_check_cert)
 
+
+# name -> (help, handler, adds the subcommand's own options); every
+# subcommand also takes the common options, after its own
+_SUBCOMMANDS = {
+    "witness": ("extremal lower-bound coloring", _run_witness, _witness_args),
+    "arrow": ("decide K -> (red, blue) at one host size", _run_arrow, _arrow_args),
+    "ramsey": ("ascending scan for the exact Ramsey value", _run_ramsey,
+               _ramsey_args),
+    "extract": ("run a constructive lemma on a coloring", _run_extract,
+                _extract_args),
+    "count": ("copies of a template in the complete host", _run_count, _count_args),
+    "table": ("derive path/cycle values from verified bases", _run_table,
+              _table_args),
+    "export-cnf": ("DIMACS encoding of one arrowing instance", _run_export_cnf,
+                   _export_cnf_args),
+    "check-cert": ("re-verify a certificate file", _run_check_cert,
+                   _check_cert_args),
+}
+
+
+@functools.cache
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process for each `only`.
+
+    With `only` None the parser knows every subcommand in `_SUBCOMMANDS`;
+    with a subcommand's name it knows just that one, which builds in under
+    half the time.  Such a parser answers every argument list that starts
+    with that name exactly as the full one does: the subcommand's own
+    parser is the same, and the top-level usage line that argparse prints
+    for unrecognized arguments still lists every subcommand, through the
+    subparsers' metavar.  The full parser leaves the metavar unset,
+    because argparse names a missing subcommand by it ("subcommand").
+    """
+    ap = argparse.ArgumentParser(
+        prog="ramsey-lab",
+        description="Loose path/cycle Ramsey toolkit: witnesses, arrowing, "
+                    "constructive extractions, tables, certificates.")
+    ap.add_argument("--version", action="version", version=f"ramsey-lab {__version__}")
+    if only is None:
+        names, metavar = list(_SUBCOMMANDS), None
+    else:
+        names, metavar = [only], "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = ap.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        help_text, fn, add_options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        _add_common(p)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.monotonic()
-    ap = build_parser()
+    argv = list(argv if argv is not None else sys.argv[1:])
+    # Only a leading subcommand name gets its own parser.  Any token before
+    # it is read by the top-level parser, whose answers to -h, or to a
+    # negative number taken as the subcommand, list every subcommand.
+    ap = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -479,8 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     inputs = {key: val for key, val in sorted(vars(args).items())
               if key not in ("fn",) and val is not None}
     # the subcommand is argv[0], so the argument list replays the run
-    command = list(argv if argv is not None else sys.argv[1:])
-    report = _report_skeleton(args, command, inputs)
+    report = _report_skeleton(args, argv, inputs)
 
     try:
         code = args.fn(args, report)

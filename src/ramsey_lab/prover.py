@@ -110,7 +110,10 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     included; `stats["wall_secs"]` is the search time alone,
     `stats["enumerate_s"]` and `stats["build_s"]` time the copy enumeration
     and the clause instance build before it, and `stats["verify_s"]` the
-    re-check of a SAT witness after it (0.0 for other verdicts).
+    re-check of a SAT witness after it (0.0 for other verdicts): a colour
+    the paper's counting argument rules out on a split witness
+    (`coloring.split_counting`) is not searched, the others are searched
+    with `find_embedding`.
     `stats["n_vars"]` is the number of edges, C(N, k), and
     `stats["n_clauses"]` the number of red and blue copies the instance
     holds (0 if the deadline passed before it was built).  Of the search,
@@ -179,8 +182,9 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
         bits = np.where(assign < 0, 1, assign).astype(np.uint8)
         witness = TwoColoring(k, N, bits)
         t3 = time.monotonic()
-        for color, t in (("red", red_target), ("blue", blue_target)):
-            if find_embedding(witness, color, t) is not None:
+        _, checks = _target_copies(witness, red_target, blue_target)
+        for color, _, hit in checks:
+            if hit is not None:
                 raise AssertionError(f"engine bug: witness contains a {color} copy")
         stats["verify_s"] = time.monotonic() - t3
     return ArrowingVerdict(status, witness, stats, budget)
@@ -326,6 +330,22 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
 # certificate verification
 # ---------------------------------------------------------------------------
 
+def _target_copies(c: TwoColoring, red: LooseTemplate, blue: LooseTemplate):
+    """A red `red` and a blue `blue` in c, each colour by count first.
+
+    Returns (a, checks): a is c's split size from `split_counting` (None
+    when c is not split), and checks holds (colour, how, copy) for red,
+    then blue.  how is "counting" when the paper's counting argument rules
+    the colour out (copy None, no search), else "search", with the copy
+    `find_embedding` returns.
+    """
+    a, no_red, no_blue = split_counting(c, red.n_vertices, blue.n)
+    return a, [(color, "counting", None) if ruled_out
+               else (color, "search", find_embedding(c, color, t))
+               for color, t, ruled_out in (("red", red, no_red),
+                                           ("blue", blue, no_blue))]
+
+
 def verify_certificate(cert) -> Tuple[bool, dict]:
     """Re-check a certificate's claim against its coloring.
 
@@ -360,13 +380,12 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             n_vertices = int(p["n_vertices"])
         if n_vertices != c.n_vertices:
             reasons.append("host-size-mismatch")
-        a, no_red, no_blue = split_counting(c, red.n_vertices, blue.n)
+        a, checks = _target_copies(c, red, blue)
         if a is not None:
             report["split_a"] = a
         checked_by = report["checked_by"] = {}
-        for color, t, ruled_out in (("red", red, no_red), ("blue", blue, no_blue)):
-            checked_by[color] = "counting" if ruled_out else "search"
-            hit = None if ruled_out else find_embedding(c, color, t)
+        for color, how, hit in checks:
+            checked_by[color] = how
             if hit is not None:
                 reasons.append(f"{color}-copy-found")
                 report[f"{color}_copy"] = hit.to_json_obj()

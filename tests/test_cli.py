@@ -1,13 +1,19 @@
 """CLI subcommands, exit codes, and report shape."""
 
+import argparse
 import json
 import math
 import os
+import re
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from ramsey_lab import cli
 from ramsey_lab.cli import (
     EXIT_GAP,
     EXIT_HYPOTHESIS,
@@ -501,3 +507,74 @@ def test_total_secs_ignores_wall_clock_steps(tmp_path, monkeypatch):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "ramsey-lab" in capsys.readouterr().out
+
+
+# ------------------------------------------------- parser per subcommand
+
+ROOT = Path(__file__).resolve().parents[1]
+WITNESS = ["witness", "--k", "3", "--n", "3", "--m", "3", "--pair", "CC"]
+ALL_EIGHT = "{witness,arrow,ramsey,extract,count,table,export-cnf,check-cert}"
+
+
+def _subcommand_choices(ap):
+    [sub] = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["nonsense"],
+    *([name, "--help"] for name in cli._SUBCOMMANDS),
+    WITNESS + ["--bogus"], ["arrow", "--k", "3"], ["extract", "--lemma", "bad"],
+    # a token before the subcommand goes to the top-level parser
+    ["-h", "witness"], ["-1", "witness"], ["--bogus"] + WITNESS,
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_argv_answered_as_by_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, at any terminal
+    code = main(list(argv))
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(list(argv))
+    want = capsys.readouterr()
+    assert code == (EXIT_OK if exc.value.code == 0 else EXIT_USAGE)
+    assert (got.out, got.err) == (want.out, want.err)
+    if argv == WITNESS + ["--bogus"]:
+        assert got.err == (f"usage: ramsey-lab [-h] [--version] {ALL_EIGHT} ...\n"
+                           "ramsey-lab: error: unrecognized arguments: --bogus\n")
+    if argv == []:
+        assert got.err.endswith("error: the following arguments are required: "
+                                "subcommand\n")
+
+
+def test_a_call_builds_only_its_subcommand_parser(tmp_path, monkeypatch):
+    built = []
+
+    def recording(only=None, _build=cli.build_parser):
+        built.append(_build(only))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    code, _ = run(tmp_path, *WITNESS)
+    assert code == EXIT_OK
+    assert _subcommand_choices(built[-1]) == ["witness"]
+    assert main(["nonsense"]) == EXIT_USAGE
+    assert _subcommand_choices(built[-1]) == list(cli._SUBCOMMANDS)
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    argv = WITNESS + ["--out", str(tmp_path / "report.json"), "--dir", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ramsey_lab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    spawned = json.loads((tmp_path / "report.json").read_text())
+    assert main(argv) == EXIT_OK
+    here = json.loads((tmp_path / "report.json").read_text())
+    spawned.pop("timings"), here.pop("timings")
+    assert spawned == here
+
+
+def test_readme_lists_every_subcommand():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` +\|", section, flags=re.M)
+    assert rows == list(cli._SUBCOMMANDS)

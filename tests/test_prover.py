@@ -296,6 +296,26 @@ def test_time_budget_bounds_copy_enumeration(monkeypatch):
     assert (11, 3, "cycle", 5) not in embedder._COPY_CACHE
 
 
+def test_sat_witness_recheck_counts_before_searching(monkeypatch):
+    from ramsey_lab import prover
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_embedding called on a split witness")
+
+    t = cycle_template(3, 3)
+    monkeypatch.setattr(prover, "find_embedding", no_search)
+    v = decide_arrowing(3, 6, t, t)
+    assert v.status == "SAT" and v.stats["verify_s"] >= 0
+    # a bad witness still fails the re-check: all red holds every red
+    # copy, and the count leaves red open on a split host with a = N
+    monkeypatch.setattr(prover, "find_embedding", find_embedding)
+    monkeypatch.setattr(
+        _kernels, "search",
+        lambda *a: ("SAT", 0, 0, 0, 0, np.ones(math.comb(6, 3), np.int8)))
+    with pytest.raises(AssertionError, match="witness contains a red copy"):
+        decide_arrowing(3, 6, t, t)
+
+
 # ------------------------------------------------------------ exact values
 
 def test_exact_c33():
