@@ -1,8 +1,9 @@
-"""Which kernel implementation the library runs, for reports.
+"""Which kernel implementation the library runs, for benchmark records.
 
 There is one: the watched-literal DPLL in `_kernels`, plain Python over
-numpy buffers, with no backend switch and no numba.  The names stay so
-that run reports and external tools that record them keep working.
+numpy buffers, with no backend switch and no numba.  Its only reader is
+`perfbench/worker.py`, which checks the requested backend against
+`BACKEND` and records it.
 """
 
 BACKEND = "numpy"

@@ -2,7 +2,8 @@
 
 A certificate bundles the coloring it talks about with a typed payload
 that an independent checker (prover.verify_certificate) can re-validate
-using embedder primitives only.  Types:
+with the embedder's primitives, the split count (`coloring.split_counting`)
+and the constructive validators.  Types:
 
 * witness-coloring — a host coloring avoiding both forbidden structures;
 * embedding        — a single monochromatic structure placement;

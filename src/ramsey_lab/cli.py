@@ -23,7 +23,6 @@ import time
 from typing import List, Optional, Sequence
 
 from . import __version__
-from ._backend import BACKEND
 from .coloring import TwoColoring, lower_bound_witness
 from .core import atomic_write, cycle_template, path_template
 from .certificates import Certificate, make_certificate
@@ -95,7 +94,6 @@ def _report_skeleton(args, command: list, inputs: dict) -> dict:
         "subcommand": args.subcommand,
         "inputs": inputs,
         "version": __version__,
-        "backend": BACKEND,
         "seed": args.seed,
         "certificates": [],
         "results": {},
@@ -134,7 +132,8 @@ def _save_certificate(cert, args, name: str, report: dict) -> str:
         report["timings"]["certify_s"] += time.monotonic() - t0
     report["certificates"].append({"path": path, "verified": bool(ok)})
     if not ok:
-        raise ProofGap(f"emitted certificate failed re-verification: {check}")
+        raise ProofGap(f"emitted certificate failed re-verification: {check}",
+                       {"certificate": cert.to_json_obj(), "check": check})
     return path
 
 
@@ -524,18 +523,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_HYPOTHESIS
     except BlueEdgeEncountered as exc:
         report["results"] = {"error": "blue-edge", "detail": str(exc),
-                             "edge": list(exc.edge) if exc.edge else None}
+                             "edge": list(exc.edge)}
         _emit(report, args, t0)
         print(f"hypothesis-violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ProofGap as exc:
-        report["results"] = {"error": "proof-gap", "detail": str(exc)}
-        if exc.instance is not None:
-            path = _artifact(args, f"{args.subcommand}.proofgap.json")
-            text = json.dumps(exc.instance, indent=2)
-            with atomic_write(path) as fh:
-                fh.write(text)
-            report["results"]["instance"] = path
+        path = _artifact(args, f"{args.subcommand}.proofgap.json")
+        text = json.dumps(exc.instance, indent=2)
+        with atomic_write(path) as fh:
+            fh.write(text)
+        report["results"] = {"error": "proof-gap", "detail": str(exc),
+                             "instance": path}
         _emit(report, args, t0)
         print(f"proof-gap: {exc}", file=sys.stderr)
         return EXIT_GAP

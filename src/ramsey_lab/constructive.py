@@ -527,14 +527,8 @@ class JoinTrace:
     outcome: Embedding
 
     def to_payload(self) -> dict:
-        rows = []
-        for s in self.steps:
-            rows.append({"edge": list(s.g), "color": s.g_color,
-                         "role": f"g_{s.index}",
-                         "chosen": s.chosen == "g"})
-            rows.append({"edge": list(s.h), "color": s.h_color,
-                         "role": f"h_{s.index}",
-                         "chosen": s.chosen == "h"})
+        rows = [{"edge": list(e), "color": color} for s in self.steps
+                for e, color in ((s.g, s.g_color), (s.h, s.h_color))]
         return {"steps": rows, "outcome_kind": self.outcome_kind,
                 "result": self.outcome.to_json_obj()}
 

@@ -60,25 +60,23 @@ class _Unknown:
 
 UNKNOWN = _Unknown()
 
-_BUDGET = object()  # internal bubble-up marker
-
 
 @dataclass(frozen=True)
 class Embedding:
     """Injective placement of a template into a host, with a color claim.
 
     assignment[j-1] is the host vertex carrying template vertex j.
-    claimed_color is "red", "blue", or "any" (structure only).
+    claimed_color is "red" or "blue".
     """
 
     template: LooseTemplate
     assignment: Tuple[int, ...]
-    claimed_color: str = "any"
+    claimed_color: str
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(int(v) for v in self.assignment))
-        if self.claimed_color not in ("red", "blue", "any"):
-            raise ValueError(f"claimed_color must be red/blue/any, got {self.claimed_color!r}")
+        if self.claimed_color not in ("red", "blue"):
+            raise ValueError(f"claimed_color must be red/blue, got {self.claimed_color!r}")
 
     @property
     def image(self) -> frozenset:
@@ -103,7 +101,7 @@ class Embedding:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Embedding":
         t = LooseTemplate(obj["kind"], int(obj["k"]), int(obj["length"]))
-        return cls(t, tuple(obj["assignment"]), obj.get("claimed_color", "any"))
+        return cls(t, tuple(obj["assignment"]), obj["claimed_color"])
 
 
 @dataclass(frozen=True)
@@ -131,16 +129,15 @@ def verify_embedding(c: TwoColoring, e: Embedding) -> VerifyResult:
     images = e.edge_images()
     if not is_loose_sequence(images, t.kind):
         return VerifyResult(False, "structure-mismatch")
-    if e.claimed_color != "any":
-        want = 1 if e.claimed_color == "red" else 0
-        for img in images:
-            if c.bits[colex_rank(img)] != want:
-                return VerifyResult(False, "edge-color-mismatch")
+    want = 1 if e.claimed_color == "red" else 0
+    for img in images:
+        if c.bits[colex_rank(img)] != want:
+            return VerifyResult(False, "edge-color-mismatch")
     return VerifyResult(True, None)
 
 
 def embedding_from_edge_sequence(edges: Sequence[Sequence[int]], kind: str,
-                                 color: str = "any") -> Embedding:
+                                 color: str) -> Embedding:
     """Recover an Embedding from an explicit ordered loose edge sequence.
 
     The assignment lists, edge by edge, first the vertex an edge shares
@@ -275,7 +272,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
     nodes = 0
 
     def rec(si: int):
-        """The first complete assignment below slot si, _BUDGET, or None."""
+        """The first complete assignment below slot si, UNKNOWN, or None."""
         nonlocal nodes
         if si == len(slots):
             return tuple(assign[1:])
@@ -287,7 +284,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
                 continue
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                return _BUDGET
+                return UNKNOWN
             assign[p] = v
             for e in completes:
                 if not edge_ok(e):
@@ -302,10 +299,8 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
         return None
 
     res = rec(0)
-    if res is _BUDGET:
-        return UNKNOWN
-    if res is None:
-        return None
+    if res is None or res is UNKNOWN:
+        return res
     emb = Embedding(t, res, color)
     check = verify_embedding(c, emb)
     if not check:

@@ -31,7 +31,7 @@ class ProofGap(RuntimeError):
     to `--dir` as `<subcommand>.proofgap.json`.
     """
 
-    def __init__(self, message: str, instance: Any = None):
+    def __init__(self, message: str, instance: Any):
         super().__init__(message)
         self.instance = instance
 
@@ -51,6 +51,6 @@ class BlueEdgeEncountered(RuntimeError):
     monochromatic structure that this implies via the embedder.
     """
 
-    def __init__(self, message: str, edge: Any = None):
+    def __init__(self, message: str, edge: Any):
         super().__init__(message)
         self.edge = edge

@@ -4,8 +4,9 @@ The engine is a DPLL over edge variables (1 = red) that watches two
 literals per clause: every copy of the red target contributes an
 all-negative covering clause, every copy of the blue target an
 all-positive one.  Unit propagation over these clauses plus chronological
-backtracking is complete, so UNSAT verdicts are sound; witnesses are
-re-verified by the embedder before being returned.
+backtracking is complete, so UNSAT verdicts are sound; a witness is
+re-checked before being returned, first by `coloring.split_counting` and
+then, for each colour the count does not rule out, by `find_embedding`.
 `decide_arrowing` enumerates the copies and hands them to `_kernels`,
 which builds the clause instance and runs the library's only search,
 `_kernels.search`, in one process; it checks the node and time budgets
@@ -31,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import _kernels, embedder
-from ._backend import BACKEND
 from .coloring import (_MAX_EDGES, TwoColoring, all_edges, decoding,
                        host_edges, split_counting, swap_pairs)
 from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
@@ -146,7 +146,7 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     t0 = time.monotonic()
     deadline = None if max_secs is None else t0 + max_secs
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
-              "symmetry": symmetry, "backend": BACKEND}
+              "symmetry": symmetry}
     tables, cached = [], 0
     try:
         for t in (red_target, blue_target):
@@ -354,9 +354,9 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     `decoding("certificate")` before any check, so a missing or ill-typed
     field raises `malformed-certificate`; a claim the coloring does not
     bear out returns ok=False with machine-readable `report["reasons"]`.
-    Every field the producers write is required, except that a join
-    trace's `outcome_kind` may be absent (it must name the result's color
-    either way); a `disjoint` pair-set is checked over every two pairs.
+    Every field the producers write is required, and a join trace's
+    `outcome_kind` must name its result's color; a `disjoint` pair-set is
+    checked over every two pairs.
 
     A `witness-coloring` is first tested once for being split
     (`coloring.split_counting`); each colour the paper's counting argument
@@ -410,7 +410,7 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
         with decoding("certificate"):
             steps = [(as_edge(s["edge"]), s["color"]) for s in p["steps"]]
             result = Embedding.from_json_obj(p["result"])
-            outcome_kind = p.get("outcome_kind")
+            outcome_kind = p["outcome_kind"]
         for i, (e, want) in enumerate(steps):
             if c.color_of(e) != want:
                 reasons.append("edge-color-mismatch")

@@ -198,6 +198,56 @@ def test_check_cert_accepts_and_rejects(tmp_path):
     assert rep["results"]["ok"] is False
 
 
+def _join_certificate_obj():
+    """A join trace's certificate on the all-red K^4_18, as a dict."""
+    from ramsey_lab.constructive import join_red_cycles, to_certificate
+    from ramsey_lab.embedder import Embedding
+
+    c = TwoColoring.all_red(4, 18)
+    t = cycle_template(4, 3)
+    tr = join_red_cycles(c, Embedding(t, tuple(range(1, 10)), "red"),
+                         Embedding(t, tuple(range(10, 19)), "red"), 3)
+    return to_certificate(c, tr, lemma="join").to_json_obj(), tr
+
+
+def test_check_cert_refuses_colourless_claims(tmp_path):
+    # a claim with no colour says nothing about the coloring: a loose
+    # C^3_3 on 1..6 where one edge is red, and a join result whose cycle
+    # has one blue edge, must not verify as "any"
+    one_red = TwoColoring.all_blue(3, 7).with_edges([(1, 2, 3)], red=True)
+    emb = {"kind": "cycle", "k": 3, "length": 3,
+           "assignment": [1, 2, 3, 4, 5, 6], "claimed_color": "any"}
+    colourless = {"type": "embedding", "coloring": one_red.to_json_obj(),
+                  "payload": {"embedding": emb}}
+    join, tr = _join_certificate_obj()
+    blue_edge = tr.outcome.edge_images()[1]
+    assert blue_edge not in [tuple(s["edge"]) for s in join["payload"]["steps"]]
+    join["coloring"] = TwoColoring.all_red(4, 18).with_edges(
+        [blue_edge], red=False).to_json_obj()
+    join["payload"]["result"]["claimed_color"] = "any"
+    join["payload"]["outcome_kind"] = "any-cycle"
+    uncoloured = json.loads(json.dumps(colourless))
+    del uncoloured["payload"]["embedding"]["claimed_color"]
+    for name, obj in [("any", colourless), ("none", uncoloured),
+                      ("join", join)]:
+        path = tmp_path / f"{name}.cert.json"
+        path.write_text(json.dumps(obj))
+        code, _ = run(tmp_path, "check-cert", "--file", str(path))
+        assert code == EXIT_USAGE, name
+
+
+def test_check_cert_accepts_join_steps_with_role_and_chosen(tmp_path):
+    # join traces once listed each step's role and whether it was banked;
+    # certificates written that way still load and verify
+    obj, _ = _join_certificate_obj()
+    for i, step in enumerate(obj["payload"]["steps"]):
+        step.update(role=f"{'gh'[i % 2]}_{i // 2 + 1}", chosen=False)
+    path = tmp_path / "legacy.cert.json"
+    path.write_text(json.dumps(obj))
+    code, rep = run(tmp_path, "check-cert", "--file", str(path))
+    assert code == EXIT_OK and rep["results"]["ok"] is True
+
+
 def test_extract_adjacent_pair(tmp_path):
     cpath = tmp_path / "c.json"
     TwoColoring.all_red(3, 6).with_edges([(1, 2, 3)], red=False).save(cpath)
@@ -299,6 +349,23 @@ def test_proof_gap_dumps_instance(tmp_path, monkeypatch):
     assert path == str(tmp_path / "extract.proofgap.json")
     with open(path) as fh:
         assert json.load(fh) == instance
+
+
+def test_refused_certificate_dumps_it_as_a_proof_gap(tmp_path, monkeypatch):
+    # a certificate the checker refuses on emission is a gap in the
+    # producer: the run stops with exit 4 and dumps it for inspection
+    check = {"type": "witness-coloring", "reasons": ["forced"]}
+    monkeypatch.setattr(cli, "verify_certificate", lambda cert: (False, check))
+    code, rep = run(tmp_path, "witness", "--k", "3", "--n", "3", "--m", "3",
+                    "--pair", "CC")
+    assert code == EXIT_GAP
+    assert rep["results"]["error"] == "proof-gap"
+    assert rep["certificates"][0]["verified"] is False
+    with open(rep["certificates"][0]["path"]) as fh:
+        cert = json.load(fh)
+    with open(tmp_path / "witness.proofgap.json") as fh:
+        assert json.load(fh) == {"certificate": cert, "check": check}
+    assert rep["results"]["instance"] == str(tmp_path / "witness.proofgap.json")
 
 
 def test_usage_errors(tmp_path, capsys):

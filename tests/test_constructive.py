@@ -102,7 +102,8 @@ def test_join_certificate_with_forged_outcome_kind_is_rejected(seed):
     assert not ok
     assert report["reasons"] == ["outcome-kind-mismatch"]
     del obj["payload"]["outcome_kind"]
-    assert verify_certificate(obj)[1]["reasons"] == ["outcome-kind-mismatch"]
+    with pytest.raises(ValueError, match="^malformed-certificate"):
+        verify_certificate(obj)
 
 
 def test_join_rejects_overlapping_cycles():
@@ -641,3 +642,36 @@ def test_checker_survives_every_missing_or_ill_typed_payload_field():
                     continue
                 assert isinstance(ok, bool) and report["type"] == cert.type
                 assert payload is not missing or not ok, (cert.type, key)
+
+
+def _nested_deletions(obj, path):
+    """(path, copy of obj) for each field of a dict inside obj, deleted."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield f"{path}.{key}", {k: v for k, v in obj.items() if k != key}
+            for sub_path, sub in _nested_deletions(val, f"{path}.{key}"):
+                yield sub_path, {**obj, key: sub}
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            for sub_path, sub in _nested_deletions(item, f"{path}[{i}]"):
+                yield sub_path, obj[:i] + [sub] + obj[i + 1:]
+
+
+def test_checker_reads_every_nested_payload_field():
+    # the guard above deletes top-level payload fields; a field nested in
+    # one (an embedding's colour, a join step's edge) is a claim too, and
+    # one the checker never reads lets a forged certificate through
+    unread = []
+    for cert in _one_certificate_per_type():
+        for key, val in cert.payload.items():
+            for path, sub in _nested_deletions(val, key):
+                forged = Certificate(cert.type, cert.coloring,
+                                     {**cert.payload, key: sub})
+                try:
+                    ok, _ = verify_certificate(forged)
+                except ValueError as exc:
+                    assert str(exc).startswith("malformed-certificate"), path
+                    continue
+                if ok:
+                    unread.append(f"{cert.type}:{path}")
+    assert not unread, unread

@@ -359,7 +359,7 @@ def test_embedding_from_edge_sequence_round_trip(k, kind, n):
     for _ in range(5):
         N = t.n_vertices + int(rng.integers(0, 5))
         asg = tuple(int(v) for v in rng.permutation(N)[:t.n_vertices] + 1)
-        edges = Embedding(t, asg).edge_images()
+        edges = Embedding(t, asg, "blue").edge_images()
         orders = [edges]
         if kind == "cycle":
             orders += [edges[s:] + edges[:s] for s in range(1, n)]
@@ -391,7 +391,7 @@ def test_embedding_from_edge_sequence_round_trip(k, kind, n):
 ])
 def test_embedding_from_edge_sequence_rejects(edges, kind, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        embedding_from_edge_sequence(edges, kind)
+        embedding_from_edge_sequence(edges, kind, "red")
 
 
 def test_embedding_json_roundtrip():
