@@ -33,14 +33,19 @@ EXPLICIT_ENCODING = "red-edges-explicit"
 
 @contextmanager
 def decoding(what: str):
-    """Report a missing or ill-typed field of an input document as the
-    ValueError `malformed-<what>`.  Wrap whole decode calls in it and no
-    check: under it a KeyError or TypeError can only mean bad input."""
+    """Report a missing, ill-typed or invalid field of an input document as
+    the ValueError `malformed-<what>`.  Wrap whole decode calls in it and no
+    check: under it a KeyError, TypeError or ValueError can only mean bad
+    input.  A nested document's `malformed-` error passes through as is."""
     try:
         yield
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(
             f"malformed-{what}: missing or invalid field {exc}") from exc
+    except ValueError as exc:
+        if str(exc).startswith("malformed-"):
+            raise
+        raise ValueError(f"malformed-{what}: {exc}") from exc
 
 
 def colex_rank(sorted_edge: Sequence[int]) -> int:

@@ -508,12 +508,10 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
 class JoinStep:
     """One probe of the join iteration: both swap candidates with colors."""
 
-    index: int
     g: Edge
     g_color: str
     h: Edge
     h_color: str
-    chosen: Optional[str]  # "g"/"h" appended to the blue path, None if terminal
 
     def __post_init__(self):
         object.__setattr__(self, "g", tuple(sorted(self.g)))
@@ -597,15 +595,13 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
 
     steps: List[JoinStep] = []
 
-    def settle(index: int, g: set, h: set):
-        """Record the step; return ('red', None) or the banked blue edge."""
+    def settle(g: set, h: set):
+        """Record the step; return None if both are red, else the banked blue edge."""
         gc, hc = c.color_of(tuple(sorted(g))), c.color_of(tuple(sorted(h)))
+        steps.append(JoinStep(tuple(g), gc, tuple(h), hc))
         if gc == "red" and hc == "red":
-            steps.append(JoinStep(index, tuple(g), gc, tuple(h), hc, None))
             return None
-        chosen = "g" if gc == "blue" else "h"
-        steps.append(JoinStep(index, tuple(g), gc, tuple(h), hc, chosen))
-        return g if chosen == "g" else h
+        return g if gc == "blue" else h
 
     def finish(kind: str, edge_seq: list, color: str) -> JoinTrace:
         emb = _verified_cycle(c, edge_seq, color, "join assembly")
@@ -614,7 +610,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
     # step 1: exchange the connector blocks at the shared start
     g1 = (e(1) - {v(k - 1), v(k)}) | {u(k - 1), u(k)}
     h1 = (f(1) - {u(k - 1), u(k)}) | {v(k - 1), v(k)}
-    banked = settle(1, g1, h1)
+    banked = settle(g1, h1)
     if banked is None:
         return finish("red-cycle", [h1] + E[1:] + [g1] + F[1:], "red")
     s_list = [banked]  # s_1 .. s_{ell-2}
@@ -631,7 +627,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
         if len(gi) != k or len(hi) != k:
             raise ProofGap("swap edge has wrong size",
                            instance={"coloring": c.to_json_obj(), "i": i})
-        banked = settle(i, gi, hi)
+        banked = settle(gi, hi)
         if banked is None:
             return finish("red-cycle",
                           [hi] + E[i:] + E[:i - 1] + [gi] + F[i:] + F[:i - 1],
@@ -649,7 +645,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
     h_lm1 = (f(ell - 1) - {u((ell - 2) * kk + 1), u((ell - 1) * kk),
                            u((ell - 1) * kk + 1)}) \
         | {y_lm1, v((n - 1) * kk + 1), v((n - 1) * kk + 2)}
-    banked = settle(ell - 1, g_lm1, h_lm1)
+    banked = settle(g_lm1, h_lm1)
     if banked is None:
         desc = [F[j - 1] for j in range(ell - 2, 0, -1)] \
             + [F[j - 1] for j in range(m, ell - 1, -1)]
@@ -665,7 +661,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
         h_l = (f(ell - 1) - {u((ell - 2) * kk + 1), u((ell - 2) * kk + k - 2),
                              u((ell - 1) * kk + 1)}) \
             | {y_lm1, v((ell - 1) * kk), v((ell - 1) * kk + 1)}
-        closing = settle(ell, g_l, h_l)
+        closing = settle(g_l, h_l)
         if closing is None:
             return finish("red-cycle",
                           [h_l] + E[ell - 1:] + E[:ell - 2] + [g_l]
@@ -675,7 +671,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
     # h_{ell-1} is the banked edge; close through the primed pair
     g_pl = (e(n) - {v((n - 1) * kk + 2), v(1)}) | {u(m * kk), y1}
     h_pl = (f(m) - {u(m * kk), u(1)}) | {v((n - 1) * kk + 2), x1}
-    closing = settle(ell, g_pl, h_pl)
+    closing = settle(g_pl, h_pl)
     if closing is None:
         return finish("red-cycle",
                       E[:n - 1] + [g_pl] + F[:m - 1] + [h_pl], "red")

@@ -21,22 +21,24 @@ budget turns "absent" into the distinct UNKNOWN verdict when exhausted.
 
 `copy_rank_matrix` lists every copy of a template in the complete host
 K^k_N as a row of colex edge ranks, the input of the prover's clauses.  On
-v = |V(t)| labels it grows all partial copies one edge per step on numpy
-arrays, keeps each copy in one orientation from one start edge, and checks
-the count against the closed form that `count_copies` returns without
-enumerating; on more labels it lifts that spanning table over the v-subsets
-of the host.  Tables, spanning ones included, are cached in memory for the
-life of the process.
+v = |V(t)| labels it extends the copies of the loose path with one edge
+fewer, its own spanning table lifted onto the v labels, by the one edge
+the unused labels complete, keeps each copy from one edge, and checks the
+count against the closed form that `count_copies` returns without
+enumerating; on more labels it lifts the spanning table over the
+v-subsets of the host.  Tables, spanning ones included, are cached in
+memory for the life of the process; the shorter paths' are not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -314,7 +316,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
 
 _COPY_CACHE: Dict[tuple, np.ndarray] = {}
 
-_CELLS = 1 << 12  # (partial copy, move) pairs per enumeration step: a few ms
+_CELLS = 1 << 12  # (lifted row, new edge) cells per extension block: under a ms
 
 # peak resident bytes of a decision per byte of its largest copy table: a
 # cold c53@11 decision peaks at 377 MB for its 152 MB table up to its search,
@@ -325,23 +327,6 @@ _PEAK_PER_TABLE_BYTE = 4
 def _memory_bytes() -> int:
     """The host's physical memory in bytes."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _moves(a: int, s: int, branch: bool):
-    """The ways a partial copy with a free vertices puts s of them into its
-    next edge, one column or row per move: a 0/1 (a, moves) matrix of the
-    positions taken among its ascending free vertices, the taken one that
-    becomes the next connector (None unless `branch`), and the a - s
-    positions left free."""
-    combos = list(combinations(range(a), s))
-    pairs = [(c, j) for c in combos for j in c] if branch else [(c, 0) for c in combos]
-    pick = np.zeros((a, len(pairs)), dtype=np.int64)
-    for col, (c, _) in enumerate(pairs):
-        pick[list(c), col] = 1
-    rest = np.array([[p for p in range(a) if p not in c] for c, _ in pairs],
-                    dtype=np.intp).reshape(len(pairs), a - s)
-    nxt = np.array([j for _, j in pairs], dtype=np.intp) if branch else None
-    return pick, nxt, rest
 
 
 def _subset_rows(labels: range, size: int) -> np.ndarray:
@@ -360,6 +345,7 @@ def _colex_parts(N: int, k: int) -> np.ndarray:
                      for x in range(N + 1)], dtype=np.int64)
 
 
+@functools.cache  # the uncached shorter paths recur on the same hosts
 def _mask_ranker(N: int, k: int):
     """The colex rank of k-subsets of 1..N given as vertex masks, the sums
     of 1 << x over their vertices x, as a function on int64 arrays.
@@ -390,32 +376,73 @@ def _mask_ranker(N: int, k: int):
     return rank
 
 
+def _lift(span: np.ndarray, v: int, N: int, k: int, t: LooseTemplate):
+    """What lifting a table of t spanning K^k_v into K^k_N needs: the local
+    edges as 0-based label rows in colex order, the ascending v-subsets of
+    1..N as rows, and ranks[s, e], the rank in K^k_N of local edge e mapped
+    through subset s.  An ascending subset maps labels monotonically, which
+    keeps colex order, so a lifted row stays ascending and distinct."""
+    # listing the labels downwards gives descending rows in descending colex order
+    local = _subset_rows(range(v - 1, -1, -1), k)[::-1, ::-1]
+    if span.min() < 0 or span.max() >= len(local):
+        raise AssertionError(f"internal: spanning table of {t} past C({v}, {k})")
+    subsets = _subset_rows(range(1, N + 1), v)
+    # one vertex position at a time, so no index array spans every
+    # (subset, edge, position)
+    part, ranks = _colex_parts(N, k), np.zeros((len(subsets), len(local)), dtype=np.int64)
+    for i in range(k):
+        ranks += part[subsets, i][:, local[:, i]]
+    return local, subsets, ranks
+
+
+def _path_ends(span: np.ndarray, local: np.ndarray):
+    """The end edges of each loose path in a table spanning its labels (rows
+    of local edge ranks; `local` lists the local edges' labels): per row,
+    the columns of its two end edges and, ascending, the local labels
+    private to each.  P^k_1's one edge is its only end, all of it private."""
+    masks = (1 << local).sum(axis=1)[span]
+    # dup marks the vertices in two edges; an end edge has one of them
+    seen = dup = np.zeros(len(span), dtype=np.int64)
+    for col in masks.T:
+        dup, seen = dup | (seen & col), seen | col
+    ends = np.nonzero(np.bitwise_count(masks & dup[:, None]) < 2)[1].reshape(len(span), -1)
+    own = masks[np.arange(len(span))[:, None], ends] & ~dup[:, None]
+    x = np.empty(own.shape + (int(np.bitwise_count(own[0, 0])),), dtype=np.uint8)
+    for j in range(x.shape[2]):
+        low = own & -own
+        x[..., j] = np.bitwise_count(low - 1)
+        own ^= low
+    return ends, x
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise SearchBudgetExceeded("copy enumeration passed the deadline")
+
+
 def _enumerate_copies(N: int, k: int, t: LooseTemplate,
                       deadline: Optional[float]) -> np.ndarray:
     """Copies of t in K^k_N as sorted rows of edge ranks, rows unordered.
 
     When N > v = t.n_vertices, each copy is its vertex set plus a copy
     spanning v labels: the rows are the spanning table of K^k_v
-    (`copy_rank_matrix`, cached) mapped through every ascending v-subset
-    of 1..N, which keeps each row ascending and each copy distinct.  The
-    deadline is checked once between the two.
+    (`copy_rank_matrix`, cached) lifted through every ascending v-subset
+    of 1..N.  The deadline is checked once between the two.
 
-    Only at N = v are copies grown.  A partial copy is a row of edge
-    ranks, a connector (the vertex its next edge contains), for a cycle
-    the closing vertex (the one its last edge contains), and its free
-    vertices.  Paths start from every edge and connector in it, cycles
-    from every edge and ordered (closing vertex, connector) pair in it;
-    each step adds one edge to every partial copy at once.  A path is kept
-    when rank(e_1) < rank(e_n), a cycle when e_1 is its least edge and
-    rank(e_2) < rank(e_n), so each copy comes out once.
-    A new edge is ranked by its vertex mask (`_mask_ranker`): one integer
-    matmul sums the masks of the taken free vertices for every move.  Each
-    (partial copy, move) pair is one cell of a block that repeats the
-    partial copy's ranks and appends the new one; the kept cells are
-    selected with one boolean mask, or by a reshape where every cell is kept.
-    A step covers at most _CELLS cells and is grown to complete copies
-    before the next, which bounds temporary memory; the deadline is
-    checked before each step.
+    At N = v, a copy is the loose path s = P^k_{n-1} it has left after
+    losing an end edge (a path) or any edge (a cycle), plus that edge.
+    The copies of s in K^k_v are its spanning table (enumerated the same
+    way, not cached) lifted over the w-subsets, w = |V(s)|, and the labels
+    a subset leaves unused go into the new edge, with one vertex x private
+    to an end edge of s for a path, and x, y private to its two end edges
+    for a cycle.  A path is kept when the new edge outranks the end edge
+    opposite x (for n = 2, the old edge), so it comes out from one of its
+    two end edges; a cycle when the new edge outranks every edge, so it
+    comes out from its largest edge.  New edges are ranked by vertex mask
+    (`_mask_ranker`).
+    The lifted rows are extended in blocks of at most about _CELLS
+    (lifted row, new edge) cells, which bounds temporary memory; the
+    deadline is checked before each block.
     """
     n, total = t.n, _n_copies(N, k, t)
     if total >= _MAX_EDGES:
@@ -427,96 +454,66 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
                          f"K^{k}_{N}, a {nbytes}-byte table; a decision peaks at "
                          f"about {_PEAK_PER_TABLE_BYTE} times that, past the "
                          f"host's {memory} bytes of memory")
-    out = np.empty((total, n), dtype=np.int64)
     if total == 0 or n == 1:
-        out[:, 0] = np.arange(total)
-        return out
-    cycle = t.kind == CYCLE
+        return np.arange(total, dtype=np.int64).reshape(total, n)
+    # the table is allocated once the smaller tables it comes from are built
     v = t.n_vertices
     if N > v:
-        # lift the spanning table: an ascending v-subset maps local labels
-        # monotonically, which keeps every row ascending and distinct
         span = copy_rank_matrix(v, k, t, deadline=deadline)
-        if deadline is not None and time.monotonic() >= deadline:
-            raise SearchBudgetExceeded("copy enumeration passed the deadline")
-        # the local edges as 0-based label rows in colex order: listing the
-        # labels downwards gives descending rows in descending colex order
-        local = _subset_rows(range(v - 1, -1, -1), k)[::-1, ::-1]
-        if span.min() < 0 or span.max() >= len(local):
-            raise AssertionError(f"internal: spanning table of {t} past C({v}, {k})")
-        subsets = _subset_rows(range(1, N + 1), v)
-        # the local edges' ranks in every subset, one vertex position at a
-        # time, so no index array spans every (subset, edge, position)
-        part, ranks = _colex_parts(N, k), np.zeros((len(subsets), len(local)), dtype=np.int64)
-        for i in range(k):
-            ranks += part[subsets, i][:, local[:, i]]
+        _check_deadline(deadline)
+        _, subsets, ranks = _lift(span, v, N, k, t)
+        out = np.empty((total, n), dtype=np.int64)
         # in range, so "clip" clips nothing and, unlike "raise", needs no
         # buffer the size of the table
         np.take(ranks, span, axis=1, out=out.reshape(len(subsets), len(span), n),
                 mode="clip")
         return out
 
-    rank = _mask_ranker(N, k)
-    # moves for the second edge onwards; before edge d + 2 there are
-    # N - k - d(k-1) free vertices
-    moves = [_moves(N - k - d * (k - 1), k - 2 if cycle and d == n - 2 else k - 1,
-                    d < n - 2) for d in range(n - 1)]
+    m, s = n - 1, path_template(k, n - 1)
+    w = s.n_vertices
+    span = _enumerate_copies(w, k, s, deadline)
+    local, subsets, ranks = _lift(span, w, N, k, s)
+    cycle = t.kind == CYCLE
+    bits = 1 << subsets
+    unused = (1 << (N + 1)) - 2 - bits.sum(axis=1)
+    # (lifted row, new edge) cells per row: x, y pairs for a cycle, x at
+    # either end for a path (at P^k_1's one edge for n = 2)
+    cells = (k - 1) ** 2 if cycle else k if m == 1 else 2 * (k - 1)
+    rank, out = _mask_ranker(N, k), np.empty((total, n), dtype=np.int64)
+    rows_step = min(len(span), max(1, _CELLS // cells))
+    subsets_step = max(1, _CELLS // (rows_step * cells))
     filled = 0
-
-    def grow(ranks, conn, close, free):
-        nonlocal filled
-        d = ranks.shape[1]
-        last = d == n - 1
-        closing = cycle and last
-        pick, nxt, rest = moves[d - 1]
-        cells = pick.shape[1]
-        step = max(1, _CELLS // cells)
-
-        def select(a):
-            """The kept cells of a (partial copy, move) array, one row each;
-            a path is checked only at its last edge, so before it every cell
-            is kept."""
-            return a[keep] if cycle else a.reshape((m * cells,) + a.shape[2:])
-
-        for lo in range(0, len(ranks), step):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise SearchBudgetExceeded("copy enumeration passed the deadline")
-            r, f = ranks[lo:lo + step], free[lo:lo + step]
-            m = len(r)
-            fixed = 1 << conn[lo:lo + step]
-            if closing:
-                fixed += 1 << close[lo:lo + step]
-            er = rank((1 << f) @ pick + fixed[:, None])
-            block = np.empty((m, cells, d + 1), dtype=np.int64)
-            block[:, :, :d] = r[:, None]
-            block[:, :, d] = er
-            if cycle or last:
-                keep = er > r[:, :1]
-            if closing:
-                keep &= er > r[:, 1:2]
-            if last:
-                got = int(np.count_nonzero(keep))
-                if filled + got > total:
-                    raise AssertionError("internal: more copies than the closed form")
-                rows = out[filled:filled + got]
-                np.compress(keep.ravel(), block.reshape(m * cells, n), axis=0, out=rows)
-                rows.sort(axis=1)
-                filled += got
-                continue
-            grow(select(block), select(f[:, nxt]),
-                 select(np.broadcast_to(close[lo:lo + step, None], (m, cells)))
-                 if cycle else None, select(f[:, rest]))
-
-    firsts = _subset_rows(range(1, N + 1), k)
-    outside = np.ones((len(firsts), N + 1), dtype=bool)
-    outside[:, 0] = False
-    outside[np.arange(len(firsts))[:, None], firsts] = False
-    free = np.nonzero(outside)[1].reshape(len(firsts), N - k)
-    ends = list(permutations(range(k), 2)) if cycle else [(c, c) for c in range(k)]
-    close_at, conn_at = (np.tile(col, len(firsts)) for col in np.array(ends).T)
-    start = np.repeat(np.arange(len(firsts)), len(ends))
-    grow(rank((1 << firsts).sum(axis=1))[start, None], firsts[start, conn_at],
-         firsts[start, close_at] if cycle else None, free[start])
+    for r0 in range(0, len(span), rows_step):
+        r = span[r0:r0 + rows_step]
+        ends, x = _path_ends(r, local)
+        # what the new edge must outrank: for a path the end edge opposite
+        # x, for a cycle the largest edge, last in its ascending row
+        above = r[:, -1:] if cycle else r[np.arange(len(r))[:, None], ends[:, ::-1]]
+        for s0 in range(0, len(subsets), subsets_step):
+            _check_deadline(deadline)
+            sub = slice(s0, s0 + subsets_step)
+            # (subset, row, end or x, x or y) cells of new edge vertex masks
+            new = np.take(bits[sub], x, axis=1)
+            if cycle:
+                new = new[..., 0, :, None] + new[..., 1, None, :]
+            er = rank(unused[sub, None, None, None] + new)
+            keep = er > np.take(ranks[sub], above, axis=1)[..., None]
+            block = np.empty(er.shape + (n,), dtype=np.int64)
+            block[..., :m] = np.take(ranks[sub], r, axis=1)[:, :, None, None]
+            block[..., m] = er
+            got = int(np.count_nonzero(keep))
+            if filled + got > total:
+                raise AssertionError("internal: more copies than the closed form")
+            rows = out[filled:filled + got]
+            np.compress(keep.ravel(), block.reshape(-1, n), axis=0, out=rows)
+            if not cycle:
+                # a path's new edge moves down to its place, which costs
+                # less than sorting the rows; a cycle's is its largest
+                for j in range(m, 0, -1):
+                    low = np.minimum(rows[:, j - 1], rows[:, j])
+                    np.maximum(rows[:, j - 1], rows[:, j], out=rows[:, j])
+                    rows[:, j - 1] = low
+            filled += got
     if filled != total:
         raise AssertionError(f"internal: {filled} copies, closed form {total}")
     return out
@@ -543,8 +540,9 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
 
     Every edge-set-distinct copy is one row, rows in lexicographic order,
     so the int64 matrix is canonical; it is read-only.  Cached in memory.
-    Copies are grown only on N = v = t.n_vertices labels; a larger host's
-    table is lifted from that spanning table, which is cached too.  The
+    On N = v = t.n_vertices labels, copies extend those of the path with
+    one edge fewer by one edge; a larger host's table is lifted from the
+    spanning table, which is cached too.  The
     rows are ordered in place: each becomes one base-C(N, k) int64 key, the
     keys are sorted, and the columns are decoded back from them, so beyond
     the table only the keys are held.

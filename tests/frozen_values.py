@@ -57,6 +57,11 @@ COPY_MATRIX_SHA256 = {
     # that listed its subsets as a list of tuples
     ("path", 3, 2, 14): (30030, "7fbe7c8a76b943be60bee450df1e021cae1fdbfc93d25351eb7ea993ab18e135"),
     ("cycle", 3, 3, 12): (110880, "922c3b0d1e9f2f74959ecbeac71cecd28f005261aee790a5c637644011b38c3d"),
+    # spanning tables, taken from the enumerator that grew partial copies
+    # edge by edge, which extending the shorter path's copies replaced
+    ("cycle", 3, 3, 6): (120, "343c2af5ea5bc8f1815d8555f72a395183955811b58e19dd426b2936b995321a"),
+    ("path", 3, 3, 7): (630, "cd791ee81971094fd5680cd5a92790550bb8302a2722468a154c26bf3a5a0261"),
+    ("cycle", 3, 5, 10): (362880, "23632a4fb768045153a47d8b1dc10e60f139e50b477e21df8f2a9e11115b9d0b"),
 }
 
 # (N, k) -> (sha256 of lo bytes, sha256 of hi bytes) of coloring.swap_pairs,

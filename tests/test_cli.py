@@ -210,10 +210,11 @@ def _join_certificate_obj():
     return to_certificate(c, tr, lemma="join").to_json_obj(), tr
 
 
-def test_check_cert_refuses_colourless_claims(tmp_path):
+def test_check_cert_refuses_colourless_claims(tmp_path, capsys):
     # a claim with no colour says nothing about the coloring: a loose
     # C^3_3 on 1..6 where one edge is red, and a join result whose cycle
-    # has one blue edge, must not verify as "any"
+    # has one blue edge, must not verify as "any"; each is a malformed
+    # certificate, like one with a missing field
     one_red = TwoColoring.all_blue(3, 7).with_edges([(1, 2, 3)], red=True)
     emb = {"kind": "cycle", "k": 3, "length": 3,
            "assignment": [1, 2, 3, 4, 5, 6], "claimed_color": "any"}
@@ -234,6 +235,7 @@ def test_check_cert_refuses_colourless_claims(tmp_path):
         path.write_text(json.dumps(obj))
         code, _ = run(tmp_path, "check-cert", "--file", str(path))
         assert code == EXIT_USAGE, name
+        assert "malformed-certificate:" in capsys.readouterr().err, name
 
 
 def test_check_cert_accepts_join_steps_with_role_and_chosen(tmp_path):

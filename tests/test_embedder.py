@@ -102,23 +102,73 @@ def test_copy_matrix_matches_oracle(k, kind, n, N_max):
 
 def test_copy_grow_runs_only_on_spanning_hosts(monkeypatch):
     # a table on more than v = |V(C^3_3)| = 6 labels is lifted from the
-    # cached spanning table, so only K^3_6 grows copies edge by edge
+    # cached spanning table, so only K^3_6 runs the extension step for
+    # C^3_3, after K^3_5 ran it for the P^3_2 copies it extends, whose
+    # table is not cached
     from ramsey_lab import embedder
 
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
-    free = []  # free vertices before each grown edge, N - k first
-    real_moves = embedder._moves
+    hosts = []  # the host of each extension step, which ranks new edges
+    real_ranker = embedder._mask_ranker
 
-    def moves(a, s, branch):
-        free.append(a)
-        return real_moves(a, s, branch)
+    def ranker(N, k):
+        hosts.append(N)
+        return real_ranker(N, k)
 
-    monkeypatch.setattr(embedder, "_moves", moves)
+    monkeypatch.setattr(embedder, "_mask_ranker", ranker)
     c3 = cycle_template(3, 3)
     assert (len(copy_rank_matrix(7, 3, c3)), len(copy_rank_matrix(9, 3, c3))) == \
         (840, 10080)
-    assert free == [6 - 3, 1]  # one grow run, at N = 6
-    assert (6, 3, "cycle", 3) in embedder._COPY_CACHE
+    assert hosts == [5, 6]
+    assert set(embedder._COPY_CACHE) == {(N, 3, "cycle", 3) for N in (6, 7, 9)}
+
+
+def test_spanning_copy_table_peaks_near_its_size(monkeypatch):
+    # cold, C^3_5 in K^3_10 (14.5 MB) is extended from the lifted P^3_4
+    # copies block by block: beside the table, its sort keys and the
+    # shorter paths' tables, only one block of cells is held at a time
+    import tracemalloc
+
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    tracemalloc.start()
+    try:
+        rows = copy_rank_matrix(10, 3, cycle_template(3, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes == 362880 * 5 * 8
+    assert peak < 1.5 * rows.nbytes, peak / rows.nbytes
+
+
+def test_deadline_stops_a_spanning_build(monkeypatch):
+    # a passed deadline stops the first extension block, P^3_2's; one that
+    # passes once C^3_5 has P^3_4's rows stops C^3_5's blocks; either way
+    # nothing is cached
+    import time
+    from types import SimpleNamespace
+
+    from ramsey_lab import embedder
+    from ramsey_lab.errors import SearchBudgetExceeded
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    c5 = cycle_template(3, 5)
+    with pytest.raises(SearchBudgetExceeded):
+        copy_rank_matrix(10, 3, c5, deadline=time.monotonic())
+    assert embedder._COPY_CACHE == {}
+    now, real_ends = [0.0], embedder._path_ends
+
+    def ends(span, local):
+        if span.shape[1] == 4:
+            now[0] = 1.0
+        return real_ends(span, local)
+
+    monkeypatch.setattr(embedder, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(embedder, "_path_ends", ends)
+    with pytest.raises(SearchBudgetExceeded):
+        copy_rank_matrix(10, 3, c5, deadline=0.5)
+    assert embedder._COPY_CACHE == {}
 
 
 @pytest.mark.parametrize("kind,k,n,N", list(F.COPY_MATRIX_SHA256))
