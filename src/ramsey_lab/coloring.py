@@ -5,10 +5,12 @@ colexicographic rank; bit 1 = red, 0 = blue, globally.  Colex rank of
 {a_1 < ... < a_k} is sum_i C(a_i - 1, i), which does not depend on N, so
 colorings restrict and extend between host sizes without re-indexing.
 
+`subset_rows` lists the k-subsets of 1..N in colex order; `all_edges`, the
+prover's swap table and the embedder's lifts all read their edges from it.
 `swap_pairs` tabulates the edge-rank pairs each adjacent vertex swap
-(u, u+1) exchanges; the prover's symmetry breaking and the embedder's twin
-classes (`adjacent_twins`) both read it.  `split_counting` recognizes a
-split coloring and rules targets out by the paper's counting argument.
+(u, u+1) exchanges, for the prover's symmetry breaking.  `split_counting`
+recognizes a split coloring, whose two sides are also the embedder's twin
+classes, and rules targets out by the paper's counting argument.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,11 +85,21 @@ def _blank_bits(k: int, N: int, fill: int = BLUE) -> np.ndarray:
     return np.full(host_edges(k, N), fill, dtype=np.uint8)
 
 
+def subset_rows(N: int, k: int) -> np.ndarray:
+    """The k-subsets of 1..N as ascending rows in colex order, so row r is
+    the edge of colex rank r; read by numpy straight off the iterator, with
+    no list of tuples built."""
+    # listing the labels downwards gives descending rows in descending
+    # colex order
+    n = math.comb(N, k)
+    rows = np.fromiter(chain.from_iterable(combinations(range(N, 0, -1), k)),
+                       dtype=np.intp, count=n * k)
+    return rows.reshape(n, k)[::-1, ::-1]
+
+
 def all_edges(N: int, k: int) -> list[Edge]:
     """All k-subsets of 1..N in colex order (position = colex rank)."""
-    es = [tuple(c) for c in combinations(range(1, N + 1), k)]
-    es.sort(key=lambda e: tuple(reversed(e)))
-    return es
+    return [tuple(e) for e in subset_rows(N, k).tolist()]
 
 
 @dataclass(frozen=True)
@@ -205,76 +217,35 @@ class TwoColoring:
             return cls.from_json_obj(json.load(fh))
 
 
-_SWAP_CELLS = 1 << 14  # table cells per compare step of adjacent_twins
-
-_SWAP_CACHE: dict = {}  # one (N, k) entry
-
-
 def swap_pairs(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Colex ranks of the edge pairs that the adjacent swaps exchange.
 
-    Row u-1 of `lo` holds the ranks of T + {u} and the same entry of `hi`
-    the rank of T + {u+1}, over all (k-1)-sets T of the other N-2 labels in
-    colex order, so both rows ascend.  No label of T lies between u and
-    u+1, so both take the same 1-based position q <= u in the sorted edge
-    and hi = lo + C(u-1, q-1) > lo: row u-1 lists each pair (p, s(p)) with
-    p < s(p) of the swap s = (u, u+1) once.  At N = k the rows are empty.
-    Ranks use the smallest unsigned dtype that holds C(N, k).  Both arrays
-    are read-only and cached for the last (N, k) asked for; the previous
-    table is dropped before a new one is built, to bound peak memory.
-
-    Built level by level over edge sizes j = 1..k; level 1 is lo = u-1,
-    hi = u.  Row u-1 of level j lists the j-sets holding u but not u+1 by
-    largest label M: M = u gives the run C(u-1, j) + [0, C(u-1, j-1)), and
-    each M from u+2 to N the first C(M-3, j-2) entries of level j-1's row
-    shifted by C(M-1, j), in columns [C(M-3, j-1), C(M-2, j-1)) of every
-    row u <= M-2: one slice of level j-1.  `hi` is the same recursion with
-    its first run at C(u, j).
+    Row u-1 of `lo` holds the ranks of the edges that hold u but not u+1,
+    ascending, and the same entry of `hi` the rank of the edge the swap
+    s = (u, u+1) maps it to.  u keeps its 1-based position q in the sorted
+    edge, so hi = lo + C(u-1, q-1) > lo: row u-1 lists each pair (p, s(p))
+    with p < s(p) once, and both rows ascend.  Every row has C(N-2, k-1)
+    entries, one per (k-1)-set of the other labels; at N = k they are
+    empty.  Ranks use the smallest unsigned dtype that holds C(N, k), and
+    both arrays are read-only.
     """
-    hit = _SWAP_CACHE.get((N, k))
-    if hit is not None:
-        return hit
-    _SWAP_CACHE.clear()
-    rows = max(N - 1, 0)
+    edges = subset_rows(N, k)
+    # u moves unless the next label is u+1, or u = N is the last label
+    rank, pos = np.nonzero(np.diff(edges, axis=1, append=N + 1) != 1)
+    u = edges[rank, pos]
+    # row-major, so the ranks of each u ascend through a stable sort,
+    # which numpy does by radix on 8- and 16-bit labels
+    order = np.argsort(u.astype(np.min_scalar_type(N)), kind="stable")
+    # comb[x, i] = C(x, i): u at 0-based position i adds C(u-1, i) to the rank
+    comb = np.array([[math.comb(x, i) for i in range(k)] for x in range(N)],
+                    dtype=np.int64).reshape(N, k)
+    shape = (max(N - 1, 0), math.comb(max(N - 2, 0), k - 1))
     out = np.min_scalar_type(max(math.comb(N, k) - 1, 0))
-    # lower levels can need more bits than the last: C(N, j) > C(N, k) for
-    # some j < k when 2k > N + 1
-    low = np.min_scalar_type(max([math.comb(N, j) - 1 for j in range(1, k)], default=0))
-    pairs = np.empty((2, rows, 1), dtype=low if k > 1 else out)
-    pairs[0, :, 0] = np.arange(rows)
-    pairs[1, :, 0] = np.arange(1, rows + 1)
-    for j in range(2, k + 1):
-        prev = pairs
-        pairs = np.empty((2, rows, math.comb(max(N - 2, 0), j - 1)),
-                         dtype=out if j == k else low)
-        run = np.arange(pairs.shape[2], dtype=pairs.dtype)
-        for u in range(1, N):
-            n_run = math.comb(u - 1, j - 1)
-            np.add(run[:n_run], math.comb(u - 1, j), out=pairs[0, u - 1, :n_run])
-            np.add(run[:n_run], math.comb(u, j), out=pairs[1, u - 1, :n_run])
-        for M in range(3, N + 1):
-            a, b = math.comb(M - 3, j - 1), math.comb(M - 2, j - 1)
-            np.add(prev[:, :M - 2, :b - a], math.comb(M - 1, j),
-                   out=pairs[:, :M - 2, a:b], dtype=pairs.dtype)
-    lo, hi = pairs
+    lo = rank[order].reshape(shape).astype(out)
+    hi = (rank + comb[u - 1, pos])[order].reshape(shape).astype(out)
     lo.flags.writeable = False
     hi.flags.writeable = False
-    _SWAP_CACHE[(N, k)] = lo, hi
     return lo, hi
-
-
-def adjacent_twins(c: TwoColoring) -> np.ndarray:
-    """Entry u-1 is True when swapping labels u and u+1 preserves every
-    edge color of c, that is when its bits agree on every pair of
-    `swap_pairs` row u-1."""
-    lo, hi = swap_pairs(c.n_vertices, c.k)
-    twins = np.ones(len(lo), dtype=bool)
-    step = max(1, _SWAP_CELLS // max(lo.shape[1], 1))
-    for a in range(0, len(lo), step):
-        # np.take gathers through small unsigned indices faster than c.bits[lo]
-        twins[a:a + step] = (np.take(c.bits, lo[a:a + step])
-                             == np.take(c.bits, hi[a:a + step])).all(axis=1)
-    return twins
 
 
 def split_coloring(k: int, N: int, a: int) -> TwoColoring:

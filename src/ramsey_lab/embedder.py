@@ -7,13 +7,12 @@ without giving up completeness:
 
 * template-side: vertices that lie in a single template edge are mutually
   interchangeable, so the free ones are forced into ascending host order;
-* host-side: host labels that color-preservingly swap with a neighbor label
-  are grouped into twin classes, and inside one candidate loop at most one
-  failed representative per class is explored (if a class member admits no
-  extension, neither does any other unused member, by applying the swap to
-  a hypothetical solution).  All swaps are checked at once against
-  `coloring.swap_pairs`, the per-host table of the edge-rank pairs they
-  exchange, which the prover's symmetry breaking reads too.
+* host-side: on a split host, the paper's lower-bound colorings, the two
+  sides are twin classes (any permutation inside one keeps every color),
+  and inside one candidate loop at most one failed representative per
+  class is explored (if a class member admits no extension, neither does
+  any other unused member, by applying the swap to a hypothetical
+  solution).  Other hosts are not pruned this way.
 
 Both prunings affect only which representative of a copy is found, never
 whether one is found, so absence answers remain sound.  An optional node
@@ -38,12 +37,12 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import _MAX_EDGES, TwoColoring, adjacent_twins, colex_rank
+from .coloring import _MAX_EDGES, TwoColoring, colex_rank, split_counting, subset_rows
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -173,21 +172,15 @@ def embedding_from_edge_sequence(edges: Sequence[Sequence[int]], kind: str,
 def _twin_classes(c: TwoColoring) -> Dict[int, int]:
     """Map each host vertex to its twin-class representative.
 
-    Labels u, u+1 are twins when swapping them preserves every edge color
-    (`coloring.adjacent_twins`); classes are the intervals closed under
-    such adjacent swaps, so every permutation inside a class is
-    color-preserving.
+    When c is split, with red side A = 1..a (`coloring.split_counting`),
+    the classes are A and B = a+1..N: an edge is red iff it lies in A, so
+    every permutation of A or of B is color-preserving.  Otherwise each
+    label is its own class.  Every class lies inside one class of labels
+    that color-preservingly swap, which is all the pruning needs.
     """
-    cached = getattr(c, "_twin_classes_cache", None)
-    if cached is not None:
-        return cached
-    N = c.n_vertices
-    rep = list(range(N + 1))
-    for u in np.flatnonzero(adjacent_twins(c)).tolist():
-        rep[u + 2] = rep[u + 1]
-    out = {w: rep[w] for w in range(1, N + 1)}
-    object.__setattr__(c, "_twin_classes_cache", out)
-    return out
+    a, _, _ = split_counting(c, 0, 0)  # only the split size is read
+    return {w: w if a is None else 1 if w <= a else a + 1
+            for w in range(1, c.n_vertices + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +322,6 @@ def _memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _subset_rows(labels: range, size: int) -> np.ndarray:
-    """The size-subsets of `labels` as rows, in the order `combinations`
-    lists them, read by numpy straight off the iterator: no list of tuples
-    is built."""
-    return np.fromiter(chain.from_iterable(combinations(labels, size)), dtype=np.intp,
-                       count=math.comb(len(labels), size) * size).reshape(-1, size)
-
-
 def _colex_parts(N: int, k: int) -> np.ndarray:
     """part[x, i] = C(x - 1, i + 1), vertex x's share of the colex rank at
     position i of a k-subset of 1..N, so v_0 < ... < v_{k-1} ranks at the
@@ -382,11 +367,10 @@ def _lift(span: np.ndarray, v: int, N: int, k: int, t: LooseTemplate):
     1..N as rows, and ranks[s, e], the rank in K^k_N of local edge e mapped
     through subset s.  An ascending subset maps labels monotonically, which
     keeps colex order, so a lifted row stays ascending and distinct."""
-    # listing the labels downwards gives descending rows in descending colex order
-    local = _subset_rows(range(v - 1, -1, -1), k)[::-1, ::-1]
+    local = subset_rows(v, k) - 1
     if span.min() < 0 or span.max() >= len(local):
         raise AssertionError(f"internal: spanning table of {t} past C({v}, {k})")
-    subsets = _subset_rows(range(1, N + 1), v)
+    subsets = subset_rows(N, v)
     # one vertex position at a time, so no index array spans every
     # (subset, edge, position)
     part, ranks = _colex_parts(N, k), np.zeros((len(subsets), len(local)), dtype=np.int64)
@@ -550,8 +534,9 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     than the host's physical memory (4 times the table's bytes), is refused
     as `copy-table-too-large` before anything is allocated.  With a
     `deadline` (a `time.monotonic()` reading), enumeration raises
-    SearchBudgetExceeded once it passes, and the table is not cached (a
-    spanning table finished before then is).
+    SearchBudgetExceeded once it passes, as does a check between
+    enumeration and the sort, and the table is not cached (a spanning
+    table finished before then is).
     """
     if t.k != k:
         raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")
@@ -560,6 +545,7 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     if hit is not None:
         return hit
     arr = _enumerate_copies(N, k, t, deadline)
+    _check_deadline(deadline)
     if len(arr):
         # rows in lexicographic order: sort one base-C(N, k) number per row
         base = math.comb(N, k)

@@ -17,7 +17,7 @@ An optional lex-leader restriction under adjacent vertex transpositions
 (red preceding blue in the value order) prunes color-isomorphic subtrees;
 it is off by default and never changes verdicts, only which witness shows
 up first.  Each transposition reaches the kernel as one row pair of
-`coloring.swap_pairs`, the table the embedder's twin classes read too.
+`coloring.swap_pairs`, built only when symmetry breaking is on.
 """
 
 from __future__ import annotations
@@ -293,10 +293,14 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
     R(P_n, C_m), R(P_n, P_{m-1}) and, on the diagonal, R(P_n, P_n).  When
     the base covers every n in [m, 2m] for some m and k >= 4, the
     cycle-cycle formula extends to all larger n ("theorem-extended") up to
-    `extend_to`.
+    `extend_to`.  The formulas hold for k >= 3 and n >= m >= 3 only; any
+    other entry is refused as `invalid-parameter`.
     """
     claims: List[RamseyClaim] = []
     for (n, m), value in sorted(base.items()):
+        if not (k >= 3 and n >= m >= 3):
+            raise ValueError(f"invalid-parameter: base R(C^{k}_{n},C^{k}_{m}) is "
+                             f"outside the theorem, which needs k >= 3 and n >= m >= 3")
         expect = (k - 1) * n + (m - 1) // 2
         if value != expect:
             raise ValueError(

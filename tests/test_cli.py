@@ -139,6 +139,37 @@ def test_table(tmp_path):
     assert len(rep["results"]["claims"]) >= 4
 
 
+def test_table_refuses_bases_outside_the_theorem(tmp_path, capsys):
+    # the formula gives 10 for n = 3 < m = 4, but R(C^4_3, C^4_4) is 13:
+    # the theorem needs n >= m
+    code, rep = run(tmp_path, "table", "--k", "4", "--base", "3,4=10")
+    assert code == EXIT_USAGE and rep is None
+    assert "usage error: invalid-parameter: base" in capsys.readouterr().err
+
+
+def test_check_cert_on_a_non_split_witness_builds_no_swap_table(tmp_path, monkeypatch):
+    # the complement of a split C^3_3 witness has no monochromatic C^3_3
+    # either, but it is not split, so both colours are searched
+    from ramsey_lab import coloring
+    from ramsey_lab.certificates import make_certificate
+
+    def no_table(*args):
+        raise AssertionError("swap_pairs called by check-cert")
+
+    monkeypatch.setattr(coloring, "swap_pairs", no_table)
+    N, c = coloring.lower_bound_witness(3, 3, 3, "CC")
+    cycle3 = {"kind": "cycle", "length": 3}
+    path = tmp_path / "complement.cert.json"
+    make_certificate("witness-coloring", TwoColoring(3, N, 1 - c.bits),
+                     {"red_target": cycle3, "blue_target": cycle3, "n_vertices": N},
+                     lemma="complement").save(path)
+    code, rep = run(tmp_path, "check-cert", "--file", str(path))
+    assert code == EXIT_OK and rep["results"]["ok"] is True
+    check = rep["results"]["check"]
+    assert "split_a" not in check
+    assert check["checked_by"] == {"red": "search", "blue": "search"}
+
+
 def test_export_cnf(tmp_path):
     code, rep = run(tmp_path, "export-cnf", "--k", "3", "--n-vertices", "6",
                     "--red", "cycle:3", "--blue", "cycle:3", "--stem", "inst")

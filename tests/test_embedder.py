@@ -171,6 +171,33 @@ def test_deadline_stops_a_spanning_build(monkeypatch):
     assert embedder._COPY_CACHE == {}
 
 
+@pytest.mark.parametrize("N", [7, 8])
+def test_deadline_is_checked_before_the_sort(monkeypatch, N):
+    # the clock passes the deadline once the last extension block (N = 7)
+    # or the lift (N = 8) of P^3_3 is done, after every check inside the
+    # enumeration: the sort must not run, and the table is not cached
+    from types import SimpleNamespace
+
+    from ramsey_lab import embedder
+    from ramsey_lab.errors import SearchBudgetExceeded
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    p3, now, real_enumerate = path_template(3, 3), [0.0], embedder._enumerate_copies
+
+    def enumerate_copies(n_vertices, k, t, deadline):
+        rows = real_enumerate(n_vertices, k, t, deadline)
+        if (n_vertices, t) == (N, p3):
+            now[0] = 1.0
+        return rows
+
+    monkeypatch.setattr(embedder, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(embedder, "_enumerate_copies", enumerate_copies)
+    with pytest.raises(SearchBudgetExceeded):
+        copy_rank_matrix(N, 3, p3, deadline=0.5)
+    # at N = 8 the spanning table of K^3_7, finished in time, stays cached
+    assert list(embedder._COPY_CACHE) == [embedder._copy_key(7, 3, p3)] * (N == 8)
+
+
 @pytest.mark.parametrize("kind,k,n,N", list(F.COPY_MATRIX_SHA256))
 def test_copy_matrix_frozen_sha256(kind, k, n, N):
     t = cycle_template(k, n) if kind == "cycle" else path_template(k, n)
@@ -342,15 +369,32 @@ def _twin_grid():
                                       for e in edges], dtype=np.uint8)
 
 
+def _classes(rep):
+    """The classes of a vertex -> representative map, as a set of sets."""
+    out = {}
+    for v, r in rep.items():
+        out.setdefault(r, set()).add(v)
+    return {frozenset(cls) for cls in out.values()}
+
+
 def test_twin_classes_match_oracle():
+    # pruning is sound when every class lies inside a class of labels that
+    # color-preservingly swap; on a split host with k <= a < N, where the
+    # swap (a, a+1) moves a color, the classes are exactly the oracle's
     from ramsey_lab.embedder import _twin_classes
 
-    n = 0
+    n = exact = 0
     for k, N, bits in _twin_grid():
-        assert _twin_classes(TwoColoring(k, N, bits)) == O.oracle_twin_classes(N, k, bits), \
-            (k, N, bits)
+        got = _classes(_twin_classes(TwoColoring(k, N, bits)))
+        want = _classes(O.oracle_twin_classes(N, k, bits))
+        assert all(any(cls <= w for w in want) for cls in got), (k, N, bits)
+        if any(np.array_equal(bits, split_coloring(k, N, a).bits) for a in range(k, N)):
+            assert got == want, (k, N, bits)
+            exact += 1
         n += 1
-    assert n == 625
+    # every split size k..N-1 once, plus the random and parity colorings
+    # that happen to be split
+    assert n == 625 and exact >= sum(N - k for k in range(1, 6) for N in range(k, 12))
 
 
 @pytest.mark.parametrize("k,n,m,pair", [
@@ -364,6 +408,40 @@ def test_witness_hosts_have_two_twin_classes(k, n, m, pair):
     a = (k - 1) * n - (pair == "CC")
     assert 0 < a < N
     assert _twin_classes(c) == {v: 1 if v <= a else a + 1 for v in range(1, N + 1)}
+
+
+def _planted_k4_18(seed):
+    """A uniform random K^4_18 coloring with red C^4_3 planted on 1..9 and
+    10..18, as the benchmark's join and false-claim inputs are built."""
+    from ramsey_lab.coloring import colex_rank
+
+    rng = np.random.default_rng(seed)
+    bits = (rng.random(len(all_edges(18, 4))) < 0.5).astype(np.uint8)
+    for start in (1, 10):
+        e = Embedding(cycle_template(4, 3), tuple(range(start, start + 9)), "red")
+        bits[[colex_rank(img) for img in e.edge_images()]] = 1
+    return TwoColoring(4, 18, bits)
+
+
+@pytest.mark.parametrize("host", ["k4-18", "split"])
+def test_find_embedding_builds_no_swap_table(monkeypatch, host):
+    # twin classes come from the split count; no search reads the swap table
+    from ramsey_lab import coloring
+
+    def no_table(*args):
+        raise AssertionError("swap_pairs called by a search")
+
+    monkeypatch.setattr(coloring, "swap_pairs", no_table)
+    if host == "split":
+        _, c = coloring.lower_bound_witness(5, 5, 3, "CC")
+        searches = [("red", cycle_template(5, 5), None), ("blue", cycle_template(5, 3), None)]
+    else:
+        c = _planted_k4_18(7919)
+        searches = [("red", cycle_template(4, 3), "red"), ("blue", cycle_template(4, 3), "blue")]
+    for color, t, found in searches:
+        got = find_embedding(c, color, t)
+        assert (None if got is None else got.claimed_color) == found
+        assert got is None or verify_embedding(c, got)
 
 
 # ------------------------------------------------------------ verification

@@ -401,6 +401,17 @@ def test_derive_table_rejects_bad_base():
         derive_table(3, {(3, 3): 99})
 
 
+@pytest.mark.parametrize("k,base", [
+    (4, {(3, 4): 10}),  # n < m: R(C^4_3, C^4_4) is 13, not the formula's 10
+    (4, {(2, 3): 7}),   # a 2-edge "cycle"
+    (4, {(0, 0): -1}),  # no cycles at all
+    (2, {(3, 3): 4}),   # graphs, outside the theorem's k >= 3
+])
+def test_derive_table_refuses_bases_outside_the_theorem(k, base):
+    with pytest.raises(ValueError, match="invalid-parameter"):
+        derive_table(k, base)
+
+
 # ------------------------------------------------------------- certificates
 
 def test_witness_certificate_roundtrip(tmp_path):
