@@ -10,7 +10,8 @@ Instance (E, rows, watch, starts), built by `build_instance`:
           first, each row in descending rank order; red rows are padded
           with E, which reads red, blue rows with E + 1, which reads blue
   watch   int32 clause ids sorted by the key 2v + x of each row's first two
-          variables v, x the value that falsifies the row (1 if red);
+          variables v, x the value that falsifies the row (1 if red), by a
+          stable counting sort in blocks, so no int64 array spans the keys;
           watch[starts[key]:starts[key + 1]] watch v from the start
 
 A clause watches its first two positions, at first its two highest ranks,
@@ -26,24 +27,62 @@ import numpy as np
 
 _DEADLINE_EVERY = 64  # nodes between deadline checks; well under a second
 _FILTER_MIN = 64  # longer watch lists drop satisfied clauses in one gather
+_BLOCK = 1 << 14  # watch keys per block of the build's sort: 128 KiB of int64
+
+
+def _key_blocks(rows: np.ndarray, n_red: int, E: int):
+    """(c0, keys) for each block of clauses c0, c0 + 1, ... of at most
+    _BLOCK keys: the keys 2v + x of each clause's first two variables, in
+    clause order, padding keyed 2E + 1 (red) and 2E + 2 (blue).  One
+    buffer serves every block."""
+    # numpy radix-sorts narrow keys
+    buf = np.empty((_BLOCK // 2, 2), dtype=np.min_scalar_type(2 * E + 2))
+    for c0 in range(0, len(rows), _BLOCK // 2):
+        block = rows[c0:c0 + _BLOCK // 2]
+        keys = buf[:len(block)]
+        for j in (0, 1):  # a column at a time: a 2-wide inner loop is slow
+            keys[:, j] = block[:, j]
+        keys <<= 1
+        keys[:max(0, n_red - c0)] += 1
+        yield c0, keys.ravel()
 
 
 def build_instance(E: int, red_rows: np.ndarray, blue_rows: np.ndarray):
     """The instance (E, rows, watch, starts) over E variables, from the two
-    copy matrices (one row of distinct edge ranks per copy, ascending)."""
+    copy matrices (one row of distinct edge ranks per copy, ascending).
+
+    `watch` comes from a stable counting sort in blocks of at most _BLOCK
+    keys: the keys are counted, then each block is sorted on its own and
+    its clause ids go to their keys' next free slots.  So beside `rows`
+    and `watch` only one block's keys and indices are held.
+    """
     n_red = red_rows.shape[0]
+    n = n_red + len(blue_rows)
     width = max(2, red_rows.shape[1], blue_rows.shape[1])
-    rows = np.full((n_red + len(blue_rows), width), E + 1, np.min_scalar_type(E + 1))
+    rows = np.full((n, width), E + 1, np.min_scalar_type(E + 1))
     rows[:n_red] = E
     rows[:n_red, :red_rows.shape[1]] = red_rows[:, ::-1]
     rows[n_red:, :blue_rows.shape[1]] = blue_rows[:, ::-1]
-    # numpy radix-sorts narrow keys; padding gets keys 2E + 1, 2E + 2
-    keys = rows[:, :2].astype(np.min_scalar_type(2 * E + 2)) << 1
-    keys[:n_red] += 1
-    keys = keys.ravel()
-    watch = (np.argsort(keys, kind="stable") >> 1).astype(np.int32)
-    ends = np.cumsum(np.bincount(keys, minlength=2 * E)[:2 * E])
-    return E, rows, watch, [0] + ends.tolist()
+    counts = np.zeros(2 * E + 3, dtype=np.int64)
+    for _, keys in _key_blocks(rows, n_red, E):
+        np.add.at(counts, keys, 1)
+    ends = counts.cumsum()
+    free = ends - counts  # each key's next free slot in `watch`
+    watch = np.empty(2 * n, dtype=np.int32)
+    for c0, keys in _key_blocks(rows, n_red, E):
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # the block's runs of equal keys, in key order
+        first = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        first = np.concatenate([[0], first])
+        run_keys, lens = keys[first], np.diff(first, append=len(keys))
+        slots = np.repeat(free[run_keys] - first, lens)
+        slots += np.arange(len(keys))
+        order >>= 1  # clause ids, from key positions
+        order += c0
+        watch[slots] = order
+        free[run_keys] += lens
+    return E, rows, watch, [0] + ends[:2 * E].tolist()
 
 
 def search(instance, sym, max_nodes, deadline):

@@ -217,6 +217,12 @@ class TwoColoring:
             return cls.from_json_obj(json.load(fh))
 
 
+def rank_dtype(N: int, k: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every colex rank of K^k_N,
+    0 .. C(N, k) - 1: the dtype of copy tables and swap tables."""
+    return np.min_scalar_type(max(math.comb(N, k) - 1, 0))
+
+
 def swap_pairs(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Colex ranks of the edge pairs that the adjacent swaps exchange.
 
@@ -226,23 +232,36 @@ def swap_pairs(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     edge, so hi = lo + C(u-1, q-1) > lo: row u-1 lists each pair (p, s(p))
     with p < s(p) once, and both rows ascend.  Every row has C(N-2, k-1)
     entries, one per (k-1)-set of the other labels; at N = k they are
-    empty.  Ranks use the smallest unsigned dtype that holds C(N, k), and
-    both arrays are read-only.
+    empty.  Ranks are in `rank_dtype(N, k)`, and both arrays are read-only.
+
+    Rows are built one u at a time from the (k-1)-subsets T of N - 2
+    labels in colex order: a label t of T stands for itself below u and
+    for t + 2, one position further up, from u on.  That map keeps colex
+    order, so each row ascends with no sort, and only one row of
+    temporaries is held beside the output.
     """
-    edges = subset_rows(N, k)
-    # u moves unless the next label is u+1, or u = N is the last label
-    rank, pos = np.nonzero(np.diff(edges, axis=1, append=N + 1) != 1)
-    u = edges[rank, pos]
-    # row-major, so the ranks of each u ascend through a stable sort,
-    # which numpy does by radix on 8- and 16-bit labels
-    order = np.argsort(u.astype(np.min_scalar_type(N)), kind="stable")
-    # comb[x, i] = C(x, i): u at 0-based position i adds C(u-1, i) to the rank
-    comb = np.array([[math.comb(x, i) for i in range(k)] for x in range(N)],
-                    dtype=np.int64).reshape(N, k)
-    shape = (max(N - 1, 0), math.comb(max(N - 2, 0), k - 1))
-    out = np.min_scalar_type(max(math.comb(N, k) - 1, 0))
-    lo = rank[order].reshape(shape).astype(out)
-    hi = (rank + comb[u - 1, pos])[order].reshape(shape).astype(out)
+    # T's labels, one row per position
+    cols = subset_rows(max(N - 2, 0), k - 1).T.astype(np.min_scalar_type(N))
+    # comb[x, i] = C(x, i); label t at 0-based position i of T adds
+    # C(t-1, i+1) to the rank below u, and C(t+1, i+2) from u on
+    comb = np.array([[math.comb(x, i) for i in range(k + 1)] for x in range(N + 2)],
+                    dtype=np.int64)
+    t = np.arange(N)
+    below_u = comb[np.maximum(t - 1, 0), 1:k].T
+    part = comb[t + 1, 2:k + 1].T.copy()
+    shape = (max(N - 1, 0), cols.shape[1])
+    lo, hi = np.empty(shape, rank_dtype(N, k)), np.empty(shape, rank_dtype(N, k))
+    for u in range(1, N):
+        part[:, u - 1] = below_u[:, u - 1]
+        # u sits at position j + 1 of the edge, j the labels of T below it
+        rank, j = np.zeros(shape[1], dtype=np.int64), np.zeros(shape[1], dtype=np.intp)
+        for i, col in enumerate(cols):
+            rank += part[i].take(col)
+            j += col < u
+        rank += comb[u - 1, j + 1]
+        lo[u - 1] = rank
+        rank += comb[u - 1, j]
+        hi[u - 1] = rank
     lo.flags.writeable = False
     hi.flags.writeable = False
     return lo, hi

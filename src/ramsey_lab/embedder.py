@@ -42,7 +42,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import _MAX_EDGES, TwoColoring, colex_rank, split_counting, subset_rows
+from .coloring import (_MAX_EDGES, TwoColoring, colex_rank, rank_dtype, split_counting,
+                       subset_rows)
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -311,10 +312,11 @@ _COPY_CACHE: Dict[tuple, np.ndarray] = {}
 
 _CELLS = 1 << 12  # (lifted row, new edge) cells per extension block: under a ms
 
-# peak resident bytes of a decision per byte of its largest copy table: a
-# cold c53@11 decision peaks at 377 MB for its 152 MB table up to its search,
-# a peak set by the int64 argsort of the clause build's watch keys
-_PEAK_PER_TABLE_BYTE = 4
+# peak resident bytes of a decision per byte of its largest copy table, up
+# to its search: a cold c55@12 --symmetry decision, whose red and blue share
+# one 120 MB uint8 table, peaks at 745 MB, the table, twice its rows as
+# clauses and an int32 watch entry per watch key; c53@11 at 106 MB for 20 MB
+_PEAK_PER_TABLE_BYTE = 7
 
 
 def _memory_bytes() -> int:
@@ -365,15 +367,19 @@ def _lift(span: np.ndarray, v: int, N: int, k: int, t: LooseTemplate):
     """What lifting a table of t spanning K^k_v into K^k_N needs: the local
     edges as 0-based label rows in colex order, the ascending v-subsets of
     1..N as rows, and ranks[s, e], the rank in K^k_N of local edge e mapped
-    through subset s.  An ascending subset maps labels monotonically, which
-    keeps colex order, so a lifted row stays ascending and distinct."""
+    through subset s, in `rank_dtype(N, k)`.  An ascending subset maps
+    labels monotonically, which keeps colex order, so a lifted row stays
+    ascending and distinct."""
     local = subset_rows(v, k) - 1
     if span.min() < 0 or span.max() >= len(local):
         raise AssertionError(f"internal: spanning table of {t} past C({v}, {k})")
     subsets = subset_rows(N, v)
+    # a share of C(N, k) or more belongs to no k-subset of 1..N; zeroed,
+    # the rest fits the narrow dtype, as does every partial sum of a rank
+    part, ranks = _colex_parts(N, k), np.zeros((len(subsets), len(local)), rank_dtype(N, k))
+    part = np.where(part < math.comb(N, k), part, 0).astype(ranks.dtype)
     # one vertex position at a time, so no index array spans every
     # (subset, edge, position)
-    part, ranks = _colex_parts(N, k), np.zeros((len(subsets), len(local)), dtype=np.int64)
     for i in range(k):
         ranks += part[subsets, i][:, local[:, i]]
     return local, subsets, ranks
@@ -432,23 +438,24 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     if total >= _MAX_EDGES:
         raise ValueError(f"copy-table-too-large: {t} has {total} copies in "
                          f"K^{k}_{N}, at most {_MAX_EDGES - 1} rows are supported")
-    nbytes, memory = total * n * 8, _memory_bytes()
+    dtype = rank_dtype(N, k)
+    nbytes, memory = total * n * dtype.itemsize, _memory_bytes()
     if _PEAK_PER_TABLE_BYTE * nbytes > memory:
         raise ValueError(f"copy-table-too-large: {t} has {total} copies in "
                          f"K^{k}_{N}, a {nbytes}-byte table; a decision peaks at "
                          f"about {_PEAK_PER_TABLE_BYTE} times that, past the "
                          f"host's {memory} bytes of memory")
     if total == 0 or n == 1:
-        return np.arange(total, dtype=np.int64).reshape(total, n)
+        return np.arange(total, dtype=dtype).reshape(total, n)
     # the table is allocated once the smaller tables it comes from are built
     v = t.n_vertices
     if N > v:
         span = copy_rank_matrix(v, k, t, deadline=deadline)
         _check_deadline(deadline)
         _, subsets, ranks = _lift(span, v, N, k, t)
-        out = np.empty((total, n), dtype=np.int64)
+        out = np.empty((total, n), dtype=dtype)
         # in range, so "clip" clips nothing and, unlike "raise", needs no
-        # buffer the size of the table
+        # buffer the size of the table; nor does `out`, in ranks' dtype
         np.take(ranks, span, axis=1, out=out.reshape(len(subsets), len(span), n),
                 mode="clip")
         return out
@@ -463,7 +470,7 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     # (lifted row, new edge) cells per row: x, y pairs for a cycle, x at
     # either end for a path (at P^k_1's one edge for n = 2)
     cells = (k - 1) ** 2 if cycle else k if m == 1 else 2 * (k - 1)
-    rank, out = _mask_ranker(N, k), np.empty((total, n), dtype=np.int64)
+    rank, out = _mask_ranker(N, k), np.empty((total, n), dtype=dtype)
     rows_step = min(len(span), max(1, _CELLS // cells))
     subsets_step = max(1, _CELLS // (rows_step * cells))
     filled = 0
@@ -482,7 +489,7 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
                 new = new[..., 0, :, None] + new[..., 1, None, :]
             er = rank(unused[sub, None, None, None] + new)
             keep = er > np.take(ranks[sub], above, axis=1)[..., None]
-            block = np.empty(er.shape + (n,), dtype=np.int64)
+            block = np.empty(er.shape + (n,), dtype=dtype)
             block[..., :m] = np.take(ranks[sub], r, axis=1)[:, :, None, None]
             block[..., m] = er
             got = int(np.count_nonzero(keep))
@@ -523,7 +530,9 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     """Copies of t in K^k_N as rows of ascending colex edge ranks.
 
     Every edge-set-distinct copy is one row, rows in lexicographic order,
-    so the int64 matrix is canonical; it is read-only.  Cached in memory.
+    so the matrix is canonical; its dtype is `coloring.rank_dtype(N, k)`,
+    the smallest unsigned one that holds C(N, k) - 1, and it is read-only.
+    Cached in memory.
     On N = v = t.n_vertices labels, copies extend those of the path with
     one edge fewer by one edge; a larger host's table is lifted from the
     spanning table, which is cached too.  The
@@ -531,7 +540,7 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     keys are sorted, and the columns are decoded back from them, so beyond
     the table only the keys are held.
     A table of 2**31 rows or more, or one whose decision would need more
-    than the host's physical memory (4 times the table's bytes), is refused
+    than the host's physical memory (7 times the table's bytes), is refused
     as `copy-table-too-large` before anything is allocated.  With a
     `deadline` (a `time.monotonic()` reading), enumeration raises
     SearchBudgetExceeded once it passes, as does a check between
@@ -551,7 +560,7 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
         base = math.comb(N, k)
         if base ** t.n >= 1 << 63:
             raise AssertionError(f"internal: {len(arr)} copies with sort keys past int64")
-        packed = arr[:, 0].copy()
+        packed = arr[:, 0].astype(np.int64)
         for col in arr.T[1:]:
             packed *= base
             packed += col
@@ -559,7 +568,7 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
         # no index array or second table is held
         packed.sort()
         for col in arr.T[:0:-1]:
-            np.divmod(packed, base, out=(packed, col))
+            np.divmod(packed, base, out=(packed, col), casting="unsafe")
         arr[:, 0] = packed
     arr.flags.writeable = False
     _COPY_CACHE[key] = arr

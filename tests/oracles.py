@@ -4,9 +4,10 @@ Everything here is derived from first principles with different
 algorithms than the package uses: colex order via characteristic
 bitmasks, copy counting via explicit vertex injections, arrowing via
 vectorized enumeration of every coloring, a tiny standalone DPLL for
-DIMACS text, host twin classes by checking every swapped subset, and
-the library's search rule as a plain-list loop (for exact node and
-propagation counts).  No imports from ramsey_lab.
+DIMACS text, host twin classes by checking every swapped subset, the
+library's search rule as a plain-list loop (for exact node and
+propagation counts), and the search kernel's clause instance by one
+argsort of every watch key.  No imports from ramsey_lab.
 """
 
 from __future__ import annotations
@@ -360,3 +361,27 @@ def counting_dpll(n_vars: int, clauses: List[List[int]],
         assign[free[0]] = 1
         trail.append(free[0])
         nodes += 1
+
+
+def oracle_build_instance(E: int, red_rows: np.ndarray, blue_rows: np.ndarray):
+    """The kernel's instance (E, rows, watch, starts) with its watch lists
+    from one stable argsort of all the watch keys at once.
+
+    rows: red rows then blue rows, each reversed into descending order, in
+    np.min_scalar_type(E + 1), red padded by E and blue by E + 1, at least
+    two wide.  watch: the clause ids of the flattened first-two-column
+    keys 2v + x (x = 1 on red rows), sorted stably by key, as int32.
+    starts: [0] and the running key counts of keys 0 .. 2E - 1.
+    """
+    n_red = len(red_rows)
+    width = max(2, red_rows.shape[1], blue_rows.shape[1])
+    rows = np.full((n_red + len(blue_rows), width), E + 1, np.min_scalar_type(E + 1))
+    rows[:n_red] = E
+    rows[:n_red, :red_rows.shape[1]] = red_rows[:, ::-1]
+    rows[n_red:, :blue_rows.shape[1]] = blue_rows[:, ::-1]
+    keys = rows[:, :2].astype(np.int64) * 2
+    keys[:n_red] += 1
+    keys = keys.ravel()
+    watch = (np.argsort(keys, kind="stable") // 2).astype(np.int32)
+    counts = np.bincount(keys, minlength=2 * E)[:2 * E]
+    return E, rows, watch, [0] + np.cumsum(counts).tolist()

@@ -452,8 +452,9 @@ def test_arrow_refuses_copy_table_past_memory(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
     monkeypatch.setattr(embedder, "_memory_bytes", lambda: 100_000_000)
+    # the budget makes a missed refusal fail fast instead of searching
     code = main(["arrow", "--k", "3", "--n-vertices", "11", "--red", "cycle:5",
-                 "--blue", "cycle:3", "--dir", str(tmp_path)])
+                 "--blue", "cycle:3", "--max-secs", "5", "--dir", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "usage error: copy-table-too-large: cycle:5 (k=3) has 3991680 copies " \
         "in K^3_11" in capsys.readouterr().err

@@ -54,6 +54,21 @@ def test_swap_pairs_match_oracle_transpositions(k):
     assert swap_pairs(k, k)[0].size == 0
 
 
+def test_swap_pairs_peaks_near_its_size():
+    # rows are built one u at a time: beside lo and hi, the (k-1)-subsets
+    # of the other labels and one row of temporaries
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        lo, hi = swap_pairs(24, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lo.nbytes + hi.nbytes == 2 * 23 * math.comb(22, 4) * 2
+    assert peak < 2 * (lo.nbytes + hi.nbytes), peak / (lo.nbytes + hi.nbytes)
+
+
 @pytest.mark.parametrize("N,k", sorted(F.SWAP_PAIRS_SHA256))
 def test_swap_pairs_frozen_sha256(N, k):
     lo, hi = swap_pairs(N, k)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -89,9 +90,12 @@ def test_copy_tables_stay_in_memory(tmp_path, monkeypatch):
 def test_copy_matrix_matches_oracle(k, kind, n, N_max):
     t = cycle_template(k, n) if kind == "cycle" else path_template(k, n)
     for N in range(1, N_max + 1):
-        rows = copy_rank_matrix(N, k, t)
+        table = copy_rank_matrix(N, k, t)
+        # the smallest unsigned dtype that holds every rank below C(N, k)
+        assert table.dtype == np.min_scalar_type(max(math.comb(N, k) - 1, 0))
+        rows = table.astype(np.int64)
         got = set(map(tuple, rows.tolist()))
-        assert rows.dtype == np.int64 and rows.shape[1] == n
+        assert rows.shape[1] == n
         assert got == _ranked_copies(N, k, kind, n) and len(got) == len(rows), N
         # each row strictly ascending, the rows in strict lexicographic order
         assert (np.diff(rows, axis=1) > 0).all(), N
@@ -124,9 +128,10 @@ def test_copy_grow_runs_only_on_spanning_hosts(monkeypatch):
 
 
 def test_spanning_copy_table_peaks_near_its_size(monkeypatch):
-    # cold, C^3_5 in K^3_10 (14.5 MB) is extended from the lifted P^3_4
-    # copies block by block: beside the table, its sort keys and the
-    # shorter paths' tables, only one block of cells is held at a time
+    # cold, C^3_5 in K^3_10 (1.8 MB of uint8) is extended from the lifted
+    # P^3_4 copies block by block: beside the table, one int64 sort key
+    # per row and the shorter paths' tables, only one block of cells is
+    # held at a time
     import tracemalloc
 
     from ramsey_lab import embedder
@@ -138,8 +143,8 @@ def test_spanning_copy_table_peaks_near_its_size(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.nbytes == 362880 * 5 * 8
-    assert peak < 1.5 * rows.nbytes, peak / rows.nbytes
+    assert rows.nbytes == 362880 * 5
+    assert peak < 1.1 * (rows.nbytes + 8 * len(rows)), peak / rows.nbytes
 
 
 def test_deadline_stops_a_spanning_build(monkeypatch):
@@ -202,9 +207,10 @@ def test_deadline_is_checked_before_the_sort(monkeypatch, N):
 def test_copy_matrix_frozen_sha256(kind, k, n, N):
     t = cycle_template(k, n) if kind == "cycle" else path_template(k, n)
     rows = copy_rank_matrix(N, k, t)
-    assert rows.dtype == np.int64 and rows.flags.c_contiguous
-    assert rows.flags.writeable is False
-    assert (len(rows), hashlib.sha256(rows.tobytes()).hexdigest()) == \
+    assert rows.dtype == np.min_scalar_type(math.comb(N, k) - 1)
+    assert rows.flags.c_contiguous and rows.flags.writeable is False
+    # the digests were taken over int64 rows, which hold the same values
+    assert (len(rows), hashlib.sha256(rows.astype(np.int64).tobytes()).hexdigest()) == \
         F.COPY_MATRIX_SHA256[(kind, k, n, N)]
 
 
@@ -221,9 +227,9 @@ def test_mask_ranker_matches_colex_rank(N, k):
 
 
 def test_lifted_copy_table_peaks_near_its_size(monkeypatch):
-    # with the spanning table warm, lifting P^3_4 into K^3_10 (13.8 MB)
-    # holds the table and one int64 sort key per row at most: no buffer
-    # for the lift's take, no argsort index and no second table
+    # with the spanning table warm, lifting P^3_4 into K^3_10 (1.8 MB of
+    # uint8) holds the table and one int64 sort key per row at most: no
+    # buffer for the lift's take, no argsort index and no second table
     import tracemalloc
 
     from ramsey_lab import embedder
@@ -237,8 +243,8 @@ def test_lifted_copy_table_peaks_near_its_size(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.nbytes == 453600 * 4 * 8
-    assert peak < 1.5 * rows.nbytes, peak / rows.nbytes
+    assert rows.nbytes == 453600 * 4
+    assert peak < 1.1 * (rows.nbytes + 8 * len(rows)), peak / rows.nbytes
 
 
 def test_lift_refuses_spanning_ranks_out_of_range(monkeypatch):
@@ -279,15 +285,15 @@ def test_copy_table_too_large_is_refused():
 
 
 def test_copy_table_past_memory_is_refused(monkeypatch):
-    # with 100 MB of memory, the 159.7 MB table of C^3_5 in K^3_11 (a
-    # decision peaks near 4 times that) is refused before anything is
+    # with 100 MB of memory, the 20.0 MB uint8 table of C^3_5 in K^3_11
+    # (a decision peaks near 7 times that) is refused before anything is
     # allocated or cached
     from ramsey_lab import embedder
 
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
     monkeypatch.setattr(embedder, "_memory_bytes", lambda: 100_000_000)
     with pytest.raises(ValueError, match=r"copy-table-too-large: cycle:5 \(k=3\) has "
-                                         r"3991680 copies in K\^3_11, a 159667200-byte "
+                                         r"3991680 copies in K\^3_11, a 19958400-byte "
                                          r"table; .* past the host's 100000000 bytes"):
         copy_rank_matrix(11, 3, cycle_template(3, 5))
     assert embedder._COPY_CACHE == {}

@@ -229,6 +229,69 @@ def test_search_matches_oracle_on_random_cnfs(symmetry):
     assert seen == {"filtered", "width-1", "SAT", "UNSAT"}
 
 
+def _ascending_rows(rng, E, width, n):
+    # n rows of `width` distinct ranks below E, each ascending
+    steps = rng.integers(1, max(2, E // width), (n, width))
+    return np.cumsum(steps, axis=1) - 1
+
+
+def _assert_same_instance(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:3], want[1:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("E", [3, 84, 127, 128, 495, 40000])
+def test_build_instance_matches_one_argsort(E):
+    # the blocked counting sort against one stable argsort of every key:
+    # seeded rows of widths 1..5 that span several blocks, keys of 8, 16
+    # and 32 bits, blocks that straddle the red/blue boundary, and red or
+    # blue sides that are empty
+    half = _kernels._BLOCK // 2
+    rng = np.random.default_rng(E)
+    for n_red, n_blue in [(3 * half + 5, 2 * half - 7), (0, half + 1), (half, 0),
+                          (int(rng.integers(1, 4 * half)), int(rng.integers(1, 4 * half)))]:
+        wr, wb = (int(w) for w in rng.integers(1, min(E, 5) + 1, 2))
+        red = _ascending_rows(rng, E, wr, n_red)
+        blue = _ascending_rows(rng, E, wb, n_blue)
+        _assert_same_instance(_kernels.build_instance(E, red, blue),
+                              O.oracle_build_instance(E, red, blue))
+
+
+def test_build_instance_matches_one_argsort_on_copy_tables():
+    # narrow copy tables as the prover passes them: P^3_4 and P^3_3 in
+    # K^3_10 (529,200 clauses, 65 blocks), and C^4_3 on both sides of K^4_9
+    for k, N, red, blue in [(3, 10, path_template(3, 4), path_template(3, 3)),
+                            (4, 9, cycle_template(4, 3), cycle_template(4, 3))]:
+        E = math.comb(N, k)
+        red_rows, blue_rows = copy_rank_matrix(N, k, red), copy_rank_matrix(N, k, blue)
+        _assert_same_instance(_kernels.build_instance(E, red_rows, blue_rows),
+                              O.oracle_build_instance(E, red_rows, blue_rows))
+
+
+def test_build_instance_peaks_near_its_output():
+    # beside the rows and the int32 watch, the build holds one block's
+    # keys and a few int64 arrays of one block, plus per-key counts and
+    # the starts list: no array over every watch key
+    import tracemalloc
+
+    k, N = 3, 10
+    E = math.comb(N, k)
+    red = copy_rank_matrix(N, k, path_template(3, 4))
+    blue = copy_rank_matrix(N, k, path_template(3, 3))
+    tracemalloc.start()
+    try:
+        _, rows, watch, starts = _kernels.build_instance(E, red, blue)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(watch) == 2 * 529200
+    assert peak < rows.nbytes + watch.nbytes + 5 * 8 * _kernels._BLOCK + 64 * E, \
+        (peak - rows.nbytes - watch.nbytes) / _kernels._BLOCK
+
+
 # max_nodes -> (status, nodes, propagations) for C^3_3/C^3_3 at N=7, whose
 # full search is UNSAT after 94 nodes: the budget stops the search right
 # after its last node is made, before that node is propagated.  No node of
