@@ -356,7 +356,8 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     Accepts a Certificate object or its JSON dict form and returns (ok,
     report).  Each type decodes its payload fields under
     `decoding("certificate")` before any check, so a missing or ill-typed
-    field raises `malformed-certificate`; a claim the coloring does not
+    field raises `malformed-certificate`, and so does a claimed edge that is
+    not a k-set of the host's labels; a claim the coloring does not
     bear out returns ok=False with machine-readable `report["reasons"]`.
     Every field the producers write is required, and a join trace's
     `outcome_kind` must name its result's color; a `disjoint` pair-set is
@@ -402,6 +403,9 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     elif cert.type == "pair-set":
         with decoding("certificate"):
             pairs = [BichromaticPair.from_json_obj(o) for o in p["pairs"]]
+            for pair in pairs:
+                for e in (pair.red_edge, pair.blue_edge):
+                    as_edge(e, k=c.k, n_vertices=c.n_vertices)
             disjoint = bool(p["disjoint"])
         for i, pair in enumerate(pairs):
             ok, why = pair.validate(c)
@@ -412,7 +416,8 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             reasons.append("pairs-not-disjoint")
     elif cert.type == "join-trace":
         with decoding("certificate"):
-            steps = [(as_edge(s["edge"]), s["color"]) for s in p["steps"]]
+            steps = [(as_edge(s["edge"], k=c.k, n_vertices=c.n_vertices), s["color"])
+                     for s in p["steps"]]
             result = Embedding.from_json_obj(p["result"])
             outcome_kind = p["outcome_kind"]
         for i, (e, want) in enumerate(steps):

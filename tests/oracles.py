@@ -2,7 +2,8 @@
 
 Everything here is derived from first principles with different
 algorithms than the package uses: colex order via characteristic
-bitmasks, copy counting via explicit vertex injections, arrowing via
+bitmasks, copy counting via explicit vertex injections, path maximality
+by trying every vertex permutation of the longer path, arrowing via
 vectorized enumeration of every coloring, a tiny standalone DPLL for
 DIMACS text, host twin classes by checking every swapped subset, the
 library's search rule as a plain-list loop (for exact node and
@@ -107,6 +108,30 @@ def oracle_embedding_exists(red_edges: Set[Edge], host_vertices: Sequence[int],
         if ok:
             return True
     return False
+
+
+def oracle_is_maximal(c, P, W: Iterable[int]) -> bool:
+    """Maximality of the red loose path P with respect to the reservoir W,
+    from the definition: for each (k-1)-subset W' of W, every permutation
+    of V(P) + W' is tried as the assignment of a loose path with one edge
+    more; P is not maximal when one makes every edge red and puts P's first
+    vertex in its first edge and P's last vertex in its last edge.
+
+    Reads only c.k, c.n_vertices, c.bits (colex order) and P's assignment
+    and edge count.
+    """
+    k, n = c.k, P.template.n
+    first, last = P.assignment[0], P.assignment[-1]
+    red = {frozenset(e) for e, bit in zip(oracle_colex_subsets(c.n_vertices, k), c.bits)
+           if bit}
+    slots = [tuple(v - 1 for v in e) for e in oracle_path_edges(k, n + 1)]
+    for Wp in itertools.combinations(sorted(W), k - 1):
+        for image in itertools.permutations(list(P.assignment) + list(Wp)):
+            if first not in image[:k] or last not in image[-k:]:
+                continue
+            if all(frozenset(image[i] for i in e) in red for e in slots):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,36 @@ def test_check_cert_refuses_colourless_claims(tmp_path, capsys):
         assert "malformed-certificate:" in capsys.readouterr().err, name
 
 
+def test_check_cert_refuses_edges_outside_the_host(tmp_path, capsys):
+    # a claimed edge must be a k-set of the host's labels: a join step
+    # outside K^4_18 or of three vertices, and a pair's red edge outside
+    # K^3_7, with a repeated vertex or with label 0, are malformed, not
+    # usage errors from the coloring's edge lookup
+    join, _ = _join_certificate_obj()
+    pair = {"type": "pair-set",
+            "coloring": TwoColoring.all_red(3, 7).with_edges(
+                [(1, 2, 4)], red=False).to_json_obj(),
+            "payload": {"pairs": [{"red_edge": [1, 2, 3], "blue_edge": [1, 2, 4]}],
+                        "disjoint": False}}
+    cases = []
+    for edge in ([1, 2, 3, 99], [1, 2, 3]):
+        obj = json.loads(json.dumps(join))
+        obj["payload"]["steps"][0]["edge"] = edge
+        cases.append((f"join-{edge}", obj))
+    for edge in ([1, 2, 99], [1, 1, 2], [0, 1, 2]):
+        obj = json.loads(json.dumps(pair))
+        obj["payload"]["pairs"][0]["red_edge"] = edge
+        cases.append((f"pair-{edge}", obj))
+    path = tmp_path / "good.cert.json"
+    path.write_text(json.dumps(pair))
+    assert run(tmp_path, "check-cert", "--file", str(path))[0] == EXIT_OK
+    for name, obj in cases:
+        path.write_text(json.dumps(obj))
+        code, _ = run(tmp_path, "check-cert", "--file", str(path))
+        assert code == EXIT_USAGE, name
+        assert "malformed-certificate:" in capsys.readouterr().err, name
+
+
 def test_check_cert_accepts_join_steps_with_role_and_chosen(tmp_path):
     # join traces once listed each step's role and whether it was banked;
     # certificates written that way still load and verify

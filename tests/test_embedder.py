@@ -559,6 +559,27 @@ def test_maximality_precondition_errors():
         is_maximal_wrt(c2, P, frozenset({5, 6, 7}))
 
 
+@pytest.mark.parametrize("k,n,w", [(3, 1, 2), (3, 1, 3), (3, 2, 2), (3, 2, 3),
+                                   (4, 1, 3), (4, 1, 4)])
+def test_maximality_matches_oracle(k, n, w):
+    # 40 seeded colorings per case, red densities 0.05..0.5 so that both
+    # answers occur, with P and the reservoir W on shuffled labels
+    nv = n * (k - 1) + 1
+    N = nv + w
+    answers = set()
+    for seed in range(40):
+        s = 1000 * k + 100 * n + 10 * w + seed
+        labels = [int(v) for v in np.random.default_rng(s).permutation(np.arange(1, N + 1))]
+        P = Embedding(path_template(k, n), tuple(labels[:nv]), "red")
+        c = rng_coloring(k, N, s, p_red=(0.05, 0.1, 0.2, 0.3, 0.5)[seed % 5])
+        c = c.with_edges(P.edge_images(), red=True)
+        W = frozenset(labels[nv:])
+        want = O.oracle_is_maximal(c, P, W)
+        assert is_maximal_wrt(c, P, W) == want, seed
+        answers.add(want)
+    assert answers == {True, False}
+
+
 def test_maximality_monotone_under_blue_flips():
     # flipping non-path edges to blue can only help maximality
     k, n, N = 3, 2, 7
