@@ -15,18 +15,21 @@ Instance (E, rows, watch, starts), built by `build_instance`:
           watch[starts[key]:starts[key + 1]] watch v from the start
 
 A clause watches its first two positions, at first its two highest ranks,
-which branching reaches last.  A visit turns a row into a Python list of
-its current watches, the rest, then the row again; a watch that moves
-onto a variable outside the row's first two joins that key's `moved`
-list.  Backtracking touches no clause state.
+which branching reaches last.  The search copies `rows` once into one flat
+buffer in their own dtype, row c at c*W, and a visit swaps a row's two
+watches and its other variables in place there, so its memory does not
+grow with the clauses it visits; `rows` itself stays as built, the record
+of each row's first two.  A watch that moves onto a variable outside them
+joins that key's `moved` list.  Backtracking touches no clause state.
 """
 
 import time
+from array import array
 
 import numpy as np
 
 _DEADLINE_EVERY = 64  # nodes between deadline checks; well under a second
-_FILTER_MIN = 64  # longer watch lists drop satisfied clauses in one gather
+_FILTER_MIN = 32  # longer watch lists drop satisfied clauses in one gather
 _BLOCK = 1 << 14  # watch keys per block of the build's sort: 128 KiB of int64
 
 
@@ -112,8 +115,12 @@ def search(instance, sym, max_nodes, deadline):
     ba = bytearray(b"\2") * E + b"\1\0"  # 2 = unassigned; padding values
     assign = np.frombuffer(ba, dtype=np.uint8)
     W = rows.shape[1]
+    rest = range(2, W)  # a row's positions past its two watches
     moved = [[] for _ in range(2 * E)]  # per key: watches moved onto it
-    lists = {}  # clause id -> its row as a list, once a visit needed it
+    flat = rows.reshape(-1)  # row c at c*W..c*W + W - 1
+    buf = array(flat.dtype.char)  # the rows, watches swapped in place
+    buf.frombytes(flat.view(np.uint8))
+    first = memoryview(flat)  # the rows as built, read as Python ints
     trail = []
     decisions = []  # trail position of each open decision; flipped = blue
     qhead = nodes = props = conflicts = depth = hint = start = 0
@@ -142,25 +149,30 @@ def search(instance, sym, max_nodes, deadline):
             s = 1 - val
             key = 2 * v + val
             ids = watch[starts[key]:starts[key + 1]]
-            if ids.size >= _FILTER_MIN:
-                ids = ids[(assign[rows[ids]] != s).all(axis=1)]
+            if ids.size >= _FILTER_MIN:  # drop the clauses s satisfies
+                hit = assign.take(rows.take(ids, axis=0)) == s
+                keep = ~hit[:, 0]
+                for j in range(1, W):  # a column at a time, as in the build
+                    keep &= ~hit[:, j]
+                ids = ids.compress(keep)
             mv = moved[key]
             for c in ids.tolist() + mv if mv else ids.tolist():
-                row = lists.get(c)
-                if row is None:  # row[W:W + 2] keep its first two for good
-                    row = lists[c] = rows[c].tolist() * 2
-                if row[0] == v:
-                    row[0], row[1] = row[1], v
-                elif row[1] != v:
+                b = c * W
+                b1 = b + 1  # the row's watches sit at b and b1
+                w = buf[b]
+                if w == v:
+                    w = buf[b] = buf[b1]
+                    buf[b1] = v
+                elif buf[b1] != v:
                     continue  # the watch moved off v since c was listed
-                w = row[0]
                 if ba[w] == s:
                     continue
-                for j in range(2, W):
-                    u = row[j]
+                for j in rest:
+                    u = buf[b + j]
                     if ba[u] != val:
-                        row[1], row[j] = u, v
-                        if u != row[W] and u != row[W + 1]:
+                        buf[b1] = u
+                        buf[b + j] = v
+                        if u != first[b] and u != first[b1]:
                             moved[2 * u + val].append(c)
                         break
                 else:
@@ -170,16 +182,17 @@ def search(instance, sym, max_nodes, deadline):
                     ba[w] = s
                     trail.append(w)
             if mv:
-                moved[key] = [c for c in mv if v in lists[c][:2]]
+                moved[key] = [c for c in mv
+                              if buf[c * W] == v or buf[c * W + 1] == v]
 
         if not conflict:
             props += len(trail) - start
             # ---- symmetry leader check (red precedes blue) ----------------
             if sym:
-                a, b = assign[sym_lo], assign[sym_hi]
+                a, b = assign.take(sym_lo), assign.take(sym_hi)
                 stop = np.flatnonzero((a != b) | (a == 2))
-                p = stop[np.searchsorted(stop, heads)]
-                conflict = bool(((a[p] == 0) & (b[p] == 1)).any())
+                p = stop.take(np.searchsorted(stop, heads))
+                conflict = bool(((a.take(p) == 0) & (b.take(p) == 1)).any())
 
         if conflict:
             # ---- backtrack to the deepest unflipped decision; flip it -----

@@ -312,11 +312,12 @@ _COPY_CACHE: Dict[tuple, np.ndarray] = {}
 
 _CELLS = 1 << 12  # (lifted row, new edge) cells per extension block: under a ms
 
-# peak resident bytes of a decision per byte of its largest copy table, up
-# to its search: a cold c55@12 --symmetry decision, whose red and blue share
-# one 120 MB uint8 table, peaks at 745 MB, the table, twice its rows as
-# clauses and an int32 watch entry per watch key; c53@11 at 106 MB for 20 MB
-_PEAK_PER_TABLE_BYTE = 7
+# peak resident bytes of a decision per byte of its largest copy table,
+# through the start of its search: a cold c55@12 --symmetry decision, whose
+# red and blue share one 120 MB uint8 table, peaks at 974 MB, the table,
+# twice its rows as clauses, the search's flat copy of those rows and an
+# int32 watch entry per watch key; c53@11 at 125 MB for 20 MB
+_PEAK_PER_TABLE_BYTE = 9
 
 
 def _memory_bytes() -> int:

@@ -350,6 +350,17 @@ def _target_copies(c: TwoColoring, red: LooseTemplate, blue: LooseTemplate):
                                            ("blue", blue, no_blue))]
 
 
+def _host_embedding(obj, c: TwoColoring) -> Embedding:
+    """The embedding `obj` decodes to, refused with a ValueError unless its
+    template has c's uniformity and its labels are c's, 1..N."""
+    emb = Embedding.from_json_obj(obj)
+    if emb.template.k != c.k:
+        raise ValueError(f"a k={emb.template.k} template on a k={c.k} host")
+    if not all(1 <= v <= c.n_vertices for v in emb.assignment):
+        raise ValueError(f"a label outside the host's 1..{c.n_vertices}")
+    return emb
+
+
 def verify_certificate(cert) -> Tuple[bool, dict]:
     """Re-check a certificate's claim against its coloring.
 
@@ -357,7 +368,9 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     report).  Each type decodes its payload fields under
     `decoding("certificate")` before any check, so a missing or ill-typed
     field raises `malformed-certificate`, and so does a claimed edge that is
-    not a k-set of the host's labels; a claim the coloring does not
+    not a k-set of the host's labels, or an embedding (a join trace's
+    result too) whose template is not k-uniform or whose assignment holds
+    a label outside the host; a claim the coloring does not
     bear out returns ok=False with machine-readable `report["reasons"]`.
     Every field the producers write is required, and a join trace's
     `outcome_kind` must name its result's color; a `disjoint` pair-set is
@@ -396,7 +409,7 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
                 report[f"{color}_copy"] = hit.to_json_obj()
     elif cert.type == "embedding":
         with decoding("certificate"):
-            emb = Embedding.from_json_obj(p["embedding"])
+            emb = _host_embedding(p["embedding"], c)
         res = verify_embedding(c, emb)
         if not res:
             reasons.append(res.reason)
@@ -418,7 +431,7 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
         with decoding("certificate"):
             steps = [(as_edge(s["edge"], k=c.k, n_vertices=c.n_vertices), s["color"])
                      for s in p["steps"]]
-            result = Embedding.from_json_obj(p["result"])
+            result = _host_embedding(p["result"], c)
             outcome_kind = p["outcome_kind"]
         for i, (e, want) in enumerate(steps):
             if c.color_of(e) != want:

@@ -273,8 +273,15 @@ def test_check_cert_refuses_edges_outside_the_host(tmp_path, capsys):
     # a claimed edge must be a k-set of the host's labels: a join step
     # outside K^4_18 or of three vertices, and a pair's red edge outside
     # K^3_7, with a repeated vertex or with label 0, are malformed, not
-    # usage errors from the coloring's edge lookup
+    # usage errors from the coloring's edge lookup; so is an embedding,
+    # or a join result, with a label outside the host or a template of
+    # another uniformity
     join, _ = _join_certificate_obj()
+    emb = {"type": "embedding",
+           "coloring": TwoColoring.all_red(3, 7).to_json_obj(),
+           "payload": {"embedding": {"kind": "path", "k": 3, "length": 2,
+                                     "assignment": [1, 2, 3, 4, 5],
+                                     "claimed_color": "red"}}}
     pair = {"type": "pair-set",
             "coloring": TwoColoring.all_red(3, 7).with_edges(
                 [(1, 2, 4)], red=False).to_json_obj(),
@@ -289,9 +296,19 @@ def test_check_cert_refuses_edges_outside_the_host(tmp_path, capsys):
         obj = json.loads(json.dumps(pair))
         obj["payload"]["pairs"][0]["red_edge"] = edge
         cases.append((f"pair-{edge}", obj))
+    for name, claim in (("embedding-99", {"assignment": [1, 2, 3, 4, 99]}),
+                        ("embedding-k4", {"k": 4, "length": 1,
+                                          "assignment": [1, 2, 3, 4]})):
+        obj = json.loads(json.dumps(emb))
+        obj["payload"]["embedding"].update(claim)
+        cases.append((name, obj))
+    obj = json.loads(json.dumps(join))
+    obj["payload"]["result"]["assignment"][0] = 99
+    cases.append(("join-result-99", obj))
     path = tmp_path / "good.cert.json"
-    path.write_text(json.dumps(pair))
-    assert run(tmp_path, "check-cert", "--file", str(path))[0] == EXIT_OK
+    for good in (pair, emb):
+        path.write_text(json.dumps(good))
+        assert run(tmp_path, "check-cert", "--file", str(path))[0] == EXIT_OK
     for name, obj in cases:
         path.write_text(json.dumps(obj))
         code, _ = run(tmp_path, "check-cert", "--file", str(path))

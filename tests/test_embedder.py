@@ -286,7 +286,7 @@ def test_copy_table_too_large_is_refused():
 
 def test_copy_table_past_memory_is_refused(monkeypatch):
     # with 100 MB of memory, the 20.0 MB uint8 table of C^3_5 in K^3_11
-    # (a decision peaks near 7 times that) is refused before anything is
+    # (a decision peaks near 9 times that) is refused before anything is
     # allocated or cached
     from ramsey_lab import embedder
 

@@ -229,6 +229,40 @@ def test_search_matches_oracle_on_random_cnfs(symmetry):
     assert seen == {"filtered", "width-1", "SAT", "UNSAT"}
 
 
+def _hub_rows(rng, E, width):
+    # a third of the rows hold one of the two top ranks, which every row
+    # holding one watches, so those watch lists pass the filter's length
+    n = int(rng.integers(E // 2, 3 * E))
+    rows = np.array([rng.choice(E - 2, width, replace=False) for _ in range(n)])
+    hub = rng.random(n) < 0.3
+    rows[hub, 0] = E - 1 - rng.integers(0, 2, int(hub.sum()))
+    return np.sort(rows, axis=1)
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_search_matches_oracle_on_16_bit_rows(symmetry):
+    # one-signed CNFs of widths 2..4 over the 286 edges of K^3_13, whose
+    # rows are uint16; the seeds are those below 16 whose search settles
+    # in under 2,000 nodes both with and without symmetry breaking
+    N = 13
+    E = math.comb(N, 3)
+    sym, gens = (), ()
+    if symmetry:
+        lo, hi = swap_pairs(N, 3)
+        sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
+        gens = O.oracle_transpositions(N, 3)
+    seen = set()
+    for seed in (1, 4, 8, 9, 12, 15):
+        rng = np.random.default_rng(seed)
+        widths = rng.choice(np.arange(2, 5), 2, replace=False)
+        red, blue = (_hub_rows(rng, E, int(w)) for w in widths)
+        instance, counts = _search_matches_oracle(E, red, blue, sym, gens)
+        assert instance[1].dtype == np.uint16
+        assert np.diff(instance[3]).max() >= _kernels._FILTER_MIN
+        seen.add(counts[0])
+    assert seen == {"SAT", "UNSAT"}
+
+
 def _ascending_rows(rng, E, width, n):
     # n rows of `width` distinct ranks below E, each ascending
     steps = rng.integers(1, max(2, E // width), (n, width))
@@ -290,6 +324,26 @@ def test_build_instance_peaks_near_its_output():
     assert len(watch) == 2 * 529200
     assert peak < rows.nbytes + watch.nbytes + 5 * 8 * _kernels._BLOCK + 64 * E, \
         (peak - rows.nbytes - watch.nbytes) / _kernels._BLOCK
+
+
+@pytest.mark.parametrize("k,N,target", [(3, 8, path_template(3, 3)),
+                                         (4, 9, cycle_template(4, 3))])
+def test_search_memory_does_not_grow_with_visited_clauses(k, N, target):
+    # the search holds one copy of the rows, its watches swapped in place,
+    # and the short lists of moved watches; p33@8 (UNSAT, 94 nodes) and
+    # k4-c33@9 (SAT, 36 nodes) visit most of their clauses, and a Python
+    # list kept per visited row peaked at 14 times the rows on both
+    import tracemalloc
+
+    table = copy_rank_matrix(N, k, target)
+    instance = _kernels.build_instance(math.comb(N, k), table, table)
+    tracemalloc.start()
+    try:
+        _kernels.search(instance, (), None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * instance[1].nbytes, peak / instance[1].nbytes
 
 
 # max_nodes -> (status, nodes, propagations) for C^3_3/C^3_3 at N=7, whose
