@@ -103,9 +103,9 @@ def search(instance, sym, max_nodes, deadline):
     the `deadline` (a `time.monotonic()` reading) at every
     _DEADLINE_EVERY-th, from node 0.
 
-    `sym` holds one (moved, image) pair of nonempty intp arrays per
-    symmetry generator s, an involution on the variables: `moved` lists,
-    ascending, the p with p < s(p), and `image` their s(p).  A partial
+    `sym` is () or the arrays (lo, hi) of `coloring.swap_pairs`, a row per
+    symmetry generator s, an involution on the variables: row g of `lo`
+    lists, ascending, the p with p < s(p), and `hi` their s(p).  A partial
     assignment is pruned when, at the first moved position where it is
     unassigned or differs from its image, it reads blue against red.
     Listing only the lower position of each exchanged pair loses no prune:
@@ -124,10 +124,10 @@ def search(instance, sym, max_nodes, deadline):
     trail = []
     decisions = []  # trail position of each open decision; flipped = blue
     qhead = nodes = props = conflicts = depth = hint = start = 0
-    if sym:  # every generator's pairs end with (E, E + 1): red, then blue
-        sym_lo = np.concatenate([np.append(m, E) for m, _ in sym])
-        sym_hi = np.concatenate([np.append(i, E + 1) for _, i in sym])
-        heads = np.cumsum([0] + [m.size + 1 for m, _ in sym[:-1]])
+    if sym:  # each generator's row ends with (E, E + 1): red, then blue
+        sym_lo = np.column_stack([sym[0], np.full(len(sym[0]), E)]).ravel()
+        sym_hi = np.column_stack([sym[1], np.full(len(sym[1]), E + 1)]).ravel()
+        heads = np.arange(0, sym_lo.size, sym[0].shape[1] + 1)
 
     def result(status):
         out = np.where(assign[:E] == 2, -1, assign[:E]).astype(np.int8)

@@ -8,8 +8,9 @@ artifacts such as colorings, certificates and CNF files are written next
 to the invocation under ``--dir``.
 
 Exit codes: 0 success (SAT or claim), 10 UNSAT, 20 UNKNOWN or budget
-exhausted, 2 usage error, 3 hypothesis violation, 4 proof gap (the gap's
-instance is written under ``--dir`` as ``<subcommand>.proofgap.json``).
+exhausted, 2 usage error, 3 hypothesis violation (its witness, when it has
+one, in the report's ``results.witness``), 4 proof gap (the gap's instance
+is written under ``--dir`` as ``<subcommand>.proofgap.json``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .constructive import (
     to_certificate,
 )
 from .embedder import Embedding, count_copies
-from .errors import BlueEdgeEncountered, HypothesisViolation, ProofGap
+from .errors import HypothesisViolation, ProofGap
 from .prover import (
     compute_ramsey,
     decide_arrowing,
@@ -339,8 +340,8 @@ def _run_export_cnf(args, report: dict) -> int:
         fh.write(text)
     with atomic_write(map_path) as fh:
         fh.write(json.dumps(sidecar, indent=2))
-    head = next(ln for ln in text.splitlines() if ln.startswith("p cnf"))
-    _, _, n_vars, n_clauses = head.split()
+    head = text.index("\np cnf ") + 1  # the header, after the comments
+    _, _, n_vars, n_clauses = text[head:text.index("\n", head)].split()
     report["results"] = {"cnf": cnf_path, "varmap": map_path,
                          "variables": int(n_vars), "clauses": int(n_clauses),
                          "digest": sidecar["digest"]}
@@ -518,12 +519,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.fn(args, report)
     except HypothesisViolation as exc:
         report["results"] = {"error": "hypothesis-violation", "detail": str(exc)}
-        _emit(report, args, t0)
-        print(f"hypothesis-violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except BlueEdgeEncountered as exc:
-        report["results"] = {"error": "blue-edge", "detail": str(exc),
-                             "edge": list(exc.edge)}
+        w = exc.witness  # an Embedding or an edge
+        if w is not None:
+            report["results"]["witness"] = \
+                w.to_json_obj() if isinstance(w, Embedding) else list(w)
         _emit(report, args, t0)
         print(f"hypothesis-violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

@@ -5,8 +5,9 @@ verified monochromatic structure and either
 
 * produces a new verified structure (an Embedding, a configuration, a pair
   of adjacent bichromatic edges, a join trace), or
-* raises HypothesisViolation with a machine-checkable witness showing that
-  the caller's hypotheses were false on this instance, or
+* raises HypothesisViolation, with a machine-checkable witness (an
+  Embedding or an edge) where there is one, showing that the caller's
+  hypotheses were false on this instance, or
 * raises ProofGap when a construction that is guaranteed to exist could not
   be completed; the instance is attached for offline study.
 
@@ -91,11 +92,15 @@ def _budget_ran_out(c: TwoColoring, color: str, t: LooseTemplate,
 def _verified_cycle(c: TwoColoring, edges: Sequence, color: str,
                     what: str) -> Embedding:
     """The loose cycle through `edges` in order, re-verified against c; a
-    failure is a ProofGap carrying the coloring and the edges."""
-    emb = embedding_from_edge_sequence(edges, CYCLE, color)
-    res = verify_embedding(c, emb)
-    if not res:
-        raise ProofGap(f"{what} fails verification: {res.reason}",
+    failure, edges that form no loose cycle included, is a ProofGap
+    carrying the coloring and the edges."""
+    try:
+        emb = embedding_from_edge_sequence(edges, CYCLE, color)
+        reason = verify_embedding(c, emb).reason
+    except ValueError as exc:  # the edges form no loose cycle
+        reason = str(exc)
+    if reason is not None:
+        raise ProofGap(f"{what} fails verification: {reason}",
                        instance={"coloring": c.to_json_obj(),
                                  "edges": [sorted(x) for x in edges]})
     return emb
@@ -264,6 +269,16 @@ def _iter_good_configurations(c: TwoColoring, P: Embedding, W: frozenset,
                 yield cfg
 
 
+def _maximal_path_input(c: TwoColoring, P: Embedding, W) -> frozenset:
+    """W as a set, once P is a 3-uniform host path and |W| >= 3."""
+    if c.k != 3 or P.template.k != 3 or P.template.kind != PATH:
+        raise ValueError("invalid-parameter: needs a 3-uniform host path")
+    W = frozenset(int(v) for v in W)
+    if len(W) < 3:
+        raise HypothesisViolation("reservoir too small: need |W| >= 3")
+    return W
+
+
 def _check_maximal(c: TwoColoring, P: Embedding, W: frozenset) -> None:
     try:
         maximal = is_maximal_wrt(c, P, W)
@@ -277,12 +292,8 @@ def _check_maximal(c: TwoColoring, P: Embedding, W: frozenset) -> None:
 def find_good_configuration(c: TwoColoring, P: Embedding, W, i: int,
                             u: int) -> GoodConfiguration:
     """First good configuration at anchor (e_i, e_{i+1}) of a maximal path."""
-    if c.k != 3 or P.template.k != 3 or P.template.kind != PATH:
-        raise ValueError("invalid-parameter: needs a 3-uniform host path")
-    W = frozenset(int(v) for v in W)
+    W = _maximal_path_input(c, P, W)
     n = P.template.n
-    if len(W) < 3:
-        raise HypothesisViolation("reservoir too small: need |W| >= 3")
     if not 1 <= i <= n - 1:
         raise HypothesisViolation(f"anchor {i} outside 1..{n - 1}")
     if u not in _A_host(P.assignment, i):
@@ -328,14 +339,10 @@ def absorb_blue_path(c: TwoColoring, P: Embedding, W) -> AbsorptionResult:
     chain shares ends (x_{k+1} = y_k) and stops as soon as fewer than two
     host edges or fewer than two fresh reservoir vertices remain.
     """
-    if c.k != 3 or P.template.k != 3 or P.template.kind != PATH:
-        raise ValueError("invalid-parameter: needs a 3-uniform host path")
-    W = frozenset(int(v) for v in W)
+    W = _maximal_path_input(c, P, W)
     n = P.template.n
     if n < 2:
         raise HypothesisViolation("path must have at least 2 edges")
-    if len(W) < 3:
-        raise HypothesisViolation("reservoir too small: need |W| >= 3")
     _check_maximal(c, P, W)
     asg = P.assignment
 
@@ -607,19 +614,14 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
         emb = _verified_cycle(c, edge_seq, color, "join assembly")
         return JoinTrace(tuple(steps), kind, emb)
 
-    # step 1: exchange the connector blocks at the shared start
-    g1 = (e(1) - {v(k - 1), v(k)}) | {u(k - 1), u(k)}
-    h1 = (f(1) - {u(k - 1), u(k)}) | {v(k - 1), v(k)}
-    banked = settle(g1, h1)
-    if banked is None:
-        return finish("red-cycle", [h1] + E[1:] + [g1] + F[1:], "red")
-    s_list = [banked]  # s_1 .. s_{ell-2}
-
-    # steps 2 .. ell-2
-    for i in range(2, ell - 1):
-        s_prev = s_list[-1]
-        xi = x_of(s_prev, i - 1, take_max=True)
-        yi = y_of(s_prev, i - 1, take_max=True)
+    # steps 1 .. ell-2; with x_1 = v_1 and y_1 = u_1, step 1 exchanges
+    # the connector blocks at the shared start
+    s_list: List[set] = []  # s_1 .. s_{ell-2}
+    xi, yi = v(1), u(1)
+    for i in range(1, ell - 1):
+        if i > 1:
+            xi = x_of(s_list[-1], i - 1, take_max=True)
+            yi = y_of(s_list[-1], i - 1, take_max=True)
         gi = (e(i) - {v((i - 1) * kk + 1), v(i * kk), v(i * kk + 1)}) \
             | {xi, u(i * kk), u(i * kk + 1)}
         hi = (f(i) - {u((i - 1) * kk + 1), u(i * kk), u(i * kk + 1)}) \
@@ -912,8 +914,9 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
 
     The construction rotates connector vertices of the 4-cycle outward and
     plugs reservoir vertices into the listed slots; every listed edge must
-    be red, and the first blue one encountered is reported so the caller
-    can hunt the blue 3-cycle it implies.
+    be red, and the first blue one is raised as BlueEdgeEncountered, a
+    HypothesisViolation with that edge as its witness, so the caller can
+    hunt the blue 3-cycle it implies.
     """
     k = c.k
     if k < 3:

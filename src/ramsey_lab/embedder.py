@@ -118,7 +118,9 @@ class VerifyResult:
 
 
 def verify_embedding(c: TwoColoring, e: Embedding) -> VerifyResult:
-    """Full re-validation of an embedding: shape, injectivity, colors."""
+    """Full re-validation of an embedding: shape, injectivity, colors.  An
+    injective map keeps every intersection size of the template's edges,
+    so their images need no check of the loose structure."""
     t = e.template
     if t.k != c.k:
         return VerifyResult(False, "incompatible-uniformity")
@@ -128,11 +130,8 @@ def verify_embedding(c: TwoColoring, e: Embedding) -> VerifyResult:
         return VerifyResult(False, "not-injective")
     if any(not 1 <= v <= c.n_vertices for v in e.assignment):
         return VerifyResult(False, "out-of-range")
-    images = e.edge_images()
-    if not is_loose_sequence(images, t.kind):
-        return VerifyResult(False, "structure-mismatch")
     want = 1 if e.claimed_color == "red" else 0
-    for img in images:
+    for img in e.edge_images():
         if c.bits[colex_rank(img)] != want:
             return VerifyResult(False, "edge-color-mismatch")
     return VerifyResult(True, None)
@@ -147,8 +146,8 @@ def embedding_from_edge_sequence(edges: Sequence[Sequence[int]], kind: str,
     last one), then its other vertices in ascending order, leaving out the
     one it shares with the next edge, which that edge lists first.  This is
     the template's own layout, with the interchangeable degree-1 vertices
-    of each edge ascending.
-    """
+    of each edge ascending.  Edges that form no loose `kind` raise
+    ValueError: the library's one check of an explicit edge sequence."""
     es = [tuple(sorted(int(v) for v in e)) for e in edges]
     if not es:
         raise ValueError("empty edge sequence")
@@ -545,12 +544,12 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     keys are sorted, and the columns are decoded back from them, so beyond
     the table only the keys are held.
     A table of 2**31 rows or more, or one whose decision would need more
-    than the host's physical memory (7 times the table's bytes), is refused
-    as `copy-table-too-large` before anything is allocated.  With a
-    `deadline` (a `time.monotonic()` reading), enumeration raises
-    SearchBudgetExceeded once it passes, as does a check between
-    enumeration and the sort, and the table is not cached (a spanning
-    table finished before then is).
+    than the host's physical memory (`_PEAK_PER_TABLE_BYTE`, 9, times the
+    table's bytes), is refused as `copy-table-too-large` before anything
+    is allocated.  With a `deadline` (a `time.monotonic()` reading),
+    enumeration raises SearchBudgetExceeded once it passes, as does a
+    check between enumeration and the sort, and the table is not cached
+    (a spanning table finished before then is).
     """
     if t.k != k:
         raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")

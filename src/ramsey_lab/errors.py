@@ -2,8 +2,9 @@
 
 The CLI maps these onto process exit codes, so constructive operations must
 raise the precise class: bad inputs are ValueError, violated mathematical
-hypotheses are HypothesisViolation, and a completed search that contradicts
-a guaranteed existence statement is ProofGap (never silently swallowed).
+hypotheses are HypothesisViolation (BlueEdgeEncountered among them), and a
+completed search that contradicts a guaranteed existence statement is
+ProofGap (never silently swallowed).
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ class SearchBudgetExceeded(RuntimeError):
     """
 
 
-class BlueEdgeEncountered(RuntimeError):
+class BlueEdgeEncountered(HypothesisViolation):
     """An edge required to be red by an explicit construction is blue.
 
-    Carries the offending edge under .edge; the caller may hunt the
-    monochromatic structure that this implies via the embedder.
+    The offending edge is the witness, also under .edge; the caller may
+    hunt the monochromatic structure that this implies via the embedder.
     """
 
     def __init__(self, message: str, edge: Any):
-        super().__init__(message)
+        super().__init__(message, witness=edge)
         self.edge = edge

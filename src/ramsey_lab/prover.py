@@ -16,8 +16,8 @@ Branching is deterministic: lowest-rank unassigned edge, red phase first.
 An optional lex-leader restriction under adjacent vertex transpositions
 (red preceding blue in the value order) prunes color-isomorphic subtrees;
 it is off by default and never changes verdicts, only which witness shows
-up first.  Each transposition reaches the kernel as one row pair of
-`coloring.swap_pairs`, built only when symmetry breaking is on.
+up first.  Each transposition reaches the kernel as one row of both
+`coloring.swap_pairs` arrays, built only when symmetry breaking is on.
 """
 
 from __future__ import annotations
@@ -147,35 +147,29 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     deadline = None if max_secs is None else t0 + max_secs
     budget = {"max_nodes": max_nodes, "max_secs": max_secs,
               "symmetry": symmetry}
-    tables, cached = [], 0
+    stats = {"nodes": 0, "propagations": 0, "conflicts": 0, "max_depth": 0,
+             "wall_secs": 0.0, "enumerate_s": 0.0, "build_s": 0.0,
+             "verify_s": 0.0, "n_vars": n_vars, "n_clauses": 0,
+             "cached_tables": 0}
+    tables = []
     try:
         for t in (red_target, blue_target):
-            cached += embedder._copy_key(N, k, t) in embedder._COPY_CACHE
+            stats["cached_tables"] += embedder._copy_key(N, k, t) in embedder._COPY_CACHE
             tables.append(copy_rank_matrix(N, k, t, deadline=deadline))
     except SearchBudgetExceeded:
-        stats = {"nodes": 0, "propagations": 0, "conflicts": 0,
-                 "max_depth": 0, "wall_secs": 0.0,
-                 "enumerate_s": time.monotonic() - t0, "build_s": 0.0,
-                 "verify_s": 0.0, "n_vars": n_vars, "n_clauses": 0,
-                 "cached_tables": cached}
+        stats["enumerate_s"] = time.monotonic() - t0
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
     red_rows, blue_rows = tables
     t1 = time.monotonic()
     instance = _kernels.build_instance(n_vars, red_rows, blue_rows)
-    sym = ()
-    if symmetry:
-        lo, hi = swap_pairs(N, k)
-        if lo.size:  # at N <= k no swap moves an edge
-            sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
+    sym = swap_pairs(N, k) if symmetry else ()
     t2 = time.monotonic()
     status, nodes, props, conflicts, depth, assign = _kernels.search(
         instance, sym, max_nodes, deadline)
-    stats = {"nodes": nodes, "propagations": props, "conflicts": conflicts,
-             "max_depth": depth,
-             "wall_secs": time.monotonic() - t2,
-             "enumerate_s": t1 - t0, "build_s": t2 - t1, "verify_s": 0.0,
-             "n_vars": n_vars, "n_clauses": len(red_rows) + len(blue_rows),
-             "cached_tables": cached}
+    stats.update(nodes=nodes, propagations=props, conflicts=conflicts,
+                 max_depth=depth, wall_secs=time.monotonic() - t2,
+                 enumerate_s=t1 - t0, build_s=t2 - t1,
+                 n_clauses=len(red_rows) + len(blue_rows))
     witness = None
     if status == "SAT":
         # free vars: any value works; pick red

@@ -25,7 +25,7 @@ from ramsey_lab.cli import (
 )
 from ramsey_lab.coloring import TwoColoring, all_edges
 from ramsey_lab.core import cycle_template
-from ramsey_lab.embedder import count_copies
+from ramsey_lab.embedder import Embedding, count_copies, verify_embedding
 
 import frozen_values as F
 import oracles as O
@@ -137,6 +137,16 @@ def test_table(tmp_path):
                     "--base", "4,3=9")
     assert code == EXIT_OK
     assert len(rep["results"]["claims"]) >= 4
+
+
+def test_table_extend_to(tmp_path):
+    # k = 4 bases R(C_n, C_3) for n = 3..6 extend to n = 7, 8
+    bases = [arg for n in range(3, 7) for arg in ("--base", f"{n},3={3 * n + 1}")]
+    code, rep = run(tmp_path, "table", "--k", "4", *bases, "--extend-to", "8")
+    assert code == EXIT_OK
+    extended = [(cl["red"]["length"], cl["value"]) for cl in rep["results"]["claims"]
+                if cl["provenance"] == "theorem-extended"]
+    assert extended == [(7, 22), (8, 25)]
 
 
 def test_table_refuses_bases_outside_the_theorem(tmp_path, capsys):
@@ -316,6 +326,19 @@ def test_check_cert_refuses_edges_outside_the_host(tmp_path, capsys):
         assert "malformed-certificate:" in capsys.readouterr().err, name
 
 
+def test_check_cert_rejects_a_false_step_colour(tmp_path):
+    # a well-formed join trace that claims a red step is blue is a false
+    # claim, exit 3, not a malformed one
+    obj, _ = _join_certificate_obj()
+    obj["payload"]["steps"][1]["color"] = "blue"
+    path = tmp_path / "false.cert.json"
+    path.write_text(json.dumps(obj))
+    code, rep = run(tmp_path, "check-cert", "--file", str(path))
+    assert code == EXIT_HYPOTHESIS
+    assert rep["results"]["check"]["reasons"] == ["edge-color-mismatch"]
+    assert rep["results"]["check"]["bad_steps"] == [1]
+
+
 def test_check_cert_accepts_join_steps_with_role_and_chosen(tmp_path):
     # join traces once listed each step's role and whether it was banked;
     # certificates written that way still load and verify
@@ -378,6 +401,68 @@ def test_extract_absorb(tmp_path):
     # the certificate claims only what check-cert replays: the blue path
     assert list(cert["payload"]) == ["embedding"]
     assert cert["payload"]["embedding"] == rep["results"]["Q"]
+
+
+def test_extract_blue_cycle(tmp_path):
+    # a red C^3_4 on 1..8 of K^3_11 whose every edge meeting 9..11 is blue:
+    # the bridge formulas give a blue C^3_3
+    cpath = tmp_path / "c.json"
+    c = TwoColoring.all_red(3, 11).with_edges(
+        [e for e in all_edges(11, 3) if max(e) > 8], red=False)
+    c.save(cpath)
+    code, rep = run(tmp_path, "extract", "--lemma", "blue-cycle",
+                    "--coloring", str(cpath), "--cycle", "1,2,3,4,5,6,7,8",
+                    "--n", "5", "--m", "3")
+    assert code == EXIT_OK
+    assert rep["results"]["meta"] == {"budget_exhausted": False, "case": 2}
+    emb = Embedding.from_json_obj(rep["results"]["embedding"])
+    assert (emb.template.kind, emb.template.n, emb.claimed_color) == \
+        ("cycle", 3, "blue")
+    assert verify_embedding(c, emb)
+    assert rep["certificates"][0]["verified"]
+
+
+def test_extract_lift(tmp_path):
+    # a blue C^4_4 on 1..12 of an otherwise red K^4_16 lifts to a red C^4_5
+    cpath = tmp_path / "c.json"
+    c4 = [(1, 2, 3, 4), (4, 5, 6, 7), (7, 8, 9, 10), (10, 11, 12, 1)]
+    c = TwoColoring.all_red(4, 16).with_edges(c4, red=False)
+    c.save(cpath)
+    code, rep = run(tmp_path, "extract", "--lemma", "lift", "--coloring",
+                    str(cpath), "--cycle4", ",".join(map(str, range(1, 13))),
+                    "--i", "5")
+    assert code == EXIT_OK
+    emb = Embedding.from_json_obj(rep["results"]["embedding"])
+    assert (emb.template.n, emb.claimed_color) == (5, "red")
+    assert verify_embedding(c, emb)
+    assert rep["certificates"][0]["verified"]
+
+
+def test_hypothesis_violation_reports_its_witness(tmp_path, capsys):
+    # a lift whose listed edge is blue reports that edge, and a red C^3_5
+    # beside the given red C^3_4 is reported as an embedding; both exit 3
+    lift = TwoColoring.all_blue(4, 16)
+    red = TwoColoring.all_red(3, 11)
+    for c, argv in [
+            (lift, ["--lemma", "lift", "--i", "5",
+                    "--cycle4", ",".join(map(str, range(1, 13)))]),
+            (red, ["--lemma", "blue-cycle", "--cycle", "1,2,3,4,5,6,7,8",
+                   "--n", "5", "--m", "3"])]:
+        cpath = tmp_path / "c.json"
+        c.save(cpath)
+        code, rep = run(tmp_path, "extract", "--coloring", str(cpath), *argv)
+        assert code == EXIT_HYPOTHESIS
+        assert "hypothesis-violation: " in capsys.readouterr().err
+        res = rep["results"]
+        assert res["error"] == "hypothesis-violation"
+        if c is lift:
+            assert res["detail"] == "a listed edge of the lift is blue"
+            edge = tuple(res["witness"])
+            assert len(edge) == 4 and c.color_of(edge) == "blue"
+        else:
+            emb = Embedding.from_json_obj(res["witness"])
+            assert (emb.template.n, emb.claimed_color) == (5, "red")
+            assert verify_embedding(c, emb)
 
 
 def test_extract_max_nodes_zero_is_a_budget(tmp_path):

@@ -1,5 +1,7 @@
 """Constructive operations: worked instances, seeded sweeps, certificates."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,54 @@ def test_join_randomized_always_certifies(seed):
     tr = join_red_cycles(c, C1, C2, 3)
     assert verify_embedding(c, tr.outcome).ok
     certify_roundtrip(c, tr, "join")
+
+
+def _join_branch(tr, ell):
+    """The rule that ended a join: a red merge at step i, a red merge at
+    the endgame's pair or at its closing pair, or a blue cycle, each of
+    the last two after the endgame banked g or h."""
+    banked = "g" if len(tr.steps) >= ell - 1 and \
+        tr.steps[ell - 2].g_color == "blue" else "h"
+    if tr.outcome_kind == "blue-cycle":
+        return f"blue-{banked}"
+    if len(tr.steps) <= ell - 2:
+        return f"merge-{len(tr.steps)}"
+    return "endgame-red" if len(tr.steps) == ell - 1 else f"close-{banked}"
+
+
+def test_join_longer_cycles_reach_every_step():
+    # extract and the tests above join at ell = 3, which runs step 1 and
+    # the endgame only; ell = 4..6 on planted hosts reach a red merge at
+    # every step 1..ell-2 and every way the endgame ends
+    seen = set()
+    for k, n in ((4, 4), (4, 5), (4, 6), (5, 4)):
+        C1, C2 = ident_cycle(k, n, 1), ident_cycle(k, n, (k - 1) * n + 1)
+        N = 2 * (k - 1) * n
+        n_edges = len(all_edges(N, k))
+        plant = C1.edge_images() + C2.edge_images()
+        for ell in range(4, n + 1):
+            for seed in range(20):
+                rng = np.random.default_rng([k, n, ell, seed])
+                bits = (rng.random(n_edges) < 0.5).astype(np.uint8)
+                c = TwoColoring(k, N, bits).with_edges(plant, red=True)
+                tr = join_red_cycles(c, C1, C2, ell)
+                red = tr.outcome_kind == "red-cycle"
+                assert tr.outcome.template.n == (2 * n if red else ell)
+                certify_roundtrip(c, tr, "join")
+                seen.add(_join_branch(tr, ell))
+    assert seen == {"merge-1", "merge-2", "merge-3", "merge-4", "endgame-red",
+                    "close-g", "close-h", "blue-g", "blue-h"}
+
+
+def test_assembled_edges_that_form_no_cycle_are_a_proof_gap():
+    from ramsey_lab.constructive import _verified_cycle
+
+    c = TwoColoring.all_red(3, 7)
+    edges = [(1, 2, 3), (1, 4, 5), (1, 6, 7)]  # three edges through vertex 1
+    with pytest.raises(ProofGap, match="does not form a loose cycle") as ei:
+        _verified_cycle(c, edges, "red", "assembly")
+    assert ei.value.instance == {"coloring": c.to_json_obj(),
+                                 "edges": [list(e) for e in edges]}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -675,3 +725,58 @@ def test_checker_reads_every_nested_payload_field():
                 if ok:
                     unread.append(f"{cert.type}:{path}")
     assert not unread, unread
+
+
+def _tampered(cert, change):
+    """A copy of the certificate's JSON form with `change` applied to it."""
+    obj = json.loads(json.dumps(cert.to_json_obj()))
+    change(obj)
+    return obj
+
+
+def test_checker_names_each_false_claim():
+    # well-formed certificates whose claim the coloring does not bear out,
+    # one field tampered each, must be rejected for their specific reason
+    _, emb, pairs, join, cfg, _ = _one_certificate_per_type()
+
+    def swap_pair_edges(o):
+        pair = o["payload"]["pairs"][0]
+        pair["red_edge"], pair["blue_edge"] = pair["blue_edge"], pair["red_edge"]
+
+    def set_step_color(o):
+        o["payload"]["steps"][0]["color"] = "blue"
+
+    def repeat_result_vertex(o):
+        asg = o["payload"]["result"]["assignment"]
+        asg[1] = asg[0]
+
+    cases = [
+        (emb, lambda o: o["payload"]["embedding"].update(claimed_color="blue"),
+         ["edge-color-mismatch"]),
+        (pairs, swap_pair_edges, ["pair-0:red-edge-not-red"]),
+        (join, set_step_color, ["edge-color-mismatch"]),
+        (join, repeat_result_vertex, ["result:not-injective"]),
+    ]
+    # the configuration x=10, y=11, (a1, a2, a3) = (2, 4, 7), anchor 2,
+    # avoided 6, u = 2 on the red path 1..9 with reservoir {10, 11, 12}
+    assert cfg.payload["configuration"]["path_assignment"] == list(range(1, 10))
+    for field, value, reason in [
+            ("path_assignment", list(range(1, 9)), "bad-path-length"),
+            ("anchor_i", 4, "anchor-out-of-range"),
+            ("path_assignment", list(range(1, 9)) + [12],
+             "path-not-red:edge-color-mismatch"),
+            ("W", [1, 10, 11], "reservoir-meets-path"),
+            ("x", 11, "ends-not-in-reservoir"),
+            ("u", 9, "u-not-in-entry-set"),
+            ("a1", 5, "bridge:edge-color-mismatch"),
+            ("a3", 8, "S-outside-pool"),
+            ("avoided_vertex", 1, "avoided-not-in-forward-difference"),
+            ("avoided_vertex", 7, "avoided-in-S")]:
+        cases.append((cfg, lambda o, f=field, v=value:
+                      o["payload"]["configuration"].update({f: v}), [reason]))
+    cases.append((cfg, lambda o: o.update(
+        coloring=TwoColoring.all_red(4, 12).to_json_obj()), ["uniformity-not-3"]))
+    for cert, change, reasons in cases:
+        assert verify_certificate(cert)[0]
+        ok, report = verify_certificate(_tampered(cert, change))
+        assert (ok, report["reasons"]) == (False, reasons), reasons

@@ -181,8 +181,7 @@ def test_half_swap_rows_prune_like_full_permutations(k, N):
     # few nodes without a leader prune; random one-signed clauses are not
     # swap-invariant, so the leader check prunes often on them
     E = math.comb(N, k)
-    lo, hi = swap_pairs(N, k)
-    sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
+    sym = swap_pairs(N, k)
     gens = O.oracle_transpositions(N, k)
     pruned = 0
     for seed in range(4):
@@ -217,8 +216,7 @@ def test_search_matches_oracle_on_random_cnfs(symmetry):
         red, blue = (_random_one_signed_rows(rng, E, int(w)) for w in widths)
         sym, gens = (), ()
         if symmetry:
-            lo, hi = swap_pairs(N, 3)
-            sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
+            sym = swap_pairs(N, 3)
             gens = O.oracle_transpositions(N, 3)
         instance, counts = _search_matches_oracle(E, red, blue, sym, gens)
         if np.diff(instance[3]).max() >= _kernels._FILTER_MIN:
@@ -248,8 +246,7 @@ def test_search_matches_oracle_on_16_bit_rows(symmetry):
     E = math.comb(N, 3)
     sym, gens = (), ()
     if symmetry:
-        lo, hi = swap_pairs(N, 3)
-        sym = tuple(zip(lo.astype(np.intp), hi.astype(np.intp)))
+        sym = swap_pairs(N, 3)
         gens = O.oracle_transpositions(N, 3)
     seen = set()
     for seed in (1, 4, 8, 9, 12, 15):
@@ -413,6 +410,26 @@ def test_time_budget_bounds_copy_enumeration(monkeypatch):
     assert (11, 3, "cycle", 5) not in embedder._COPY_CACHE
 
 
+def test_enumeration_timeout_reports_every_stats_key(monkeypatch):
+    # a verdict that stops in copy enumeration reports the same stats keys,
+    # in the same order, as one that searched
+    from ramsey_lab import prover
+    from ramsey_lab.errors import SearchBudgetExceeded
+
+    c3 = cycle_template(3, 3)
+    searched = decide_arrowing(3, 6, c3, c3)
+
+    def out_of_time(*args, **kwargs):
+        raise SearchBudgetExceeded("deadline")
+
+    monkeypatch.setattr(prover, "copy_rank_matrix", out_of_time)
+    v = decide_arrowing(3, 6, c3, c3, max_secs=1.0)
+    assert v.status == "UNKNOWN"
+    assert list(v.stats) == list(searched.stats)
+    assert {key: v.stats[key] for key in ("nodes", "n_vars", "n_clauses")} == \
+        {"nodes": 0, "n_vars": 20, "n_clauses": 0}
+
+
 def test_sat_witness_recheck_counts_before_searching(monkeypatch):
     from ramsey_lab import prover
 
@@ -445,6 +462,17 @@ def test_exact_c33():
 def test_exact_p33():
     claim = compute_ramsey(3, ("path", 3), ("path", 3))
     assert claim.value == F.EXACT_VALUES[("path", 3, "path", 3)]
+
+
+def test_budgeted_scan_is_a_bounds_only_claim():
+    # C^3_3 against itself: N = 6 is SAT in 5 nodes, N = 7 UNSAT in 94, so
+    # a 50-node budget proves the lower bound and stops at 7
+    claim = compute_ramsey(3, ("cycle", 3), ("cycle", 3), max_nodes=50)
+    assert (claim.value, claim.lower, claim.upper) == (None, 7, None)
+    assert claim.provenance == "witness-only"
+    assert claim.chain == ("SAT at N=6 (witness verified)",
+                           "UNKNOWN at N=7 (budget exhausted)")
+    assert claim.witness.n_vertices == 6
 
 
 # ----------------------------------------------------------- DIMACS export
@@ -511,6 +539,22 @@ def test_derive_table_k3_grid():
             if m >= 4:
                 assert by[(("path", n), ("path", m - 1))] == F.pp_value(3, n, m - 1)
         assert by[(("path", n), ("path", n))] == F.pp_value(3, n, n)
+
+
+def test_derive_table_extends_cycle_values_past_a_full_base():
+    # k = 4 bases R(C_n, C_3) = 3n + 1 for every n in [3, 6] = [m, 2m]
+    # extend to n = 7..9; a missing base entry, or k = 3, extends nothing
+    base = {(n, 3): F.cc_value(4, n, 3) for n in range(3, 7)}
+    extended = [cl for cl in derive_table(4, base, extend_to=9)
+                if cl.provenance == "theorem-extended"]
+    assert [(cl.red, cl.blue, cl.value) for cl in extended] == \
+        [(("cycle", n), ("cycle", 3), 3 * n + 1) for n in range(7, 10)]
+    assert all(cl.lower == cl.upper == cl.value for cl in extended)
+    gap = {key: v for key, v in base.items() if key != (5, 3)}
+    base3 = {(n, 3): F.cc_value(3, n, 3) for n in range(3, 7)}
+    for k, b in ((4, gap), (3, base3)):
+        assert all(cl.provenance == "theorem-derived"
+                   for cl in derive_table(k, b, extend_to=9))
 
 
 def test_derive_table_rejects_bad_base():
