@@ -68,7 +68,7 @@ def build_instance(E: int, red_rows: np.ndarray, blue_rows: np.ndarray):
     rows[n_red:, :blue_rows.shape[1]] = blue_rows[:, ::-1]
     counts = np.zeros(2 * E + 3, dtype=np.int64)
     for _, keys in _key_blocks(rows, n_red, E):
-        np.add.at(counts, keys, 1)
+        counts += np.bincount(keys, minlength=2 * E + 3)
     ends = counts.cumsum()
     free = ends - counts  # each key's next free slot in `watch`
     watch = np.empty(2 * n, dtype=np.int32)
@@ -110,6 +110,10 @@ def search(instance, sym, max_nodes, deadline):
     unassigned or differs from its image, it reads blue against red.
     Listing only the lower position of each exchanged pair loses no prune:
     if s(p) is unassigned or differs from p, so is p, which comes first.
+    After each conflict-free fixpoint each generator's pairs are scanned
+    over the assignment bytes up to that first position, which is most
+    often among the first few; a stop at blue against unassigned does
+    not prune.
     """
     E, rows, watch, starts = instance
     ba = bytearray(b"\2") * E + b"\1\0"  # 2 = unassigned; padding values
@@ -124,10 +128,10 @@ def search(instance, sym, max_nodes, deadline):
     trail = []
     decisions = []  # trail position of each open decision; flipped = blue
     qhead = nodes = props = conflicts = depth = hint = start = 0
-    if sym:  # each generator's row ends with (E, E + 1): red, then blue
-        sym_lo = np.column_stack([sym[0], np.full(len(sym[0]), E)]).ravel()
-        sym_hi = np.column_stack([sym[1], np.full(len(sym[1]), E + 1)]).ravel()
-        heads = np.arange(0, sym_lo.size, sym[0].shape[1] + 1)
+    # per generator its (p, s(p)) pairs, ending with (E, E + 1): red, then
+    # blue, which stops every scan and does not prune
+    gens = [list(zip(lo, hi)) + [(E, E + 1)]
+            for lo, hi in zip(*(a.tolist() for a in sym))]
 
     def result(status):
         out = np.where(assign[:E] == 2, -1, assign[:E]).astype(np.int8)
@@ -150,10 +154,10 @@ def search(instance, sym, max_nodes, deadline):
             key = 2 * v + val
             ids = watch[starts[key]:starts[key + 1]]
             if ids.size >= _FILTER_MIN:  # drop the clauses s satisfies
-                hit = assign.take(rows.take(ids, axis=0)) == s
-                keep = ~hit[:, 0]
-                for j in range(1, W):  # a column at a time, as in the build
-                    keep &= ~hit[:, j]
+                unsat = assign.take(rows.take(ids, axis=0)) != s
+                keep = unsat[:, 0] & unsat[:, 1]
+                for j in rest:  # a column at a time, as in the build
+                    keep &= unsat[:, j]
                 ids = ids.compress(keep)
             mv = moved[key]
             for c in ids.tolist() + mv if mv else ids.tolist():
@@ -188,11 +192,14 @@ def search(instance, sym, max_nodes, deadline):
         if not conflict:
             props += len(trail) - start
             # ---- symmetry leader check (red precedes blue) ----------------
-            if sym:
-                a, b = assign.take(sym_lo), assign.take(sym_hi)
-                stop = np.flatnonzero((a != b) | (a == 2))
-                p = stop.take(np.searchsorted(stop, heads))
-                conflict = bool(((a.take(p) == 0) & (b.take(p) == 1)).any())
+            for pairs in gens:
+                for p, q in pairs:
+                    x = ba[p]
+                    if x == 2 or x != ba[q]:
+                        break
+                if x == 0 and ba[q] == 1:
+                    conflict = True
+                    break
 
         if conflict:
             # ---- backtrack to the deepest unflipped decision; flip it -----

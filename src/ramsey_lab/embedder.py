@@ -540,9 +540,10 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     On N = v = t.n_vertices labels, copies extend those of the path with
     one edge fewer by one edge; a larger host's table is lifted from the
     spanning table, which is cached too.  The
-    rows are ordered in place: each becomes one base-C(N, k) int64 key, the
-    keys are sorted, and the columns are decoded back from them, so beyond
-    the table only the keys are held.
+    rows are ordered in place: each becomes one base-C(N, k) key in the
+    narrowest unsigned dtype that holds C(N, k) ** t.n - 1, the keys are
+    sorted, and the columns are decoded back from them, so beyond the
+    table only the keys are held.
     A table of 2**31 rows or more, or one whose decision would need more
     than the host's physical memory (`_PEAK_PER_TABLE_BYTE`, 9, times the
     table's bytes), is refused as `copy-table-too-large` before anything
@@ -564,7 +565,7 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
         base = math.comb(N, k)
         if base ** t.n >= 1 << 63:
             raise AssertionError(f"internal: {len(arr)} copies with sort keys past int64")
-        packed = arr[:, 0].astype(np.int64)
+        packed = arr[:, 0].astype(np.min_scalar_type(base ** t.n - 1))
         for col in arr.T[1:]:
             packed *= base
             packed += col

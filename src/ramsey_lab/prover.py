@@ -42,6 +42,8 @@ from .embedder import (Embedding, copy_rank_matrix, count_copies, find_embedding
                        verify_embedding)
 from .errors import SearchBudgetExceeded
 
+_DIMACS_BLOCK = 4096  # copy rows per block of `export_dimacs` text
+
 
 @dataclass(frozen=True)
 class ArrowingVerdict:
@@ -268,10 +270,13 @@ def export_dimacs(k: int, N: int, red_target: LooseTemplate,
         f"c varmap-digest sha256:{digest}",
         f"p cnf {E} {red_rows.shape[0] + blue_rows.shape[0]}",
     ]
-    for row in red_rows:
-        lines.append(" ".join(str(-(int(r) + 1)) for r in row) + " 0")
-    for row in blue_rows:
-        lines.append(" ".join(str(int(r) + 1) for r in row) + " 0")
+    # one token per rank, one block of _DIMACS_BLOCK rows as Python ints
+    # at a time: the whole table as nested lists would outweigh its text
+    for rows, sign in ((red_rows, "-"), (blue_rows, "")):
+        tok = [f"{sign}{r + 1}" for r in range(E)].__getitem__
+        for b0 in range(0, len(rows), _DIMACS_BLOCK):
+            lines.append("\n".join(" ".join(map(tok, row)) + " 0"
+                                   for row in rows[b0:b0 + _DIMACS_BLOCK].tolist()))
     return "\n".join(lines) + "\n", sidecar
 
 
@@ -287,7 +292,8 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
     R(P_n, C_m), R(P_n, P_{m-1}) and, on the diagonal, R(P_n, P_n).  When
     the base covers every n in [m, 2m] for some m and k >= 4, the
     cycle-cycle formula extends to all larger n ("theorem-extended") up to
-    `extend_to`.  The formulas hold for k >= 3 and n >= m >= 3 only; any
+    `extend_to`, and each such n gets the two path claims a base entry
+    (n, m) gives.  The formulas hold for k >= 3 and n >= m >= 3 only; any
     other entry is refused as `invalid-parameter`.
     """
     claims: List[RamseyClaim] = []
@@ -301,12 +307,7 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
                 f"inconsistent-base: R(C^{k}_{n},C^{k}_{m}) = {value}, "
                 f"formula gives {expect}")
         src = f"base R(C^{k}_{n},C^{k}_{m}) = {value}"
-        pc = (k - 1) * n + (m + 1) // 2
-        claims.append(RamseyClaim(k, (PATH, n), (CYCLE, m), pc, pc, pc,
-                                  "theorem-derived", (src,)))
-        pp = (k - 1) * n + m // 2
-        claims.append(RamseyClaim(k, (PATH, n), (PATH, m - 1), pp, pp, pp,
-                                  "theorem-derived", (src,)))
+        claims += _path_claims(k, n, m, "theorem-derived", src)
         if n == m:
             diag = (k - 1) * n + (n + 1) // 2
             claims.append(RamseyClaim(k, (PATH, n), (PATH, n), diag, diag, diag,
@@ -321,7 +322,17 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
                     cc = (k - 1) * n + (m - 1) // 2
                     claims.append(RamseyClaim(k, (CYCLE, n), (CYCLE, m), cc,
                                               cc, cc, "theorem-extended", (src,)))
+                    claims += _path_claims(k, n, m, "theorem-extended", src)
     return claims
+
+
+def _path_claims(k: int, n: int, m: int, provenance: str,
+                 src: str) -> List[RamseyClaim]:
+    """R(P_n, C_m) and R(P_n, P_{m-1}), implied by R(C_n, C_m)."""
+    pc = (k - 1) * n + (m + 1) // 2
+    pp = (k - 1) * n + m // 2
+    return [RamseyClaim(k, (PATH, n), (CYCLE, m), pc, pc, pc, provenance, (src,)),
+            RamseyClaim(k, (PATH, n), (PATH, m - 1), pp, pp, pp, provenance, (src,))]
 
 
 # ---------------------------------------------------------------------------

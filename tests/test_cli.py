@@ -140,13 +140,17 @@ def test_table(tmp_path):
 
 
 def test_table_extend_to(tmp_path):
-    # k = 4 bases R(C_n, C_3) for n = 3..6 extend to n = 7, 8
+    # k = 4 bases R(C_n, C_3) for n = 3..6 extend to n = 7, 8: C_n vs C_3,
+    # P_n vs C_3 and P_n vs P_2 each
     bases = [arg for n in range(3, 7) for arg in ("--base", f"{n},3={3 * n + 1}")]
     code, rep = run(tmp_path, "table", "--k", "4", *bases, "--extend-to", "8")
     assert code == EXIT_OK
-    extended = [(cl["red"]["length"], cl["value"]) for cl in rep["results"]["claims"]
+    extended = [(cl["red"]["kind"], cl["red"]["length"], cl["blue"]["kind"],
+                 cl["blue"]["length"], cl["value"]) for cl in rep["results"]["claims"]
                 if cl["provenance"] == "theorem-extended"]
-    assert extended == [(7, 22), (8, 25)]
+    assert extended == [("cycle", 7, "cycle", 3, 22), ("path", 7, "cycle", 3, 23),
+                        ("path", 7, "path", 2, 22), ("cycle", 8, "cycle", 3, 25),
+                        ("path", 8, "cycle", 3, 26), ("path", 8, "path", 2, 25)]
 
 
 def test_table_refuses_bases_outside_the_theorem(tmp_path, capsys):

@@ -129,9 +129,9 @@ def test_copy_grow_runs_only_on_spanning_hosts(monkeypatch):
 
 def test_spanning_copy_table_peaks_near_its_size(monkeypatch):
     # cold, C^3_5 in K^3_10 (1.8 MB of uint8) is extended from the lifted
-    # P^3_4 copies block by block: beside the table, one int64 sort key
-    # per row and the shorter paths' tables, only one block of cells is
-    # held at a time
+    # P^3_4 copies block by block: beside the table, one uint64 sort key
+    # per row (120^5 keys) and the shorter paths' tables, only one block
+    # of cells is held at a time
     import tracemalloc
 
     from ramsey_lab import embedder
@@ -228,8 +228,9 @@ def test_mask_ranker_matches_colex_rank(N, k):
 
 def test_lifted_copy_table_peaks_near_its_size(monkeypatch):
     # with the spanning table warm, lifting P^3_4 into K^3_10 (1.8 MB of
-    # uint8) holds the table and one int64 sort key per row at most: no
-    # buffer for the lift's take, no argsort index and no second table
+    # uint8) holds the table and one uint32 sort key per row at most (120^4
+    # keys): no buffer for the lift's take, no argsort index and no second
+    # table
     import tracemalloc
 
     from ramsey_lab import embedder
@@ -244,7 +245,7 @@ def test_lifted_copy_table_peaks_near_its_size(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rows.nbytes == 453600 * 4
-    assert peak < 1.1 * (rows.nbytes + 8 * len(rows)), peak / rows.nbytes
+    assert peak < 1.1 * (rows.nbytes + 4 * len(rows)), peak / rows.nbytes
 
 
 def test_lift_refuses_spanning_ranks_out_of_range(monkeypatch):
@@ -263,9 +264,10 @@ def test_lift_refuses_spanning_ranks_out_of_range(monkeypatch):
 
 
 def test_copy_sort_key_overflow_is_internal_error(monkeypatch):
-    # the rows are ordered by one base-C(N, k) int64 per row; a template
-    # whose key would pass 2^63 has no table that fits in memory, and a
-    # nonempty one is refused rather than sorted wrongly
+    # the rows are ordered by one base-C(N, k) key per row, in the
+    # narrowest unsigned dtype that holds it; a template whose key would
+    # pass 2^63 has no table that fits in memory, and a nonempty one is
+    # refused rather than sorted wrongly
     from ramsey_lab import embedder
 
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
@@ -274,6 +276,35 @@ def test_copy_sort_key_overflow_is_internal_error(monkeypatch):
     with pytest.raises(AssertionError, match="past int64"):
         embedder.copy_rank_matrix(200, 3, cycle_template(3, 9))
     assert embedder._COPY_CACHE == {}
+
+
+@pytest.mark.parametrize("N,t,width", [
+    (5, path_template(3, 2), np.uint8),     # 10^2 keys
+    (7, cycle_template(3, 3), np.uint16),   # 35^3
+    (9, cycle_template(3, 4), np.uint32),   # 84^4
+    (10, cycle_template(3, 5), np.uint64),  # 120^5
+])
+def test_copy_sort_keys_of_every_width_order_rows_lexicographically(monkeypatch, N, t, width):
+    # the enumerated rows, shuffled, come out of each key width in
+    # np.lexsort's order, first column most significant
+    from ramsey_lab import embedder
+
+    assert np.min_scalar_type(math.comb(N, 3) ** t.n - 1) == width
+    enumerate_copies = embedder._enumerate_copies
+    shuffled = {}
+
+    def enumerate_shuffled(*args):
+        rows = enumerate_copies(*args)
+        np.random.default_rng(5).shuffle(rows)
+        shuffled["rows"] = rows.copy()
+        return rows
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    monkeypatch.setattr(embedder, "_enumerate_copies", enumerate_shuffled)
+    rows = copy_rank_matrix(N, 3, t)
+    oracle = shuffled["rows"][np.lexsort(shuffled["rows"].T[::-1])]
+    assert len(rows) == count_copies(N, 3, t) > 1
+    assert rows.dtype == oracle.dtype and np.array_equal(rows, oracle)
 
 
 def test_copy_table_too_large_is_refused():

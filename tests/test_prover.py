@@ -192,6 +192,20 @@ def test_half_swap_rows_prune_like_full_permutations(k, N):
     assert pruned
 
 
+def test_leader_scan_does_not_prune_blue_against_unassigned():
+    # one generator exchanges variables 0 and 2, and a red unit clause on 0
+    # turns it blue at node 2, with 2 unassigned: the scan stops at (blue,
+    # unassigned), which does not prune.  Node 4 (0 blue, 2 red) is pruned,
+    # node 5 (both blue) is a model
+    E = 3
+    sym = (np.array([[0]]), np.array([[2]]))
+    red, blue = np.array([[0]]), np.empty((0, 1), dtype=np.int64)
+    _, counts = _search_matches_oracle(E, red, blue, sym, [[2, 1, 0]])
+    assert counts == ["SAT", 5, 0, 2, 3]
+    assert _kernels.search(_kernels.build_instance(E, red, blue), sym, None,
+                           None)[-1].tolist() == [0, 1, 0]
+
+
 def _random_one_signed_rows(rng, E, width):
     # width-1 rows only ever conflict, so a few of them are enough; width-2
     # rows settle a search in a few nodes, so fewer of those too
@@ -502,6 +516,24 @@ def test_dimacs_variable_convention():
         assert tuple(sidecar["variables"][str(r + 1)]) == e
 
 
+def test_dimacs_clause_lines_match_rows_across_blocks(monkeypatch):
+    # with 11-row blocks, the 840 red and 315 blue rows of K^3_7 end
+    # mid-block and the first blue block starts a fresh token list; each
+    # row is still one line of its signed rank + 1 values and a 0
+    from ramsey_lab import prover
+
+    monkeypatch.setattr(prover, "_DIMACS_BLOCK", 11)
+    red, blue = _t(3, "C3"), _t(3, "P2")
+    text, _ = export_dimacs(3, 7, red, blue)
+    lines = text.split("\n")
+    expect = [" ".join(str(-(int(r) + 1)) for r in row) + " 0"
+              for row in copy_rank_matrix(7, 3, red)] + \
+        [" ".join(str(int(r) + 1) for r in row) + " 0"
+         for row in copy_rank_matrix(7, 3, blue)]
+    assert lines[3] == "p cnf 35 1155"
+    assert lines[4:] == expect + [""]
+
+
 def test_dimacs_model_decodes_to_witness():
     text, _ = export_dimacs(3, 6, _t(3, "C3"), _t(3, "C3"))
     n_vars, clauses = O.parse_dimacs(text)
@@ -543,12 +575,16 @@ def test_derive_table_k3_grid():
 
 def test_derive_table_extends_cycle_values_past_a_full_base():
     # k = 4 bases R(C_n, C_3) = 3n + 1 for every n in [3, 6] = [m, 2m]
-    # extend to n = 7..9; a missing base entry, or k = 3, extends nothing
+    # extend to n = 7..9, each n with the two path claims a base entry
+    # (n, 3) gives; a missing base entry, or k = 3, extends nothing
     base = {(n, 3): F.cc_value(4, n, 3) for n in range(3, 7)}
     extended = [cl for cl in derive_table(4, base, extend_to=9)
                 if cl.provenance == "theorem-extended"]
     assert [(cl.red, cl.blue, cl.value) for cl in extended] == \
-        [(("cycle", n), ("cycle", 3), 3 * n + 1) for n in range(7, 10)]
+        [claim for n in range(7, 10)
+         for claim in ((("cycle", n), ("cycle", 3), 3 * n + 1),
+                       (("path", n), ("cycle", 3), 3 * n + 2),
+                       (("path", n), ("path", 2), 3 * n + 1))]
     assert all(cl.lower == cl.upper == cl.value for cl in extended)
     gap = {key: v for key, v in base.items() if key != (5, 3)}
     base3 = {(n, 3): F.cc_value(3, n, 3) for n in range(3, 7)}
