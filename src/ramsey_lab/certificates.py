@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coloring import TwoColoring, decoding
-from .core import atomic_write
+from .core import atomic_write, read_json
 
 CERT_TYPES = ("witness-coloring", "embedding", "pair-set", "join-trace",
               "configuration")
@@ -57,14 +57,11 @@ class Certificate:
 
     def save(self, path, explicit_coloring: bool = False) -> None:
         """One line of JSON, encoded in full before `path` is touched."""
-        text = json.dumps(self.to_json_obj(explicit_coloring)) + "\n"
-        with atomic_write(path) as fh:
-            fh.write(text)
+        atomic_write(path, json.dumps(self.to_json_obj(explicit_coloring)) + "\n")
 
     @classmethod
     def load(cls, path) -> "Certificate":
-        with open(path) as fh:
-            return cls.from_json_obj(json.load(fh))
+        return cls.from_json_obj(read_json(path))
 
 
 def make_certificate(type_: str, coloring: TwoColoring, payload: dict, *,

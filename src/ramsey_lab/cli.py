@@ -109,8 +109,7 @@ def _emit(report: dict, args, t0: float) -> None:
     timings["total_secs"] = round(time.monotonic() - t0, 6)
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out:
-        with atomic_write(args.out) as fh:
-            fh.write(text + "\n")
+        atomic_write(args.out, text + "\n")
     else:
         print(text)
 
@@ -336,10 +335,8 @@ def _run_export_cnf(args, report: dict) -> int:
     stem = args.stem or f"arrow-k{args.k}-N{args.n_vertices}"
     cnf_path = _artifact(args, stem + ".cnf")
     map_path = _artifact(args, stem + ".vars.json")
-    with atomic_write(cnf_path) as fh:
-        fh.write(text)
-    with atomic_write(map_path) as fh:
-        fh.write(json.dumps(sidecar, indent=2))
+    atomic_write(cnf_path, text)
+    atomic_write(map_path, json.dumps(sidecar, indent=2))
     head = text.index("\np cnf ") + 1  # the header, after the comments
     _, _, n_vars, n_clauses = text[head:text.index("\n", head)].split()
     report["results"] = {"cnf": cnf_path, "varmap": map_path,
@@ -528,9 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_HYPOTHESIS
     except ProofGap as exc:
         path = _artifact(args, f"{args.subcommand}.proofgap.json")
-        text = json.dumps(exc.instance, indent=2)
-        with atomic_write(path) as fh:
-            fh.write(text)
+        atomic_write(path, json.dumps(exc.instance, indent=2))
         report["results"] = {"error": "proof-gap", "detail": str(exc),
                              "instance": path}
         _emit(report, args, t0)

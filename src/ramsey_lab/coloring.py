@@ -20,11 +20,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from operator import getitem
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Edge, as_edge, atomic_write, cycle_template, path_template
+from .core import Edge, as_edge, atomic_write, cycle_template, path_template, read_json
 
 RED = 1
 BLUE = 0
@@ -50,9 +51,37 @@ def decoding(what: str):
         raise ValueError(f"malformed-{what}: {exc}") from exc
 
 
+# _COMB[i - 1][a] = C(a - 1, i), the term the i-th smallest label a adds
+# to a colex rank; index 0 of each row is never read.  Grown by
+# `_grow_comb` and only ever replaced whole, never changed in place.
+_COMB: list[list[int]] = []
+
+
+def _grow_comb(k: int, top: int) -> list[list[int]]:
+    """Replace _COMB by a table with at least k rows and room for label
+    `top`, at least doubling its width when it grows, and return it."""
+    global _COMB
+    width = len(_COMB[0]) if _COMB else 64
+    if top >= width:
+        width = max(top + 1, 2 * width)
+    _COMB = [[0] + [math.comb(a - 1, i) for a in range(1, width)]
+             for i in range(1, max(k, len(_COMB)) + 1)]
+    return _COMB
+
+
 def colex_rank(sorted_edge: Sequence[int]) -> int:
-    """Colex rank of an ascending vertex tuple; unchecked, see edge_rank."""
-    return sum(math.comb(a - 1, i) for i, a in enumerate(sorted_edge, start=1))
+    """Colex rank of an ascending tuple or list of labels >= 1; unchecked,
+    see edge_rank."""
+    rows = _COMB
+    # map stops at the shorter input, so an edge longer than the table
+    # must not reach it
+    if len(sorted_edge) <= len(rows):
+        try:
+            return sum(map(getitem, rows, sorted_edge))
+        except IndexError:
+            pass
+    rows = _grow_comb(len(sorted_edge), max(sorted_edge))
+    return sum(map(getitem, rows, sorted_edge))
 
 
 def edge_rank(e: Iterable[int], N: int, k: int) -> int:
@@ -207,14 +236,11 @@ class TwoColoring:
             return cls(k, N, bits)
 
     def save(self, path, explicit: bool = False) -> None:
-        text = json.dumps(self.to_json_obj(explicit=explicit)) + "\n"
-        with atomic_write(path) as fh:
-            fh.write(text)
+        atomic_write(path, json.dumps(self.to_json_obj(explicit=explicit)) + "\n")
 
     @classmethod
     def load(cls, path) -> "TwoColoring":
-        with open(path) as fh:
-            return cls.from_json_obj(json.load(fh))
+        return cls.from_json_obj(read_json(path))
 
 
 def rank_dtype(N: int, k: int) -> np.dtype:

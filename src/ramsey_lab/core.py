@@ -9,12 +9,12 @@ range for cycles.  All vertex labels are 1-based everywhere in this library.
 
 from __future__ import annotations
 
+import json
 import os
 import stat
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable, Iterator, Tuple
+from typing import Iterable, Tuple
 
 Edge = Tuple[int, ...]
 
@@ -116,24 +116,27 @@ def is_loose_sequence(edges: list[Edge], kind: str) -> bool:
     return not (n == 3 and kind == CYCLE and sets[0] & sets[1] & sets[2])
 
 
-@contextmanager
-def atomic_write(path) -> Iterator[IO[str]]:
-    """Write `path` through a fresh temp file beside it; the library's one writer.
+def atomic_write(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 through a fresh temp file beside it;
+    the library's one writer.
 
-    Yields the temp file opened for writing text.  On a clean exit
-    the temp file takes `path`'s place.  The old file is moved aside just
-    before that and unlinked after, so for a moment a concurrent reader
-    finds no file at `path`, never part of one; a process killed in that
-    moment leaves the old content in `<path>.<hex>.tmp.old`.  On any error the temp file is
-    deleted and the old file is left as it was.  A rewritten file is a new
-    inode owned by the writing user; it keeps the old file's permission
-    bits.  A symlink is followed and its target written.  A path that
-    exists and is not a regular file (a device, a FIFO), or is a regular
-    file with more than one hard link, is opened and written as it is, so
-    every link reads the new content; such a write is not atomic.  Nothing
-    is fsynced: after a crash in the first seconds after a write, the new
-    file can be empty.
+    The whole text is encoded before any path is touched, so a text that
+    cannot be encoded raises and creates nothing.  The bytes go to the
+    temp file with `os.write`, looping on short writes, and the temp file
+    then takes `path`'s place.  The old file is moved aside just before
+    that and unlinked after, so for a moment a concurrent reader finds no
+    file at `path`, never part of one; a process killed in that moment
+    leaves the old content in `<path>.<hex>.tmp.old`.  On any error the
+    temp file is deleted and the old file is left as it was.  A rewritten
+    file is a new inode owned by the writing user; it keeps the old file's
+    permission bits.  A symlink is followed and its target written.  A
+    path that exists and is not a regular file (a device, a FIFO), or is a
+    regular file with more than one hard link, is opened and written as it
+    is, so every link reads the new content; such a write is not atomic.
+    Nothing is fsynced: after a crash in the first seconds after a write,
+    the new file can be empty.
     """
+    data = text.encode("utf-8")
     path = os.fspath(path)
     try:
         st = os.lstat(path)
@@ -142,41 +145,60 @@ def atomic_write(path) -> Iterator[IO[str]]:
             st = os.stat(path)
     except FileNotFoundError:
         st = None
+    tmp = aside = None
     if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
-        with open(path, "w") as fh:
-            yield fh
-        return
-    head, tail = os.path.split(path)
-    while True:
-        tmp = os.path.join(head, f"{tail}.{os.urandom(4).hex()}.tmp")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    else:
+        head, tail = os.path.split(path)
+        while True:
+            tmp = os.path.join(head, f"{tail}.{os.urandom(4).hex()}.tmp")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
     try:
-        with os.fdopen(fd, "w") as fh:
-            if st is not None:
+        try:
+            if tmp is not None and st is not None:
                 os.fchmod(fd, stat.S_IMODE(st.st_mode))
-            yield fh
-        # Move the old file to a free name and unlink it instead of
-        # renaming over it: ext4 (auto_da_alloc) forces writeback of a file
-        # renamed over an existing one, about 0.3 ms per write, and a
-        # rename onto a free name or an unlink does not.  The old file is
-        # put back if the new one cannot be moved into place.
-        aside = tmp + ".old"
-        try:
-            os.rename(path, aside)
-        except FileNotFoundError:
-            aside = None
-        try:
-            os.replace(tmp, path)
-        except BaseException:
-            if aside is not None:
-                os.rename(aside, path)
-            raise
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        if tmp is not None:
+            # Move the old file to a free name and unlink it instead of
+            # renaming over it: ext4 (auto_da_alloc) forces writeback of a
+            # file renamed over an existing one, about 0.3 ms per write,
+            # and a rename onto a free name or an unlink does not.  The old
+            # file is put back if the new one cannot be moved into place.
+            aside = tmp + ".old"
+            try:
+                os.rename(path, aside)
+            except FileNotFoundError:
+                aside = None
+            try:
+                os.replace(tmp, path)
+            except BaseException:
+                if aside is not None:
+                    os.rename(aside, path)
+                raise
     except BaseException:
-        os.unlink(tmp)
+        if tmp is not None:
+            os.unlink(tmp)
         raise
     if aside is not None:
         os.unlink(aside)
+
+
+def read_json(path):
+    """The JSON document in the file at `path`, read as bytes and decoded
+    as strict UTF-8.  Line ends are translated as a text-mode read would
+    (CR LF and a lone CR become LF), so a file is accepted or refused, and
+    an error reads, exactly as with `json.load(open(path))` in a UTF-8
+    locale."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)

@@ -85,8 +85,8 @@ class Embedding:
         return frozenset(self.assignment)
 
     def edge_images(self) -> list[Edge]:
-        a = self.assignment
-        return [tuple(sorted(a[v - 1] for v in e)) for e in self.template.edges]
+        image = (0,) + self.assignment  # 1-based, like template vertices
+        return [tuple(sorted(map(image.__getitem__, e))) for e in self.template.edges]
 
     def vertex_image(self, template_vertex: int) -> int:
         return self.assignment[template_vertex - 1]
@@ -241,7 +241,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
         assign[tv] = hv
 
     def edge_ok(e: Edge) -> bool:
-        return c.bits[colex_rank(tuple(sorted(assign[v] for v in e)))] == want
+        return c.bits[colex_rank(sorted(map(assign.__getitem__, e)))] == want
 
     # the search plan; degree-1 positions of one edge are interchangeable
     degree = Counter(v for e in edges for v in e)

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import _kernels, embedder
-from .coloring import (_MAX_EDGES, TwoColoring, all_edges, decoding,
+from .coloring import (_MAX_EDGES, TwoColoring, all_edges, colex_rank, decoding,
                        host_edges, split_counting, swap_pairs)
 from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
                    path_template)
@@ -439,7 +439,7 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             result = _host_embedding(p["result"], c)
             outcome_kind = p["outcome_kind"]
         for i, (e, want) in enumerate(steps):
-            if c.color_of(e) != want:
+            if ("red" if c.bits[colex_rank(e)] else "blue") != want:
                 reasons.append("edge-color-mismatch")
                 report.setdefault("bad_steps", []).append(i)
         res = verify_embedding(c, result)

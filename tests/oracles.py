@@ -14,6 +14,7 @@ argsort of every watch key.  No imports from ramsey_lab.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -54,6 +55,11 @@ def oracle_colex_subsets(N: int, k: int) -> List[Edge]:
 def oracle_rank(e: Iterable[int], N: int, k: int) -> int:
     order = oracle_colex_subsets(N, k)
     return order.index(tuple(sorted(e)))
+
+
+def oracle_colex_rank_sum(sorted_edge: Sequence[int]) -> int:
+    """sum_i C(a_i - 1, i) over the ascending labels, one math.comb each."""
+    return sum(math.comb(a - 1, i) for i, a in enumerate(sorted_edge, start=1))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ramsey_lab.cli import (
     EXIT_USAGE,
     main,
 )
+from ramsey_lab.certificates import Certificate
 from ramsey_lab.coloring import TwoColoring, all_edges
 from ramsey_lab.core import cycle_template
 from ramsey_lab.embedder import Embedding, count_copies, verify_embedding
@@ -225,6 +226,63 @@ def test_check_cert_rejects_empty_file(tmp_path):
     empty.write_text("")
     code, rep = run(tmp_path, "check-cert", "--file", str(empty))
     assert code == EXIT_USAGE
+
+
+def _text_mode_load(cls, path):
+    """How the loaders read a file when they read it in text mode."""
+    with open(path) as fh:
+        return cls.from_json_obj(json.load(fh))
+
+
+def _outcome(load, cls, path):
+    try:
+        doc = load(cls, path)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+    return "ok", doc.to_json_obj()
+
+
+def test_loaders_accept_and_refuse_what_a_text_mode_read_does(tmp_path):
+    # the loaders read bytes and decode them as strict UTF-8; every file
+    # gives the same document, or the same exception with the same
+    # message, as a text-mode read, and check-cert exits 2 on each refusal
+    join, _ = _join_certificate_obj()
+    join["meta"]["lemma"] = "join \u00e9"
+    coloring = TwoColoring.all_red(3, 6).with_edges([(1, 2, 3)], red=False)
+    docs = {Certificate: join,
+            TwoColoring: dict(coloring.to_json_obj(), note="\u00e9")}
+    for cls, obj in docs.items():
+        line = json.dumps(obj).encode() + b"\n"
+        indented = json.dumps(obj, indent=2).encode()
+        raw = json.dumps(obj, ensure_ascii=False).encode()
+        files = {
+            "line": line, "indented": indented, "raw-utf8": raw,
+            "crlf": indented.replace(b"\n", b"\r\n"),
+            "lone-cr": indented.replace(b"\n", b"\r"),
+            "cr-in-string": line.replace(b'"k"', b'"k\r"', 1),
+            "empty": b"", "blank": b" \r\n",
+            "bom": b"\xef\xbb\xbf" + line,
+            "invalid-utf8": b"\xff" + line,
+            "latin-1": json.dumps(obj, ensure_ascii=False).encode("latin-1", "replace"),
+            "truncated-utf8": raw[:raw.index(b"\xc3") + 1],
+            "trailing-garbage": line + b"x",
+            "two-documents": line + line,
+            "truncated": line[:len(line) // 2],
+            "not-an-object": b"[]",
+        }
+        expect_ok = {"line", "indented", "raw-utf8", "crlf", "lone-cr"}
+        for name, data in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(data)
+            old = _outcome(_text_mode_load, cls, path)
+            assert _outcome(lambda c, p: c.load(p), cls, path) == old, (cls, name)
+            assert (old[0] == "ok") == (name in expect_ok), (cls, name, old)
+            if cls is Certificate:
+                code, _ = run(tmp_path, "check-cert", "--file", str(path))
+                assert code == (EXIT_OK if old[0] == "ok" else EXIT_USAGE), name
+        for path in (tmp_path, tmp_path / "missing.json"):
+            assert _outcome(lambda c, p: c.load(p), cls, path) == \
+                _outcome(_text_mode_load, cls, path)
 
 
 def test_check_cert_accepts_and_rejects(tmp_path):

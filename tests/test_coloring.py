@@ -2,17 +2,20 @@
 
 import hashlib
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from ramsey_lab import coloring
 from ramsey_lab.coloring import (
     BLUE,
     RED,
     TwoColoring,
     all_edges,
+    colex_rank,
     edge_rank,
     lower_bound_witness,
     split_coloring,
@@ -35,6 +38,26 @@ def test_colex_order_matches_oracle(N, k):
 def test_rank_unrank_bijection(N, k):
     for r, e in enumerate(all_edges(N, k)):
         assert edge_rank(e, N, k) == r
+
+
+def test_colex_rank_matches_the_binomial_sum(monkeypatch):
+    # from an empty table: every k-subset for k <= 6, N <= 14, then edges
+    # wider and longer than the table has grown to, so each of its
+    # growths is read back; a longer edge that reached the table
+    # unchecked would be summed over its first rows only
+    monkeypatch.setattr(coloring, "_COMB", [])
+    for k in range(7):
+        for e in itertools.combinations(range(1, 15), k):
+            assert colex_rank(e) == O.oracle_colex_rank_sum(e), e
+    assert len(coloring._COMB) == 6 and len(coloring._COMB[0]) == 64
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        k = int(rng.integers(1, 21))
+        top = int(rng.integers(k, 301))
+        e = sorted(rng.choice(np.arange(1, top + 1), k, replace=False).tolist())
+        assert colex_rank(e) == colex_rank(tuple(e)) == O.oracle_colex_rank_sum(e), e
+    assert len(coloring._COMB) == 20 and len(coloring._COMB[0]) > 300
+    assert colex_rank(list(range(2, 25))) == O.oracle_colex_rank_sum(range(2, 25))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

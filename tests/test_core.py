@@ -98,12 +98,14 @@ def test_template_equality_and_hash():
 
 # ------------------------------------------------------------- file writes
 
+def _fds() -> list:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 def test_atomic_write_creates_and_replaces(tmp_path):
     p = tmp_path / "out.txt"
-    with atomic_write(p) as fh:
-        fh.write("first\n")
-    with atomic_write(str(p)) as fh:
-        fh.write("second\n")
+    atomic_write(p, "first\n")
+    atomic_write(str(p), "second\n")
     assert p.read_bytes() == b"second\n"
     assert [f.name for f in tmp_path.iterdir()] == [p.name]
     # the file gets the mode a plain open() would give it, not mkstemp's 0600
@@ -112,18 +114,31 @@ def test_atomic_write_creates_and_replaces(tmp_path):
     assert p.stat().st_mode == plain.stat().st_mode
     # a rewrite keeps the permission bits the old file had
     p.chmod(0o600)
-    with atomic_write(p) as fh:
-        fh.write("third\n")
+    atomic_write(p, "third\n")
     assert p.read_text() == "third\n" and p.stat().st_mode & 0o777 == 0o600
+    # the text lands as UTF-8 bytes, with no newline translation
+    atomic_write(p, "\u00e9\r\n\U0001d4d2")
+    assert p.read_bytes() == "\u00e9\r\n\U0001d4d2".encode("utf-8")
 
 
 def test_atomic_write_error_keeps_the_old_file(tmp_path, monkeypatch):
     p = tmp_path / "out.txt"
     p.write_text("old\n")
-    with pytest.raises(RuntimeError):
-        with atomic_write(p) as fh:
-            fh.write("half")
-            raise RuntimeError("disk full")
+    real_write = os.write
+    calls = []
+
+    def half_then_fail(fd, data):
+        # one partial write lands, the next one fails
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, bytes(data[:2]))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(core.os, "write", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(p, "new content\n")
+    monkeypatch.undo()
+    assert calls == [12, 10]
     assert p.read_text() == "old\n"
     assert [f.name for f in tmp_path.iterdir()] == [p.name]
 
@@ -132,16 +147,82 @@ def test_atomic_write_error_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(core.os, "replace", no_replace)
     with pytest.raises(OSError, match="rename refused"):
-        with atomic_write(p) as fh:
-            fh.write("new\n")
+        atomic_write(p, "new\n")
     assert p.read_text() == "old\n"
     assert [f.name for f in tmp_path.iterdir()] == [p.name]
     # a first write fails the same way and leaves nothing behind
     fresh = tmp_path / "fresh.txt"
     with pytest.raises(OSError, match="rename refused"):
-        with atomic_write(fresh) as fh:
-            fh.write("new\n")
+        atomic_write(fresh, "new\n")
     assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+
+def test_atomic_write_refuses_an_unencodable_text_before_any_path(tmp_path,
+                                                                   monkeypatch):
+    p = tmp_path / "out.txt"
+    p.write_text("old\n")
+
+    def no_open(*args):
+        raise AssertionError("a path was opened")
+
+    monkeypatch.setattr(core.os, "open", no_open)
+    monkeypatch.setattr(core.os, "lstat", no_open)
+    for target in (p, tmp_path / "fresh.txt"):
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(target, "ok \ud800 lone surrogate")
+    assert p.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+
+def test_atomic_write_loops_on_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    sizes = []
+
+    def three_bytes_at_most(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, bytes(data[:3]))
+
+    monkeypatch.setattr(core.os, "write", three_bytes_at_most)
+    text = "0123456789\u00e9\n"
+    p = tmp_path / "out.txt"
+    p.write_text("old\n")
+    first = tmp_path / "first.txt"
+    os.link(p, first)  # written in place, through the same loop
+    for target in (tmp_path / "fresh.txt", p):
+        atomic_write(target, text)
+        assert target.read_bytes() == text.encode("utf-8")
+    assert first.read_bytes() == text.encode("utf-8")
+    assert sizes == [13, 10, 7, 4, 1] * 2
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "first.txt", "fresh.txt", "out.txt"]
+
+
+def test_atomic_write_leaves_no_fd_open(tmp_path, monkeypatch):
+    before = _fds()
+    p = tmp_path / "out.txt"
+    atomic_write(p, "a\n")             # a new file
+    atomic_write(p, "b\n")             # a rewrite
+
+    def fail(*args):
+        raise OSError("refused")
+
+    for name in ("write", "replace"):
+        with monkeypatch.context() as m:
+            m.setattr(core.os, name, fail)
+            for target in (p, tmp_path / "fresh.txt"):
+                with pytest.raises(OSError, match="refused"):
+                    atomic_write(target, "c\n")
+    os.link(p, tmp_path / "second.txt")
+    atomic_write(p, "d\n")             # in place, through a hard link
+    with monkeypatch.context() as m:
+        m.setattr(core.os, "write", fail)
+        with pytest.raises(OSError, match="refused"):
+            atomic_write(p, "e\n")
+    atomic_write(os.devnull, "f\n")    # not a regular file
+    with pytest.raises(IsADirectoryError):
+        atomic_write(tmp_path, "g\n")
+    assert _fds() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out.txt", "second.txt"]
 
 
 def test_atomic_write_follows_symlinks(tmp_path):
@@ -150,18 +231,15 @@ def test_atomic_write_follows_symlinks(tmp_path):
     target.write_text("old\n")
     link = tmp_path / "link.txt"
     link.symlink_to(target.name)
-    with atomic_write(link) as fh:
-        fh.write("new\n")
+    atomic_write(link, "new\n")
     assert link.is_symlink() and target.read_text() == "new\n"
     dangling = tmp_path / "dangling.txt"
     dangling.symlink_to("made.txt")
-    with atomic_write(dangling) as fh:
-        fh.write("made\n")
+    atomic_write(dangling, "made\n")
     assert dangling.is_symlink() and (tmp_path / "made.txt").read_text() == "made\n"
     # a directory is not a file to write; nothing is left behind
     with pytest.raises(IsADirectoryError):
-        with atomic_write(tmp_path) as fh:
-            fh.write("x")
+        atomic_write(tmp_path, "x")
     assert sorted(f.name for f in tmp_path.iterdir()) == [
         "dangling.txt", "link.txt", "made.txt", "target.txt"]
 
@@ -173,8 +251,7 @@ def test_atomic_write_keeps_hard_links(tmp_path):
     first.write_text("x\n")
     second = tmp_path / "second.txt"
     os.link(first, second)
-    with atomic_write(first) as fh:
-        fh.write("y\n")
+    atomic_write(first, "y\n")
     assert first.read_text() == second.read_text() == "y\n"
     assert os.stat(first).st_ino == os.stat(second).st_ino
     assert sorted(f.name for f in tmp_path.iterdir()) == ["first.txt", "second.txt"]
@@ -189,10 +266,10 @@ _COPIERS = {"shutil.copy", "shutil.copy2", "shutil.copyfile", "shutil.copytree",
 def _file_writes(source: str, writer: str = None) -> list:
     """Line numbers of the calls in `source` that write a file other than
     through the function named `writer`: json.dump, write_text/write_bytes,
-    os.open, shutil copies and moves, open/fdopen/Path.open in a write mode
-    or a mode that is not a string literal, np.save/savez/savetxt and
-    ndarray.tofile.  `atomic_write` yields only text handles, so an array
-    saver is a write even into one of those."""
+    os.open, os.write, shutil copies and moves, open/fdopen/Path.open in a
+    write mode or a mode that is not a string literal, np.save/savez/savetxt
+    and ndarray.tofile.  `atomic_write` takes only text, so an array saver
+    is always a write of its own."""
     tree = ast.parse(source)
     found = []
 
@@ -202,7 +279,7 @@ def _file_writes(source: str, writer: str = None) -> list:
         if isinstance(node, ast.Call):
             name = ast.unparse(node.func).replace("numpy.", "np.", 1)
             attr = name.rsplit(".", 1)[-1]
-            if name in ("json.dump", "os.open") or name in _COPIERS \
+            if name in ("json.dump", "os.open", "os.write") or name in _COPIERS \
                     or name in _ARRAY_SAVERS \
                     or attr in ("write_text", "write_bytes", "tofile"):
                 found.append(node.lineno)
@@ -231,6 +308,7 @@ def test_file_write_scan_finds_writes():
         "open(p, mode)",
         "path.write_text('x')",
         "os.open(p, flags)",
+        "os.write(fd, data)",
         "np.save(fname, arr)",
         "numpy.savez(p, a=arr)",
         "np.savetxt(fname=p, X=arr)",
@@ -238,16 +316,14 @@ def test_file_write_scan_finds_writes():
         "shutil.copyfile(a, b)",
         "shutil.move(a, b)",
         "open(p)", "open(p, 'rb')", "path.open()", "json.dumps(obj)",
-        "np.load(p)", "cert.save(p)",
-        "with atomic_write(p) as fh:",
-        "    fh.write(text)",
-        "    np.save(fh, arr)",
-        "def atomic_write(path):",
-        "    with os.fdopen(os.open(path, 1), mode) as fh:",
-        "        yield fh",
+        "np.load(p)", "cert.save(p)", "os.read(fd, n)",
+        "atomic_write(p, text)",
+        "def atomic_write(path, text):",
+        "    fd = os.open(path, 1)",
+        "    os.write(fd, text.encode())",
     ])
-    direct = list(range(1, 15)) + [23]
-    assert _file_writes(src) == direct + [25, 25]
+    direct = list(range(1, 16))
+    assert _file_writes(src) == direct + [25, 26]
     assert _file_writes(src, writer="atomic_write") == direct
 
 
