@@ -73,18 +73,15 @@ def build_instance(E: int, red_rows: np.ndarray, blue_rows: np.ndarray):
     free = ends - counts  # each key's next free slot in `watch`
     watch = np.empty(2 * n, dtype=np.int32)
     for c0, keys in _key_blocks(rows, n_red, E):
+        here = np.bincount(keys, minlength=2 * E + 3)
         order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        # the block's runs of equal keys, in key order
-        first = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        first = np.concatenate([[0], first])
-        run_keys, lens = keys[first], np.diff(first, append=len(keys))
-        slots = np.repeat(free[run_keys] - first, lens)
+        # the i-th sorted key of a key's run goes to that key's i-th free slot
+        slots = np.repeat(free - (here.cumsum() - here), here)
         slots += np.arange(len(keys))
         order >>= 1  # clause ids, from key positions
         order += c0
         watch[slots] = order
-        free[run_keys] += lens
+        free += here
     return E, rows, watch, [0] + ends[:2 * E].tolist()
 
 
@@ -176,7 +173,9 @@ def search(instance, sym, max_nodes, deadline):
                     if ba[u] != val:
                         buf[b1] = u
                         buf[b + j] = v
-                        if u != first[b] and u != first[b1]:
+                        # u is no padding, which reads val; rows descend,
+                        # so u is one of the row's first two iff u >= first[b1]
+                        if u < first[b1]:
                             moved[2 * u + val].append(c)
                         break
                 else:

@@ -25,13 +25,12 @@ fewer, its own spanning table lifted onto the v labels, by the one edge
 the unused labels complete, keeps each copy from one edge, and checks the
 count against the closed form that `count_copies` returns without
 enumerating; on more labels it lifts the spanning table over the
-v-subsets of the host.  Tables, spanning ones included, are cached in
-memory for the life of the process; the shorter paths' are not.
+v-subsets of the host.  Every table, the shorter paths' included, is
+cached in memory for the life of the process.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -332,7 +331,6 @@ def _colex_parts(N: int, k: int) -> np.ndarray:
                      for x in range(N + 1)], dtype=np.int64)
 
 
-@functools.cache  # the uncached shorter paths recur on the same hosts
 def _mask_ranker(N: int, k: int):
     """The colex rank of k-subsets of 1..N given as vertex masks, the sums
     of 1 << x over their vertices x, as a function on int64 arrays.
@@ -342,6 +340,7 @@ def _mask_ranker(N: int, k: int):
     the high bits' share.  Each holds about 2^h entries, (k + 1) of them
     for the high table, where one table over whole masks would hold 2^(N+1).
     Masks fit int64 for N < 63, which every table under 2^31 rows spans.
+    Not cached: for k >= 3 each (N, k) builds at most one spanning table.
     """
     h, part = (N + 1) // 2, _colex_parts(N, k)
     low, count = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)
@@ -421,8 +420,8 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
 
     At N = v, a copy is the loose path s = P^k_{n-1} it has left after
     losing an end edge (a path) or any edge (a cycle), plus that edge.
-    The copies of s in K^k_v are its spanning table (enumerated the same
-    way, not cached) lifted over the w-subsets, w = |V(s)|, and the labels
+    The copies of s in K^k_v are its spanning table (`copy_rank_matrix`,
+    cached) lifted over the w-subsets, w = |V(s)|, and the labels
     a subset leaves unused go into the new edge, with one vertex x private
     to an end edge of s for a path, and x, y private to its two end edges
     for a cycle.  A path is kept when the new edge outranks the end edge
@@ -431,8 +430,8 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     comes out from its largest edge.  New edges are ranked by vertex mask
     (`_mask_ranker`).
     The lifted rows are extended in blocks of at most about _CELLS
-    (lifted row, new edge) cells, which bounds temporary memory; the
-    deadline is checked before each block.
+    (lifted row, new edge) cells, which bounds temporary memory, and only
+    the kept cells are written; the deadline is checked before each block.
     """
     n, total = t.n, _n_copies(N, k, t)
     if total >= _MAX_EDGES:
@@ -462,7 +461,7 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
 
     m, s = n - 1, path_template(k, n - 1)
     w = s.n_vertices
-    span = _enumerate_copies(w, k, s, deadline)
+    span = copy_rank_matrix(w, k, s, deadline=deadline)
     local, subsets, ranks = _lift(span, w, N, k, s)
     cycle = t.kind == CYCLE
     bits = 1 << subsets
@@ -488,15 +487,14 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
             if cycle:
                 new = new[..., 0, :, None] + new[..., 1, None, :]
             er = rank(unused[sub, None, None, None] + new)
-            keep = er > np.take(ranks[sub], above, axis=1)[..., None]
-            block = np.empty(er.shape + (n,), dtype=dtype)
-            block[..., :m] = np.take(ranks[sub], r, axis=1)[:, :, None, None]
-            block[..., m] = er
-            got = int(np.count_nonzero(keep))
+            kept = np.flatnonzero(er > np.take(ranks[sub], above, axis=1)[..., None])
+            got = len(kept)
             if filled + got > total:
                 raise AssertionError("internal: more copies than the closed form")
             rows = out[filled:filled + got]
-            np.compress(keep.ravel(), block.reshape(-1, n), axis=0, out=rows)
+            # a kept cell's lifted row is its (subset, row) pair, kept // cells
+            rows[:, :m] = np.take(ranks[sub], r, axis=1).reshape(-1, m)[kept // cells]
+            rows[:, m] = er.ravel()[kept]
             if not cycle:
                 # a path's new edge moves down to its place, which costs
                 # less than sorting the rows; a cycle's is its largest
@@ -536,21 +534,21 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     K^3_11 would build in 0.13 s instead of 0.34 s, and peak at 70 MB
     instead of 86).  Its dtype is `coloring.rank_dtype(N, k)`,
     the smallest unsigned one that holds C(N, k) - 1, and it is read-only.
-    Cached in memory.
+    Cached in memory; the only caller of `_enumerate_copies`.
     On N = v = t.n_vertices labels, copies extend those of the path with
     one edge fewer by one edge; a larger host's table is lifted from the
-    spanning table, which is cached too.  The
-    rows are ordered in place: each becomes one base-C(N, k) key in the
-    narrowest unsigned dtype that holds C(N, k) ** t.n - 1, the keys are
-    sorted, and the columns are decoded back from them, so beyond the
-    table only the keys are held.
+    spanning table; both come from this function, so are cached too.  The
+    rows are ordered in place: each becomes one key, its columns in fields
+    of (C(N, k) - 1).bit_length() bits, first column highest, in the
+    narrowest unsigned dtype that holds them; the keys are sorted, and the
+    columns are decoded back from them, so only the keys are held beside.
     A table of 2**31 rows or more, or one whose decision would need more
     than the host's physical memory (`_PEAK_PER_TABLE_BYTE`, 9, times the
     table's bytes), is refused as `copy-table-too-large` before anything
     is allocated.  With a `deadline` (a `time.monotonic()` reading),
     enumeration raises SearchBudgetExceeded once it passes, as does a
     check between enumeration and the sort, and the table is not cached
-    (a spanning table finished before then is).
+    (a table it comes from, finished before then, is).
     """
     if t.k != k:
         raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")
@@ -561,19 +559,20 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     arr = _enumerate_copies(N, k, t, deadline)
     _check_deadline(deadline)
     if len(arr):
-        # rows in lexicographic order: sort one base-C(N, k) number per row
-        base = math.comb(N, k)
-        if base ** t.n >= 1 << 63:
+        # rows in lexicographic order: sort one key per row, `width` bits a column
+        width = (math.comb(N, k) - 1).bit_length()
+        if width * t.n >= 64:
             raise AssertionError(f"internal: {len(arr)} copies with sort keys past int64")
-        packed = arr[:, 0].astype(np.min_scalar_type(base ** t.n - 1))
+        packed = arr[:, 0].astype(np.min_scalar_type((1 << width * t.n) - 1))
         for col in arr.T[1:]:
-            packed *= base
-            packed += col
+            packed <<= width
+            packed |= col
         # sort the keys themselves and decode them back into the table, so
         # no index array or second table is held
         packed.sort()
         for col in arr.T[:0:-1]:
-            np.divmod(packed, base, out=(packed, col), casting="unsafe")
+            np.bitwise_and(packed, (1 << width) - 1, out=col, casting="unsafe")
+            packed >>= width
         arr[:, 0] = packed
     arr.flags.writeable = False
     _COPY_CACHE[key] = arr

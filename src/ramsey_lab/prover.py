@@ -163,6 +163,9 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
     red_rows, blue_rows = tables
     t1 = time.monotonic()
+    if deadline is not None and t1 >= deadline:  # past it: build nothing
+        stats["enumerate_s"] = t1 - t0
+        return ArrowingVerdict("UNKNOWN", None, stats, budget)
     instance = _kernels.build_instance(n_vars, red_rows, blue_rows)
     sym = swap_pairs(N, k) if symmetry else ()
     t2 = time.monotonic()

@@ -1,12 +1,16 @@
 """Embedding search against brute-force oracles, plus maximality."""
 
+import ast
 import hashlib
 import itertools
 import math
+import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import ramsey_lab
 from ramsey_lab.coloring import TwoColoring, all_edges, split_coloring
 from ramsey_lab.core import cycle_template, path_template
 from ramsey_lab.embedder import (
@@ -107,8 +111,8 @@ def test_copy_matrix_matches_oracle(k, kind, n, N_max):
 def test_copy_grow_runs_only_on_spanning_hosts(monkeypatch):
     # a table on more than v = |V(C^3_3)| = 6 labels is lifted from the
     # cached spanning table, so only K^3_6 runs the extension step for
-    # C^3_3, after K^3_5 ran it for the P^3_2 copies it extends, whose
-    # table is not cached
+    # C^3_3, after K^3_5 ran it for the P^3_2 copies it extends; the
+    # tables of P^3_2 and of the P^3_1 it extends are cached too
     from ramsey_lab import embedder
 
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
@@ -124,13 +128,80 @@ def test_copy_grow_runs_only_on_spanning_hosts(monkeypatch):
     assert (len(copy_rank_matrix(7, 3, c3)), len(copy_rank_matrix(9, 3, c3))) == \
         (840, 10080)
     assert hosts == [5, 6]
-    assert set(embedder._COPY_CACHE) == {(N, 3, "cycle", 3) for N in (6, 7, 9)}
+    assert set(embedder._COPY_CACHE) == {(N, 3, "cycle", 3) for N in (6, 7, 9)} | \
+        {(3, 3, "path", 1), (5, 3, "path", 2)}
+
+
+def test_refute_pass_enumerates_each_table_once(monkeypatch):
+    # the six tables of c33@7, p33@8 and c43@9 and every shorter or
+    # spanning table they come from are enumerated once each
+    from ramsey_lab import embedder
+    from ramsey_lab.prover import decide_arrowing
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    built, real_enumerate = Counter(), embedder._enumerate_copies
+
+    def enumerate_copies(N, k, t, deadline):
+        built[embedder._copy_key(N, k, t)] += 1
+        return real_enumerate(N, k, t, deadline)
+
+    monkeypatch.setattr(embedder, "_enumerate_copies", enumerate_copies)
+    c3, c4, p3 = cycle_template(3, 3), cycle_template(3, 4), path_template(3, 3)
+    for N, red, blue, sym in [(7, c3, c3, False), (8, p3, p3, False), (9, c4, c3, True)]:
+        assert decide_arrowing(3, N, red, blue, symmetry=sym).status == "UNSAT"
+    assert set(built.values()) == {1}
+    assert set(built) == set(embedder._COPY_CACHE) == {
+        (3, 3, "path", 1), (5, 3, "path", 2), (7, 3, "path", 3), (8, 3, "path", 3),
+        (6, 3, "cycle", 3), (7, 3, "cycle", 3), (9, 3, "cycle", 3),
+        (8, 3, "cycle", 4), (9, 3, "cycle", 4)}
+
+
+def _callers(source: str, callee: str) -> list:
+    """The enclosing function's name of each call in `source` to a function
+    named `callee`, by name or as an attribute, in source order; None for a
+    call outside every function."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == callee:
+            found.append(inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_caller_scan_finds_calls():
+    src = "\n".join([
+        "f()",
+        "def g():",
+        "    x = m.f(1)",
+        "    h = f  # a reference, not a call",
+        "    return [f(y) for y in x]",
+        "class C:",
+        "    def f(self):",
+        "        return self.f() or ff()",
+    ])
+    assert _callers(src, "f") == [None, "g", "g", "f"]
+
+
+def test_copy_enumeration_runs_only_in_copy_rank_matrix():
+    # every table, a shorter path's included, comes through
+    # copy_rank_matrix and its cache, so no route builds a table twice
+    package = pathlib.Path(ramsey_lab.__file__).parent
+    callers = {path.name: _callers(path.read_text(), "_enumerate_copies")
+               for path in sorted(package.glob("*.py"))}
+    assert {name: c for name, c in callers.items() if c} == \
+        {"embedder.py": ["copy_rank_matrix"]}
 
 
 def test_spanning_copy_table_peaks_near_its_size(monkeypatch):
     # cold, C^3_5 in K^3_10 (1.8 MB of uint8) is extended from the lifted
     # P^3_4 copies block by block: beside the table, one uint64 sort key
-    # per row (120^5 keys) and the shorter paths' tables, only one block
+    # per row (35 bits) and the shorter paths' tables, only one block
     # of cells is held at a time
     import tracemalloc
 
@@ -148,9 +219,9 @@ def test_spanning_copy_table_peaks_near_its_size(monkeypatch):
 
 
 def test_deadline_stops_a_spanning_build(monkeypatch):
-    # a passed deadline stops the first extension block, P^3_2's; one that
-    # passes once C^3_5 has P^3_4's rows stops C^3_5's blocks; either way
-    # nothing is cached
+    # a passed deadline stops the first table, P^3_1's, so nothing is
+    # cached; one that passes once C^3_5 has P^3_4's rows stops C^3_5's
+    # blocks, and the shorter paths' tables, finished in time, stay cached
     import time
     from types import SimpleNamespace
 
@@ -173,14 +244,15 @@ def test_deadline_stops_a_spanning_build(monkeypatch):
     monkeypatch.setattr(embedder, "_path_ends", ends)
     with pytest.raises(SearchBudgetExceeded):
         copy_rank_matrix(10, 3, c5, deadline=0.5)
-    assert embedder._COPY_CACHE == {}
+    assert list(embedder._COPY_CACHE) == [(2 * n + 1, 3, "path", n) for n in range(1, 5)]
 
 
 @pytest.mark.parametrize("N", [7, 8])
 def test_deadline_is_checked_before_the_sort(monkeypatch, N):
     # the clock passes the deadline once the last extension block (N = 7)
     # or the lift (N = 8) of P^3_3 is done, after every check inside the
-    # enumeration: the sort must not run, and the table is not cached
+    # enumeration: the sort must not run, and the table is not cached;
+    # the tables it comes from, finished in time, are
     from types import SimpleNamespace
 
     from ramsey_lab import embedder
@@ -199,8 +271,9 @@ def test_deadline_is_checked_before_the_sort(monkeypatch, N):
     monkeypatch.setattr(embedder, "_enumerate_copies", enumerate_copies)
     with pytest.raises(SearchBudgetExceeded):
         copy_rank_matrix(N, 3, p3, deadline=0.5)
-    # at N = 8 the spanning table of K^3_7, finished in time, stays cached
-    assert list(embedder._COPY_CACHE) == [embedder._copy_key(7, 3, p3)] * (N == 8)
+    # P^3_1's and P^3_2's, and at N = 8 the spanning table of K^3_7
+    assert list(embedder._COPY_CACHE) == [(2 * n + 1, 3, "path", n)
+                                          for n in range(1, 3 + (N == 8))]
 
 
 @pytest.mark.parametrize("kind,k,n,N", list(F.COPY_MATRIX_SHA256))
@@ -228,8 +301,8 @@ def test_mask_ranker_matches_colex_rank(N, k):
 
 def test_lifted_copy_table_peaks_near_its_size(monkeypatch):
     # with the spanning table warm, lifting P^3_4 into K^3_10 (1.8 MB of
-    # uint8) holds the table and one uint32 sort key per row at most (120^4
-    # keys): no buffer for the lift's take, no argsort index and no second
+    # uint8) holds the table and one uint32 sort key per row at most (28
+    # bits): no buffer for the lift's take, no argsort index and no second
     # table
     import tracemalloc
 
@@ -264,10 +337,11 @@ def test_lift_refuses_spanning_ranks_out_of_range(monkeypatch):
 
 
 def test_copy_sort_key_overflow_is_internal_error(monkeypatch):
-    # the rows are ordered by one base-C(N, k) key per row, in the
-    # narrowest unsigned dtype that holds it; a template whose key would
-    # pass 2^63 has no table that fits in memory, and a nonempty one is
-    # refused rather than sorted wrongly
+    # the rows are ordered by one key per row, a field of
+    # (C(N, k) - 1).bit_length() bits per column, in the narrowest unsigned
+    # dtype that holds it; a template whose key would need 64 bits has no
+    # table that fits in memory, and a nonempty one is refused rather than
+    # sorted wrongly
     from ramsey_lab import embedder
 
     monkeypatch.setattr(embedder, "_COPY_CACHE", {})
@@ -279,17 +353,17 @@ def test_copy_sort_key_overflow_is_internal_error(monkeypatch):
 
 
 @pytest.mark.parametrize("N,t,width", [
-    (5, path_template(3, 2), np.uint8),     # 10^2 keys
-    (7, cycle_template(3, 3), np.uint16),   # 35^3
-    (9, cycle_template(3, 4), np.uint32),   # 84^4
-    (10, cycle_template(3, 5), np.uint64),  # 120^5
+    (5, path_template(3, 2), np.uint8),     # 4-bit fields x 2 columns
+    (6, cycle_template(3, 3), np.uint16),   # 5 bits x 3
+    (9, cycle_template(3, 4), np.uint32),   # 7 bits x 4
+    (10, cycle_template(3, 5), np.uint64),  # 7 bits x 5
 ])
 def test_copy_sort_keys_of_every_width_order_rows_lexicographically(monkeypatch, N, t, width):
     # the enumerated rows, shuffled, come out of each key width in
     # np.lexsort's order, first column most significant
     from ramsey_lab import embedder
 
-    assert np.min_scalar_type(math.comb(N, 3) ** t.n - 1) == width
+    assert np.min_scalar_type((1 << (math.comb(N, 3) - 1).bit_length() * t.n) - 1) == width
     enumerate_copies = embedder._enumerate_copies
     shuffled = {}
 

@@ -444,6 +444,35 @@ def test_enumeration_timeout_reports_every_stats_key(monkeypatch):
         {"nodes": 0, "n_vars": 20, "n_clauses": 0}
 
 
+def test_passed_deadline_stops_before_the_instance_build(monkeypatch):
+    # the clock passes the deadline as the blue table returns, after every
+    # check inside copy_rank_matrix: the verdict is UNKNOWN, with the stats
+    # of an enumeration timeout, and no instance is built
+    from types import SimpleNamespace
+
+    from ramsey_lab import prover
+
+    c3, now, reads, built = cycle_template(3, 3), [0.0], [], []
+
+    def monotonic():
+        reads.append(now[0])
+        return now[0]
+
+    def tables(N, k, t, *, deadline):
+        rows = copy_rank_matrix(N, k, t)
+        now[0] += 1.0  # the red table returns at 1.0, the blue at 2.0
+        return rows
+
+    monkeypatch.setattr(prover, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(prover, "copy_rank_matrix", tables)
+    monkeypatch.setattr(_kernels, "build_instance", lambda *args: built.append(args))
+    v = decide_arrowing(3, 7, c3, c3, max_secs=1.5)
+    assert v.status == "UNKNOWN" and v.witness is None and built == []
+    assert reads == [0.0, 2.0]
+    assert {key: v.stats[key] for key in ("enumerate_s", "build_s", "nodes", "n_clauses")} \
+        == {"enumerate_s": 2.0, "build_s": 0.0, "nodes": 0, "n_clauses": 0}
+
+
 def test_sat_witness_recheck_counts_before_searching(monkeypatch):
     from ramsey_lab import prover
 
