@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .coloring import TwoColoring, lower_bound_witness
-from .core import atomic_write, cycle_template, path_template
+from .core import LooseTemplate, atomic_write
 from .certificates import Certificate, make_certificate
 from .constructive import (
     absorb_blue_path,
@@ -45,7 +45,6 @@ from .prover import (
     derive_table,
     export_dimacs,
     verify_certificate,
-    _template_of,
 )
 
 EXIT_OK = 0
@@ -76,17 +75,13 @@ def _parse_verts(text: str) -> tuple:
 
 
 def _structure(kind: str, k: int, verts: tuple, color: str) -> Embedding:
-    """Embedding from an assignment list; the template length is implied."""
-    L = len(verts)
-    if kind == "path":
-        if (L - 1) % (k - 1):
-            raise ValueError(f"invalid-parameter: {L} vertices is no loose path at k={k}")
-        t = path_template(k, (L - 1) // (k - 1))
-    else:
-        if L % (k - 1):
-            raise ValueError(f"invalid-parameter: {L} vertices is no loose cycle at k={k}")
-        t = cycle_template(k, L // (k - 1))
-    return Embedding(t, verts, color)
+    """Embedding from an assignment list; the template length is implied
+    (a path has one vertex more than its edges' k-1 new vertices each)."""
+    inner = len(verts) - (kind == "path")
+    if inner % (k - 1):
+        raise ValueError(f"invalid-parameter: {len(verts)} vertices is no loose "
+                         f"{kind} at k={k}")
+    return Embedding(LooseTemplate(kind, k, inner // (k - 1)), verts, color)
 
 
 def _report_skeleton(args, command: list, inputs: dict) -> dict:
@@ -181,8 +176,8 @@ def _run_arrow(args, report: dict) -> int:
     red = _parse_target(args.red)
     blue = _parse_target(args.blue)
     verdict = decide_arrowing(
-        args.k, args.n_vertices, _template_of(args.k, red),
-        _template_of(args.k, blue), max_nodes=args.max_nodes,
+        args.k, args.n_vertices, LooseTemplate(red[0], args.k, red[1]),
+        LooseTemplate(blue[0], args.k, blue[1]), max_nodes=args.max_nodes,
         max_secs=args.max_secs, symmetry=args.symmetry)
     report["results"] = verdict.to_json_obj()
     report["timings"].update(enumerate_s=verdict.stats["enumerate_s"],
@@ -239,7 +234,8 @@ def _run_extract(args, report: dict) -> int:
     k = c.k
     meta: dict = {}
     stem = f"extract-{lemma}"
-    max_nodes = 200_000 if args.max_nodes is None else args.max_nodes
+    # the lemmas' own default budget unless --max-nodes is given
+    budget = {} if args.max_nodes is None else {"max_nodes": args.max_nodes}
 
     if lemma == "good-configuration":
         P = _structure("path", k, _parse_verts(args.path), "red")
@@ -255,7 +251,7 @@ def _run_extract(args, report: dict) -> int:
     elif lemma == "blue-cycle":
         C = _structure("cycle", k, _parse_verts(args.cycle), "red")
         obj = blue_cycle_from_red_shorter_cycle(
-            c, C, args.n, args.m, max_nodes=max_nodes, meta=meta)
+            c, C, args.n, args.m, meta=meta, **budget)
         report["results"] = {"embedding": obj.to_json_obj(), "meta": meta}
     elif lemma == "join":
         C1 = _structure("cycle", k, _parse_verts(args.cycle1), "red")
@@ -270,7 +266,7 @@ def _run_extract(args, report: dict) -> int:
         report["results"] = {"pair": obj.to_json_obj(), "stats": stats}
     elif lemma == "disjoint-pairs":
         obj = disjoint_bichromatic_pairs(
-            c, args.t, max_nodes=max_nodes, meta=meta)
+            c, args.t, meta=meta, **budget)
         report["results"] = {"pairs": [p.to_json_obj() for p in obj],
                              "meta": meta}
     elif lemma == "lift":
@@ -290,7 +286,7 @@ def _run_extract(args, report: dict) -> int:
 
 def _run_count(args, report: dict) -> int:
     fam = _parse_target(args.target)
-    t = _template_of(args.k, fam)
+    t = LooseTemplate(fam[0], args.k, fam[1])
     value = count_copies(args.n_vertices, args.k, t)
     report["results"] = {"k": args.k, "n_vertices": args.n_vertices,
                          "target": {"kind": fam[0], "length": fam[1]},
@@ -330,8 +326,8 @@ def _run_export_cnf(args, report: dict) -> int:
     red = _parse_target(args.red)
     blue = _parse_target(args.blue)
     text, sidecar = export_dimacs(
-        args.k, args.n_vertices, _template_of(args.k, red),
-        _template_of(args.k, blue))
+        args.k, args.n_vertices, LooseTemplate(red[0], args.k, red[1]),
+        LooseTemplate(blue[0], args.k, blue[1]))
     stem = args.stem or f"arrow-k{args.k}-N{args.n_vertices}"
     cnf_path = _artifact(args, stem + ".cnf")
     map_path = _artifact(args, stem + ".vars.json")

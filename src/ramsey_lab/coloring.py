@@ -25,7 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Edge, as_edge, atomic_write, cycle_template, path_template, read_json
+from .core import (Edge, as_edge, atomic_write, cycle_template, cycle_value, path_template,
+                   path_value, read_json)
 
 RED = 1
 BLUE = 0
@@ -358,11 +359,11 @@ def lower_bound_witness(k: int, n: int, m: int, pair: str) -> tuple[int, TwoColo
         raise ValueError(f"need n >= m >= {low_m} for {pair}, got n={n}, m={m}")
 
     if pair == "CC":
-        N = (k - 1) * n + (m - 1) // 2 - 1
+        N = cycle_value(k, n, m) - 1
         a = (k - 1) * n - 1
         red_target = cycle_template(k, n)
     else:
-        N = (k - 1) * n + (m + 1) // 2 - 1
+        N = path_value(k, n, m) - 1
         a = (k - 1) * n
         red_target = path_template(k, n)
 

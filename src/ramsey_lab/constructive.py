@@ -23,7 +23,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .certificates import make_certificate
 from .coloring import TwoColoring
-from .core import CYCLE, PATH, Edge, LooseTemplate, cycle_template, path_template
+from .core import (CYCLE, PATH, Edge, LooseTemplate, cycle_template, cycle_value,
+                   path_template)
 from .embedder import (UNKNOWN, Embedding, embedding_from_edge_sequence,
                        find_embedding, is_maximal_wrt, verify_embedding)
 from .errors import BlueEdgeEncountered, HypothesisViolation, ProofGap
@@ -190,12 +191,10 @@ def validate_good_configuration(c: TwoColoring,
     ei = set(_edge_host(asg, i))
     ei1 = set(_edge_host(asg, i + 1))
     base = (ei - {_first_of(asg, i)}) | {cfg.u}
+    # the pool meets e_{i-1} minus its first vertex, which is A_i, in u
+    # alone, so S meets it in at most one vertex
     if not any(S <= (base | (ei1 - {v})) for v in _A_host(asg, i + 2)):
         return (False, "S-outside-pool")
-    if i >= 2:
-        prev = set(_edge_host(asg, i - 1)) - {_first_of(asg, i - 1)}
-        if len(S & prev) > 1:
-            return (False, "S-meets-previous-edge")
     if cfg.avoided_vertex not in ei1 - ei:
         return (False, "avoided-not-in-forward-difference")
     if cfg.avoided_vertex in S:
@@ -478,9 +477,8 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
         raise HypothesisViolation("need n >= m >= 3")
     if (n, m) in ((3, 3), (4, 3), (4, 4)):
         raise HypothesisViolation(f"(n,m)=({n},{m}) is excluded")
-    if c.n_vertices != 2 * n + (m - 1) // 2:
-        raise HypothesisViolation(
-            f"host must have {2 * n + (m - 1) // 2} vertices")
+    if c.n_vertices != cycle_value(3, n, m):
+        raise HypothesisViolation(f"host must have {cycle_value(3, n, m)} vertices")
     if C.template.kind != CYCLE or C.template.k != 3 or C.template.n != n - 1:
         raise HypothesisViolation("given embedding is not a (n-1)-cycle")
     _require_valid(c, C, "red", "cycle")
@@ -578,33 +576,22 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
     def u(j: int) -> int:
         return a2[(j - 1) % nv2]
 
-    def e(i: int) -> set:
-        return {v((i - 1) * kk + r) for r in range(1, k + 1)}
+    E, F = C1.edge_images(), C2.edge_images()
 
-    def f(i: int) -> set:
-        return {u((i - 1) * kk + r) for r in range(1, k + 1)}
-
-    E = [tuple(sorted(e(i))) for i in range(1, n + 1)]
-    F = [tuple(sorted(f(i))) for i in range(1, m + 1)]
-
-    def extremal(host_set: set, positions: Sequence[int], vf, take_max: bool):
-        idx = [j for j in positions if vf(j) in host_set]
+    def extremal(s: set, i: int, vf, take_max: bool) -> int:
+        """The vertex of s at the last (or first) position of cycle edge i,
+        through the position map vf (v for C1, u for C2)."""
+        idx = [j for j in range((i - 1) * kk + 1, i * kk + 2) if vf(j) in s]
         if not idx:
             raise ProofGap("banked edge misses the expected cycle edge",
                            instance={"coloring": c.to_json_obj()})
         return vf(max(idx) if take_max else min(idx))
 
-    def x_of(s: set, i: int, take_max: bool) -> int:
-        return extremal(s, range((i - 1) * kk + 1, i * kk + 2), v, take_max)
-
-    def y_of(s: set, i: int, take_max: bool) -> int:
-        return extremal(s, range((i - 1) * kk + 1, i * kk + 2), u, take_max)
-
     steps: List[JoinStep] = []
 
     def settle(g: set, h: set):
         """Record the step; return None if both are red, else the banked blue edge."""
-        gc, hc = c.color_of(tuple(sorted(g))), c.color_of(tuple(sorted(h)))
+        gc, hc = c.color_of(g), c.color_of(h)
         steps.append(JoinStep(tuple(g), gc, tuple(h), hc))
         if gc == "red" and hc == "red":
             return None
@@ -620,11 +607,11 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
     xi, yi = v(1), u(1)
     for i in range(1, ell - 1):
         if i > 1:
-            xi = x_of(s_list[-1], i - 1, take_max=True)
-            yi = y_of(s_list[-1], i - 1, take_max=True)
-        gi = (e(i) - {v((i - 1) * kk + 1), v(i * kk), v(i * kk + 1)}) \
+            xi = extremal(s_list[-1], i - 1, v, take_max=True)
+            yi = extremal(s_list[-1], i - 1, u, take_max=True)
+        gi = (set(E[i - 1]) - {v((i - 1) * kk + 1), v(i * kk), v(i * kk + 1)}) \
             | {xi, u(i * kk), u(i * kk + 1)}
-        hi = (f(i) - {u((i - 1) * kk + 1), u(i * kk), u(i * kk + 1)}) \
+        hi = (set(F[i - 1]) - {u((i - 1) * kk + 1), u(i * kk), u(i * kk + 1)}) \
             | {yi, v(i * kk), v(i * kk + 1)}
         if len(gi) != k or len(hi) != k:
             raise ProofGap("swap edge has wrong size",
@@ -639,13 +626,13 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
     # endgame: probe the pair anchored at e_n / f_{ell-1}
     s1 = s_list[0]
     s_last = s_list[-1]
-    x1 = x_of(s1, 1, take_max=False)
-    y1 = y_of(s1, 1, take_max=False)
-    y_lm1 = y_of(s_last, ell - 2, take_max=True)
-    g_lm1 = (e(n) - {v((n - 1) * kk + 1), v((n - 1) * kk + 2), v(1)}) \
+    x1 = extremal(s1, 1, v, take_max=False)
+    y1 = extremal(s1, 1, u, take_max=False)
+    y_lm1 = extremal(s_last, ell - 2, u, take_max=True)
+    g_lm1 = (set(E[n - 1]) - {v((n - 1) * kk + 1), v((n - 1) * kk + 2), v(1)}) \
         | {x1, u((ell - 1) * kk), u((ell - 1) * kk + 1)}
-    h_lm1 = (f(ell - 1) - {u((ell - 2) * kk + 1), u((ell - 1) * kk),
-                           u((ell - 1) * kk + 1)}) \
+    h_lm1 = (set(F[ell - 2]) - {u((ell - 2) * kk + 1), u((ell - 1) * kk),
+                                u((ell - 1) * kk + 1)}) \
         | {y_lm1, v((n - 1) * kk + 1), v((n - 1) * kk + 2)}
     banked = settle(g_lm1, h_lm1)
     if banked is None:
@@ -656,12 +643,12 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
 
     if banked == g_lm1:
         # bank g_{ell-1}; one more exchanged pair closes the blue cycle
-        x_lm1 = x_of(s_last, ell - 2, take_max=True)
-        g_l = (e(ell - 1) - {v((ell - 2) * kk + 1), v((ell - 1) * kk),
-                             v((ell - 1) * kk + 1)}) \
+        x_lm1 = extremal(s_last, ell - 2, v, take_max=True)
+        g_l = (set(E[ell - 2]) - {v((ell - 2) * kk + 1), v((ell - 1) * kk),
+                                  v((ell - 1) * kk + 1)}) \
             | {x_lm1, u((ell - 2) * kk + k - 2), u((ell - 1) * kk + 1)}
-        h_l = (f(ell - 1) - {u((ell - 2) * kk + 1), u((ell - 2) * kk + k - 2),
-                             u((ell - 1) * kk + 1)}) \
+        h_l = (set(F[ell - 2]) - {u((ell - 2) * kk + 1), u((ell - 2) * kk + k - 2),
+                                  u((ell - 1) * kk + 1)}) \
             | {y_lm1, v((ell - 1) * kk), v((ell - 1) * kk + 1)}
         closing = settle(g_l, h_l)
         if closing is None:
@@ -671,8 +658,8 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
         return finish("blue-cycle", s_list + [closing, g_lm1], "blue")
 
     # h_{ell-1} is the banked edge; close through the primed pair
-    g_pl = (e(n) - {v((n - 1) * kk + 2), v(1)}) | {u(m * kk), y1}
-    h_pl = (f(m) - {u(m * kk), u(1)}) | {v((n - 1) * kk + 2), x1}
+    g_pl = (set(E[n - 1]) - {v((n - 1) * kk + 2), v(1)}) | {u(m * kk), y1}
+    h_pl = (set(F[m - 1]) - {u(m * kk), u(1)}) | {v((n - 1) * kk + 2), x1}
     closing = settle(g_pl, h_pl)
     if closing is None:
         return finish("red-cycle",
@@ -767,7 +754,7 @@ def adjacent_bichromatic_pair(c: TwoColoring, *,
         fonly = sorted(fb - e)
         g = set(e & fb) | set(eonly[:(k - inter) // 2]) \
             | set(fonly[:(k - inter + 1) // 2])
-        if c.is_red(tuple(sorted(g))):
+        if c.is_red(g):
             e = g
         else:
             fb = g
@@ -797,9 +784,8 @@ def _reservoir_cycle(c: TwoColoring, e1_edge: set, mid_edge: set, mid_w: int,
     k = c.k
     seq = [mid_w] + sorted(rest) + [end_w]
     chain = [tuple(seq[j * (k - 1): j * (k - 1) + k]) for j in range(t - 3)]
-    edges = [tuple(sorted(e1_edge)), tuple(sorted(mid_edge))] \
-        + chain + [tuple(sorted(end_edge))]
-    return _verified_cycle(c, edges, "red", "forced red cycle")
+    return _verified_cycle(c, [e1_edge, mid_edge] + chain + [end_edge], "red",
+                           "forced red cycle")
 
 
 def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
@@ -818,8 +804,8 @@ def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
     k = c.k
     if t < 5:
         raise ValueError("invalid-parameter: t >= 5")
-    if c.n_vertices != t * (k - 1) + 1:
-        raise HypothesisViolation(f"host must have {t * (k - 1) + 1} vertices")
+    if c.n_vertices != cycle_value(k, t, 3):
+        raise HypothesisViolation(f"host must have {cycle_value(k, t, 3)} vertices")
 
     budget_out = _budget_ran_out(c, "red", cycle_template(k, t), max_nodes,
                                  "red cycle of length t")
@@ -877,25 +863,25 @@ def _all_red_reservoir_pairs(c: TwoColoring, t: int, pair1: BichromaticPair,
         return adjacent_bichromatic_pair(c, within=sorted(region))
 
     g1 = {v1} | set(W1)
-    if not c.is_red(tuple(sorted(g1))):
+    if not c.is_red(g1):
         g2 = {vk1} | set(W2)
-        if c.is_red(tuple(sorted(g2))):
+        if c.is_red(g2):
             return (refine(g2 | e2s), refine(g1 | {w}))
         return (refine(e1s | g1), refine(g2 | {w}))
 
     # g1 red: the star edges into W from v_k, v_{k-1} must all be blue,
     # each red exception closes an explicit red t-cycle
     f1 = {vk} | set(W2)
-    if c.is_red(tuple(sorted(f1))):
+    if c.is_red(f1):
         emb = _reservoir_cycle(c, e1s, f1, W2[0], g1, W1[0], rest, t)
         raise HypothesisViolation(
             "red t-cycle assembled through the reservoir", witness=emb)
     p2 = {vkm1} | set(W1)
-    if not c.is_red(tuple(sorted(p2))):
+    if not c.is_red(p2):
         return (BichromaticPair(tuple(g1), tuple(p2)),
                 BichromaticPair(tuple({w} | set(W2)), tuple(f1)))
     g1b = {v1} | set(W2)
-    if c.is_red(tuple(sorted(g1b))):
+    if c.is_red(g1b):
         emb = _reservoir_cycle(c, e1s, p2, W1[0], g1b, W2[0], rest, t)
         raise HypothesisViolation(
             "red t-cycle assembled through the reservoir", witness=emb)
@@ -923,8 +909,8 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
         raise ValueError("invalid-parameter: k >= 3")
     if i not in (5, 6):
         raise ValueError("invalid-parameter: i must be 5 or 6")
-    if c.n_vertices != i * (k - 1) + 1:
-        raise HypothesisViolation(f"host must have {i * (k - 1) + 1} vertices")
+    if c.n_vertices != cycle_value(k, i, 3):
+        raise HypothesisViolation(f"host must have {cycle_value(k, i, 3)} vertices")
     if C4.template.kind != CYCLE or C4.template.k != k or C4.template.n != 4:
         raise HypothesisViolation("given embedding is not a 4-cycle")
     _require_valid(c, C4, "blue", "4-cycle")
@@ -935,10 +921,7 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
     def v(j: int) -> int:
         return asg[(j - 1) % nv]
 
-    def edge(j: int) -> set:
-        return {v((j - 1) * (k - 1) + r) for r in range(1, k + 1)}
-
-    E1, E2, E3, E4 = edge(1), edge(2), edge(3), edge(4)
+    E1, E2, E3, E4 = map(set, C4.edge_images())
     W = sorted(set(range(1, c.n_vertices + 1)) - C4.image)
 
     if i == 5:
@@ -966,10 +949,9 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
         ]
 
     for ed in edges:
-        se = tuple(sorted(ed))
-        if not c.is_red(se):
+        if not c.is_red(ed):
             raise BlueEdgeEncountered(
-                "a listed edge of the lift is blue", edge=se)
+                "a listed edge of the lift is blue", edge=tuple(sorted(ed)))
     return _verified_cycle(c, edges, "red", "lift cycle")
 
 

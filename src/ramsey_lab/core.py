@@ -51,13 +51,14 @@ class LooseTemplate:
 
     def __post_init__(self):
         if self.kind not in (PATH, CYCLE):
-            raise ValueError(f"kind must be 'path' or 'cycle', got {self.kind!r}")
+            raise ValueError(f"invalid-parameter: kind must be 'path' or 'cycle', "
+                             f"got {self.kind!r}")
         if self.k < 3:
-            raise ValueError(f"k must be >= 3, got {self.k}")
+            raise ValueError(f"invalid-parameter: k must be >= 3, got {self.k}")
         if self.kind == PATH and self.n < 1:
-            raise ValueError(f"path needs n >= 1 edges, got {self.n}")
+            raise ValueError(f"invalid-parameter: path needs n >= 1 edges, got {self.n}")
         if self.kind == CYCLE and self.n < 3:
-            raise ValueError(f"cycle needs n >= 3 edges, got {self.n}")
+            raise ValueError(f"invalid-parameter: cycle needs n >= 3 edges, got {self.n}")
 
     @property
     def n_vertices(self) -> int:
@@ -81,6 +82,16 @@ def path_template(k: int, n: int) -> LooseTemplate:
 def cycle_template(k: int, n: int) -> LooseTemplate:
     """The loose cycle C^k_n on n(k-1) vertices; needs n >= 3."""
     return LooseTemplate(CYCLE, k, n)
+
+
+def cycle_value(k: int, n: int, m: int) -> int:
+    """The paper's R(C^k_n, C^k_m) = (k-1)n + floor((m-1)/2)."""
+    return (k - 1) * n + (m - 1) // 2
+
+
+def path_value(k: int, n: int, m: int) -> int:
+    """The paper's R(P^k_n, P^k_m) = R(P^k_n, C^k_m) = (k-1)n + floor((m+1)/2)."""
+    return (k - 1) * n + (m + 1) // 2
 
 
 @lru_cache(maxsize=None)

@@ -34,8 +34,7 @@ import numpy as np
 from . import _kernels, embedder
 from .coloring import (_MAX_EDGES, TwoColoring, all_edges, colex_rank, decoding,
                        host_edges, split_counting, swap_pairs)
-from .core import (CYCLE, PATH, LooseTemplate, as_edge, cycle_template,
-                   path_template)
+from .core import CYCLE, PATH, LooseTemplate, as_edge, cycle_value, path_value
 from .certificates import Certificate
 from .constructive import BichromaticPair, GoodConfiguration, validate_good_configuration
 from .embedder import (Embedding, copy_rank_matrix, count_copies, find_embedding,
@@ -90,15 +89,6 @@ class RamseyClaim:
         return obj
 
 
-def _template_of(k: int, family: Tuple[str, int]) -> LooseTemplate:
-    kind, n = family
-    if kind == PATH:
-        return path_template(k, int(n))
-    if kind == CYCLE:
-        return cycle_template(k, int(n))
-    raise ValueError(f"invalid-parameter: unknown template kind {kind!r}")
-
-
 def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
                     blue_target: LooseTemplate, *,
                     max_nodes: Optional[int] = None,
@@ -127,19 +117,15 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     2) that `copy_rank_matrix` answered from memory; a cached spanning
     table a table is lifted from does not count.
 
-    A host with 2**31 edges or more (`host-too-large`), or 2**31 red and
+    N and the targets' uniformity are checked by `count_copies`.  A host
+    with 2**31 edges or more (`host-too-large`), or 2**31 red and
     blue copies together (`copy-table-too-large`), does not fit the
     kernel's int32 ids and is refused before anything is built; a copy
     table too large for the host's memory is refused as
     `copy-table-too-large` before it is allocated.
     """
-    if red_target.k != k or blue_target.k != k:
-        raise ValueError("invalid-parameter: target uniformity differs from k")
-    if not (isinstance(N, int) and N >= 0):
-        raise ValueError(f"invalid-parameter: N={N}")
-
-    n_vars = host_edges(k, N)
     n_red, n_blue = (count_copies(N, k, t) for t in (red_target, blue_target))
+    n_vars = host_edges(k, N)
     if n_red + n_blue >= _MAX_EDGES:
         raise ValueError(f"copy-table-too-large: {n_red} red and {n_blue} blue "
                          f"copies in K^{k}_{N}, at most {_MAX_EDGES - 1} "
@@ -202,8 +188,8 @@ def compute_ramsey(k: int, red_family: Tuple[str, int], blue_family: Tuple[str, 
     claim's stats sum the nodes, propagations and conflicts of every level
     and keep the largest max_depth.
     """
-    red_t = _template_of(k, red_family)
-    blue_t = _template_of(k, blue_family)
+    red_t, blue_t = (LooseTemplate(kind, k, int(n))
+                     for kind, n in (red_family, blue_family))
     start = max(red_t.n_vertices, blue_t.n_vertices)
     lower = start  # every N < start is SAT: the larger target cannot fit
     chain: List[str] = []
@@ -251,8 +237,6 @@ def export_dimacs(k: int, N: int, red_target: LooseTemplate,
     of 2**31 rows or more, or one too large for the host's memory, as
     `copy-table-too-large`.
     """
-    if red_target.k != k or blue_target.k != k:
-        raise ValueError("invalid-parameter: target uniformity differs from k")
     E = host_edges(k, N)
     red_rows = copy_rank_matrix(N, k, red_target)
     blue_rows = copy_rank_matrix(N, k, blue_target)
@@ -304,7 +288,7 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
         if not (k >= 3 and n >= m >= 3):
             raise ValueError(f"invalid-parameter: base R(C^{k}_{n},C^{k}_{m}) is "
                              f"outside the theorem, which needs k >= 3 and n >= m >= 3")
-        expect = (k - 1) * n + (m - 1) // 2
+        expect = cycle_value(k, n, m)
         if value != expect:
             raise ValueError(
                 f"inconsistent-base: R(C^{k}_{n},C^{k}_{m}) = {value}, "
@@ -312,7 +296,7 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
         src = f"base R(C^{k}_{n},C^{k}_{m}) = {value}"
         claims += _path_claims(k, n, m, "theorem-derived", src)
         if n == m:
-            diag = (k - 1) * n + (n + 1) // 2
+            diag = path_value(k, n, n)
             claims.append(RamseyClaim(k, (PATH, n), (PATH, n), diag, diag, diag,
                                       "theorem-derived", (src,)))
     if extend_to is not None and k >= 4:
@@ -322,7 +306,7 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
                 src = (f"base covers R(C^{k}_n,C^{k}_{m}) for all n in "
                        f"[{m},{2 * m}]")
                 for n in range(2 * m + 1, extend_to + 1):
-                    cc = (k - 1) * n + (m - 1) // 2
+                    cc = cycle_value(k, n, m)
                     claims.append(RamseyClaim(k, (CYCLE, n), (CYCLE, m), cc,
                                               cc, cc, "theorem-extended", (src,)))
                     claims += _path_claims(k, n, m, "theorem-extended", src)
@@ -332,8 +316,7 @@ def derive_table(k: int, base: Dict[Tuple[int, int], int], *,
 def _path_claims(k: int, n: int, m: int, provenance: str,
                  src: str) -> List[RamseyClaim]:
     """R(P_n, C_m) and R(P_n, P_{m-1}), implied by R(C_n, C_m)."""
-    pc = (k - 1) * n + (m + 1) // 2
-    pp = (k - 1) * n + m // 2
+    pc, pp = path_value(k, n, m), path_value(k, n, m - 1)
     return [RamseyClaim(k, (PATH, n), (CYCLE, m), pc, pc, pc, provenance, (src,)),
             RamseyClaim(k, (PATH, n), (PATH, m - 1), pp, pp, pp, provenance, (src,))]
 
@@ -381,8 +364,9 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     a label outside the host; a claim the coloring does not
     bear out returns ok=False with machine-readable `report["reasons"]`.
     Every field the producers write is required, and a join trace's
-    `outcome_kind` must name its result's color; a `disjoint` pair-set is
-    checked over every two pairs.
+    `outcome_kind` must name its result's color; a pair-set needs a pair
+    (`no-pairs`), and a `disjoint` one two (`disjoint-needs-two-pairs`),
+    and is checked over every two pairs.
 
     A `witness-coloring` is first tested once for being split
     (`coloring.split_counting`); each colour the paper's counting argument
@@ -401,7 +385,7 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
 
     if cert.type == "witness-coloring":
         with decoding("certificate"):
-            red, blue = (_template_of(c.k, (p[key]["kind"], p[key]["length"]))
+            red, blue = (LooseTemplate(p[key]["kind"], c.k, int(p[key]["length"]))
                          for key in ("red_target", "blue_target"))
             n_vertices = int(p["n_vertices"])
         if n_vertices != c.n_vertices:
@@ -428,6 +412,10 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
                 for e in (pair.red_edge, pair.blue_edge):
                     as_edge(e, k=c.k, n_vertices=c.n_vertices)
             disjoint = bool(p["disjoint"])
+        if not pairs:
+            reasons.append("no-pairs")
+        if disjoint and len(pairs) < 2:
+            reasons.append("disjoint-needs-two-pairs")
         for i, pair in enumerate(pairs):
             ok, why = pair.validate(c)
             if not ok:

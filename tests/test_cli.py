@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and report shape."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -873,3 +874,44 @@ def test_readme_lists_every_subcommand():
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([\w-]+)` +\|", section, flags=re.M)
     assert rows == list(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("disjoint", [True, False])
+def test_check_cert_refuses_an_empty_pair_set(tmp_path, capsys, disjoint):
+    # an all-red K^3_6 has no bichromatic pair at all
+    path = tmp_path / "empty.cert.json"
+    path.write_text(json.dumps({
+        "type": "pair-set", "coloring": TwoColoring.all_red(3, 6).to_json_obj(),
+        "payload": {"pairs": [], "disjoint": disjoint}}))
+    code, rep = run(tmp_path, "check-cert", "--file", str(path))
+    assert code == EXIT_HYPOTHESIS
+    reasons = ["no-pairs"] + ["disjoint-needs-two-pairs"] * disjoint
+    assert rep["results"]["check"]["reasons"] == reasons
+    assert f"certificate rejected: {';'.join(reasons)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given,budget", [(None, {}), ("7", {"max_nodes": 7})])
+def test_extract_passes_a_budget_only_when_given(tmp_path, monkeypatch, given,
+                                                 budget):
+    # without --max-nodes the lemma's own default budget applies
+    seen = []
+
+    def lemma(c, t, **kw):
+        seen.append(kw)
+        raise cli.HypothesisViolation("stop")
+
+    monkeypatch.setattr(cli, "disjoint_bichromatic_pairs", lemma)
+    cpath = tmp_path / "c.json"
+    TwoColoring.all_red(3, 11).save(cpath)
+    argv = ["extract", "--lemma", "disjoint-pairs", "--coloring", str(cpath),
+            "--t", "5"] + (["--max-nodes", given] if given else [])
+    assert run(tmp_path, *argv)[0] == EXIT_HYPOTHESIS
+    assert seen == [{"meta": {}, **budget}]
+
+
+def test_cli_imports_no_private_prover_name():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "prover"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

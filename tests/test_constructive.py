@@ -329,6 +329,32 @@ def test_configuration_miss_is_a_proof_gap(monkeypatch):
     assert len(calls) == 168
 
 
+def test_good_configuration_far_pair_reroute():
+    # the red path 1..9 and the one red edge {v_6, v_7, 10} over W: no
+    # {u, v_4, x} is red, so the first case yields nothing and the reroute
+    # through the far pair v_6, v_7 gives the configuration
+    P, W = ident_path(3, 4, 1), {10, 11, 12}
+    c = TwoColoring.from_red_edges(3, 12, P.edge_images() + [(6, 7, 10)])
+    cfg = find_good_configuration(c, P, W, 2, 2)
+    assert (cfg.x, cfg.a1, cfg.a2, cfg.a3, cfg.y, cfg.avoided_vertex) == \
+        (11, 5, 6, 4, 12, 7)
+    assert validate_good_configuration(c, cfg) == (True, "ok")
+    certify_roundtrip(c, cfg, "good-config")
+
+
+def test_configuration_meeting_the_previous_edge_is_outside_the_pool():
+    # S = {a1, a2, a3} lies in the anchor's pool, which meets e_{i-1} minus
+    # its first vertex (A_i) only in u; a bridge through both vertices of
+    # A_2 = {2, 3} is refused by the pool check
+    P = ident_path(3, 4, 1)
+    c = TwoColoring.from_red_edges(3, 12, P.edge_images())
+    cfg = GoodConfiguration(x=10, y=11, a1=3, a2=2, a3=4, anchor_i=2,
+                            avoided_vertex=7, u=2,
+                            path_assignment=P.assignment, W={10, 11, 12})
+    assert verify_embedding(c, cfg.bridge()).ok
+    assert validate_good_configuration(c, cfg) == (False, "S-outside-pool")
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_good_configuration_randomized(seed):
     # blue-dominant random colorings around the worked instance
@@ -523,6 +549,62 @@ def test_disjoint_pairs_all_red_reservoir(monkeypatch, k, t, p_red, seed, pairs)
         assert w.template == cycle_template(k, t) and w.claimed_color == "red"
         assert verify_embedding(c, w).ok
     assert len(calls) == 1
+
+
+def test_disjoint_pairs_all_blue_reservoir():
+    # red iff an edge holds vertex 1: the first pair is (1,2,3)/(2,3,4), and
+    # every edge of the reservoir 5..11 is blue, so a blue 3-cycle sits in
+    # it; a one-node budget leaves the up-front checks undecided
+    k, t = 3, 5
+    c = TwoColoring.from_red_edges(k, 11, [e for e in all_edges(11, k) if 1 in e])
+    meta = {}
+    with pytest.raises(HypothesisViolation,
+                       match="blue 3-cycle inside the reservoir") as ei:
+        disjoint_bichromatic_pairs(c, t, max_nodes=1, meta=meta)
+    assert meta["budget_exhausted"] is True
+    w = ei.value.witness
+    assert w.template == cycle_template(k, 3) and w.claimed_color == "blue"
+    assert verify_embedding(c, w).ok and w.image <= set(range(5, 12))
+
+
+# pair1 = (1,2,3) red / (2,3,4) blue on K^3_11, reservoir 5..11: W1 = 5,6,
+# W2 = 7,8, w = 9; every edge not listed is red
+_RESERVOIR_PAIR1 = BichromaticPair(red_edge=(1, 2, 3), blue_edge=(2, 3, 4))
+
+
+@pytest.mark.parametrize("blue,pairs", [
+    # {v_1} u W1 and {v_{k+1}} u W2 blue: one pair on each side of the split
+    ([(1, 5, 6), (4, 7, 8)], (((1, 2, 5), (1, 5, 6)), ((4, 7, 9), (4, 7, 8)))),
+    # {v_1} u W1 red, {v_k} u W2 and {v_{k-1}} u W1 blue: the star pairs
+    ([(3, 7, 8), (2, 5, 6)], (((1, 5, 6), (2, 5, 6)), ((7, 8, 9), (3, 7, 8)))),
+])
+def test_all_red_reservoir_pairs_by_case(blue, pairs):
+    from ramsey_lab import constructive
+
+    c = TwoColoring.all_red(3, 11).with_edges([(2, 3, 4)] + blue, red=False)
+    got = constructive._all_red_reservoir_pairs(c, 5, _RESERVOIR_PAIR1,
+                                                list(range(5, 12)))
+    assert tuple((p.red_edge, p.blue_edge) for p in got) == pairs
+    assert all(p.validate(c)[0] for p in got)
+    assert not (got[0].union & got[1].union)
+    certify_roundtrip(c, got, "disjoint-pairs")
+
+
+def test_all_red_reservoir_closes_a_cycle_through_v1_and_w2():
+    from ramsey_lab import constructive
+
+    # {v_{k-1}} u W1 and {v_1} u W2 red: the forced red 5-cycle runs
+    # e_1, {v_{k-1}} u W1, the reservoir chain, {v_1} u W2
+    c = TwoColoring.all_red(3, 11).with_edges([(2, 3, 4), (3, 7, 8)], red=False)
+    with pytest.raises(HypothesisViolation,
+                       match="red t-cycle assembled through the reservoir") as ei:
+        constructive._all_red_reservoir_pairs(c, 5, _RESERVOIR_PAIR1,
+                                              list(range(5, 12)))
+    w = ei.value.witness
+    assert w.template == cycle_template(3, 5) and w.claimed_color == "red"
+    assert verify_embedding(c, w).ok
+    assert sorted(w.edge_images()) == [(1, 2, 3), (1, 7, 8), (2, 5, 6),
+                                       (5, 9, 10), (7, 10, 11)]
 
 
 def test_disjoint_pairs_failed_case_analysis_is_a_proof_gap(monkeypatch):

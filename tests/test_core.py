@@ -21,6 +21,7 @@ from ramsey_lab.core import (
     path_template,
 )
 
+import frozen_values as F
 import oracles as O
 
 
@@ -377,3 +378,59 @@ def test_library_code_has_callers_outside_tests():
     assert {name: where for name, where in defined.items()
             if name not in used and name not in _TEST_ONLY} == {}
     assert _TEST_ONLY <= defined.keys() - used
+
+
+def test_paper_values_match_the_frozen_formulas():
+    for k, n, m in itertools.product(range(3, 8), range(1, 12), range(1, 12)):
+        assert core.cycle_value(k, n, m) == F.cc_value(k, n, m)
+        assert core.path_value(k, n, m) == F.pp_value(k, n, m) == F.pc_value(k, n, m)
+
+
+@pytest.mark.parametrize("args", [("star", 3, 2), (PATH, 2, 2), (PATH, 3, 0),
+                                  (CYCLE, 3, 2)])
+def test_template_refusals_name_an_invalid_parameter(args):
+    with pytest.raises(ValueError, match="^invalid-parameter: "):
+        LooseTemplate(*args)
+
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_readme_quick_start_runs():
+    # README's "Library quick start" block runs as written, and a line
+    # whose comment starts with a literal (`# 7`, `# 'UNSAT': ...`) gives
+    # that value
+    text = (_ROOT / "README.md").read_text()
+    section = text.split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines, scope, checked = block.splitlines(), {}, 0
+    for stmt in ast.parse(block).body:
+        code = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(code, scope)
+            continue
+        value = eval(code, scope)
+        _, _, comment = lines[stmt.end_lineno - 1].partition("#")
+        head = comment.strip().split(":")[0].split(" ")[0]
+        try:
+            want = ast.literal_eval(head)
+        except (ValueError, SyntaxError):
+            continue
+        assert value == want, code
+        checked += 1
+    assert checked >= 3
+
+
+def test_sources_parse_under_the_python_floor():
+    # pyproject.toml and README declare Python >= 3.10; this checks the
+    # grammar of every library file against 3.10, not the stdlib APIs it
+    # calls, so a function added to the stdlib after 3.10 still passes
+    floor = (3, 10)
+    assert 'requires-python = ">=3.10"' in (_ROOT / "pyproject.toml").read_text()
+    with pytest.raises(SyntaxError):  # the check sees a 3.11 construct
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=floor)
+    files = sorted((_ROOT / "src" / "ramsey_lab").glob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

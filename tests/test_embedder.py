@@ -459,6 +459,17 @@ def test_fixed_extension_only():
     assert got.vertex_image(1) == 4 and got.vertex_image(5) == 6
 
 
+def test_fully_fixed_edge_is_checked_before_the_search():
+    # pins covering the first edge of P^3_2: its colour decides at once,
+    # and otherwise the search places only the second edge's free slots
+    c = TwoColoring.all_red(3, 7).with_edges([(2, 4, 6)], red=False)
+    t = path_template(3, 2)
+    assert find_embedding(c, "red", t, fixed={1: 6, 2: 4, 3: 2}) is None
+    got = find_embedding(c, "red", t, fixed={1: 1, 2: 3, 3: 5})
+    assert got.assignment == (1, 3, 5, 2, 4)
+    assert verify_embedding(c, got).ok
+
+
 # ------------------------------------------------------------ twin classes
 
 def _twin_grid():

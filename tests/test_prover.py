@@ -807,3 +807,61 @@ def test_malformed_certificate_raises():
                                  lemma="join")
     with pytest.raises(ValueError, match="malformed-certificate"):
         verify_certificate(no_result)
+
+
+@pytest.mark.parametrize("disjoint", [True, False])
+def test_empty_pair_set_is_refused(disjoint):
+    # an all-red host has no bichromatic pair, so a pair-set claims nothing
+    # on it; an empty one must not verify
+    c = TwoColoring.all_red(3, 6)
+    cert = make_certificate("pair-set", c, {"pairs": [], "disjoint": disjoint},
+                            lemma="x")
+    reasons = ["no-pairs"] + ["disjoint-needs-two-pairs"] * disjoint
+    assert verify_certificate(cert) == (False, {"type": "pair-set",
+                                                "reasons": reasons})
+
+
+def test_disjoint_claim_needs_two_pairs():
+    c = TwoColoring.all_red(3, 6).with_edges([(1, 2, 4)], red=False)
+    pair = {"red_edge": [1, 2, 3], "blue_edge": [1, 2, 4]}
+    for disjoint, reasons in ((False, []), (True, ["disjoint-needs-two-pairs"])):
+        cert = make_certificate("pair-set", c, {"pairs": [pair], "disjoint": disjoint},
+                                lemma="x")
+        assert verify_certificate(cert) == (not reasons, {"type": "pair-set",
+                                                          "reasons": reasons})
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_empty_host_is_sat_without_search(N):
+    # K^3_N has no edge below N = 3: nothing to color, nothing forbidden
+    p1 = path_template(3, 1)
+    v = decide_arrowing(3, N, p1, p1)
+    assert (v.status, v.stats["nodes"], v.stats["n_vars"]) == ("SAT", 0, 0)
+    assert v.witness.n_vertices == N and v.witness.n_edges == 0
+
+
+def test_template_refusals_are_parameter_errors():
+    # every template refusal, whichever caller builds the template, names
+    # the parameter class its siblings use
+    with pytest.raises(ValueError, match="^invalid-parameter: kind must be"):
+        compute_ramsey(3, ("star", 2), ("path", 2))
+    with pytest.raises(ValueError, match="^invalid-parameter: cycle needs n >= 3"):
+        compute_ramsey(3, ("cycle", 2), ("path", 2))
+    cert = make_certificate("witness-coloring", TwoColoring.all_red(3, 6),
+                            {"red_target": {"kind": "star", "length": 3},
+                             "blue_target": {"kind": "cycle", "length": 3},
+                             "n_vertices": 6}, lemma="x")
+    with pytest.raises(ValueError, match="^malformed-certificate: invalid-parameter: "
+                                         "kind must be"):
+        verify_certificate(cert)
+
+
+def test_decision_input_checks_come_from_count_copies():
+    # N and the targets' uniformity are checked once, by `count_copies`
+    p2 = path_template(3, 2)
+    with pytest.raises(ValueError, match=r"^invalid-parameter: N=-1, k=3$"):
+        decide_arrowing(3, -1, p2, p2)
+    with pytest.raises(ValueError, match=r"^invalid-parameter: template k=3 but k=4"):
+        decide_arrowing(4, 6, p2, p2)
+    with pytest.raises(ValueError, match=r"^invalid-parameter: template k=3 but k=4"):
+        export_dimacs(4, 6, p2, p2)
