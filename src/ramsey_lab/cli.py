@@ -55,16 +55,14 @@ EXIT_HYPOTHESIS = 3
 EXIT_GAP = 4
 
 
-def _parse_target(text: str) -> tuple:
-    """'cycle:3' or 'path:4' -> (kind, length)."""
+def _parse_target(text: str, k: int) -> LooseTemplate:
+    """'cycle:3' or 'path:4' -> that k-uniform template."""
     try:
         kind, _, num = text.partition(":")
         n = int(num)
     except ValueError:
         raise ValueError(f"invalid-parameter: target {text!r}, want kind:length")
-    if kind not in ("path", "cycle"):
-        raise ValueError(f"invalid-parameter: target kind {kind!r}, want path or cycle")
-    return kind, n
+    return LooseTemplate(kind, k, n)
 
 
 def _parse_verts(text: str) -> tuple:
@@ -76,12 +74,13 @@ def _parse_verts(text: str) -> tuple:
 
 def _structure(kind: str, k: int, verts: tuple, color: str) -> Embedding:
     """Embedding from an assignment list; the template length is implied
-    (a path has one vertex more than its edges' k-1 new vertices each)."""
-    inner = len(verts) - (kind == "path")
-    if inner % (k - 1):
+    (a path has one vertex more than its edges' k-1 new vertices each).
+    At k = 1 there is no k-1 to divide by; the template refuses that k."""
+    inner, step = len(verts) - (kind == "path"), max(k - 1, 1)
+    if inner % step:
         raise ValueError(f"invalid-parameter: {len(verts)} vertices is no loose "
                          f"{kind} at k={k}")
-    return Embedding(LooseTemplate(kind, k, inner // (k - 1)), verts, color)
+    return Embedding(LooseTemplate(kind, k, inner // step), verts, color)
 
 
 def _report_skeleton(args, command: list, inputs: dict) -> dict:
@@ -132,13 +131,13 @@ def _save_certificate(cert, args, name: str, report: dict) -> str:
     return path
 
 
-def _save_witness(args, report: dict, c: TwoColoring, red: tuple, blue: tuple,
-                  lemma: str, stem: str) -> None:
-    """Certify that c has no red `red` and no blue `blue` (kind, length)."""
+def _save_witness(args, report: dict, c: TwoColoring, red: LooseTemplate,
+                  blue: LooseTemplate, lemma: str, stem: str) -> None:
+    """Certify that c has no red `red` and no blue `blue`."""
     cert = make_certificate(
         "witness-coloring", c,
-        {"red_target": {"kind": red[0], "length": red[1]},
-         "blue_target": {"kind": blue[0], "length": blue[1]},
+        {"red_target": {"kind": red.kind, "length": red.n},
+         "blue_target": {"kind": blue.kind, "length": blue.n},
          "n_vertices": c.n_vertices},
         lemma=lemma, seed=args.seed)
     _save_certificate(cert, args, stem + ".cert.json", report)
@@ -156,12 +155,12 @@ def _run_witness(args, report: dict) -> int:
     t0 = time.monotonic()
     N, c = lower_bound_witness(args.k, args.n, args.m, pair)
     report["timings"]["witness_s"] = time.monotonic() - t0
-    red, blue = ("path" if p == "P" else "cycle" for p in pair)
+    red, blue = (LooseTemplate("path" if p == "P" else "cycle", args.k, n)
+                 for p, n in zip(pair, (args.n, args.m)))
     stem = f"witness-{pair}-k{args.k}-n{args.n}-m{args.m}"
     cpath = _artifact(args, stem + ".coloring.json")
     c.save(cpath, explicit=args.explicit)
-    _save_witness(args, report, c, (red, args.n), (blue, args.m),
-                  "lower-bound", stem)
+    _save_witness(args, report, c, red, blue, "lower-bound", stem)
     report["results"] = {
         "pair": pair, "k": args.k, "n": args.n, "m": args.m,
         "host_vertices": N, "claimed_bound": N + 1,
@@ -173,11 +172,9 @@ def _run_witness(args, report: dict) -> int:
 # ------------------------------------------------------------------ arrow
 
 def _run_arrow(args, report: dict) -> int:
-    red = _parse_target(args.red)
-    blue = _parse_target(args.blue)
+    red, blue = _parse_target(args.red, args.k), _parse_target(args.blue, args.k)
     verdict = decide_arrowing(
-        args.k, args.n_vertices, LooseTemplate(red[0], args.k, red[1]),
-        LooseTemplate(blue[0], args.k, blue[1]), max_nodes=args.max_nodes,
+        args.k, args.n_vertices, red, blue, max_nodes=args.max_nodes,
         max_secs=args.max_secs, symmetry=args.symmetry)
     report["results"] = verdict.to_json_obj()
     report["timings"].update(enumerate_s=verdict.stats["enumerate_s"],
@@ -197,16 +194,15 @@ def _run_arrow(args, report: dict) -> int:
 # ----------------------------------------------------------------- ramsey
 
 def _run_ramsey(args, report: dict) -> int:
-    red = _parse_target(args.red)
-    blue = _parse_target(args.blue)
+    red, blue = _parse_target(args.red, args.k), _parse_target(args.blue, args.k)
     claim = compute_ramsey(
-        args.k, red, blue,
+        args.k, (red.kind, red.n), (blue.kind, blue.n),
         max_nodes=args.max_nodes, max_secs=args.max_secs,
         symmetry=args.symmetry, max_N=args.max_N)
     report["results"] = claim.to_json_obj()
     if claim.witness is not None:
         _save_witness(args, report, claim.witness, red, blue, "ramsey-lower",
-                      f"ramsey-k{args.k}-{red[0]}{red[1]}-{blue[0]}{blue[1]}")
+                      f"ramsey-k{args.k}-{red.kind}{red.n}-{blue.kind}{blue.n}")
     return EXIT_OK if claim.value is not None else EXIT_UNKNOWN
 
 
@@ -285,11 +281,10 @@ def _run_extract(args, report: dict) -> int:
 # ------------------------------------------------------------------ count
 
 def _run_count(args, report: dict) -> int:
-    fam = _parse_target(args.target)
-    t = LooseTemplate(fam[0], args.k, fam[1])
+    t = _parse_target(args.target, args.k)
     value = count_copies(args.n_vertices, args.k, t)
     report["results"] = {"k": args.k, "n_vertices": args.n_vertices,
-                         "target": {"kind": fam[0], "length": fam[1]},
+                         "target": {"kind": t.kind, "length": t.n},
                          "copies": value}
     return EXIT_OK
 
@@ -323,11 +318,9 @@ def _run_table(args, report: dict) -> int:
 # ------------------------------------------------------------- export-cnf
 
 def _run_export_cnf(args, report: dict) -> int:
-    red = _parse_target(args.red)
-    blue = _parse_target(args.blue)
-    text, sidecar = export_dimacs(
-        args.k, args.n_vertices, LooseTemplate(red[0], args.k, red[1]),
-        LooseTemplate(blue[0], args.k, blue[1]))
+    text, sidecar = export_dimacs(args.k, args.n_vertices,
+                                  _parse_target(args.red, args.k),
+                                  _parse_target(args.blue, args.k))
     stem = args.stem or f"arrow-k{args.k}-N{args.n_vertices}"
     cnf_path = _artifact(args, stem + ".cnf")
     map_path = _artifact(args, stem + ".vars.json")
@@ -508,32 +501,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # the subcommand is argv[0], so the argument list replays the run
     report = _report_skeleton(args, argv, inputs)
 
+    note = None  # the one-line diagnostic of exits 3 and 4
     try:
-        code = args.fn(args, report)
-    except HypothesisViolation as exc:
-        report["results"] = {"error": "hypothesis-violation", "detail": str(exc)}
-        w = exc.witness  # an Embedding or an edge
-        if w is not None:
-            report["results"]["witness"] = \
-                w.to_json_obj() if isinstance(w, Embedding) else list(w)
+        try:
+            code = args.fn(args, report)
+        except HypothesisViolation as exc:
+            report["results"] = {"error": "hypothesis-violation", "detail": str(exc)}
+            w = exc.witness  # an Embedding or an edge
+            if w is not None:
+                report["results"]["witness"] = \
+                    w.to_json_obj() if isinstance(w, Embedding) else list(w)
+            code, note = EXIT_HYPOTHESIS, f"hypothesis-violation: {exc}"
+        except ProofGap as exc:
+            path = _artifact(args, f"{args.subcommand}.proofgap.json")
+            atomic_write(path, json.dumps(exc.instance, indent=2))
+            report["results"] = {"error": "proof-gap", "detail": str(exc),
+                                 "instance": path}
+            code, note = EXIT_GAP, f"proof-gap: {exc}"
         _emit(report, args, t0)
-        print(f"hypothesis-violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ProofGap as exc:
-        path = _artifact(args, f"{args.subcommand}.proofgap.json")
-        atomic_write(path, json.dumps(exc.instance, indent=2))
-        report["results"] = {"error": "proof-gap", "detail": str(exc),
-                             "instance": path}
-        _emit(report, args, t0)
-        print(f"proof-gap: {exc}", file=sys.stderr)
-        return EXIT_GAP
     except (ValueError, OSError) as exc:
-        # parse, validation and I/O errors; anything else is a bug and
-        # propagates with its traceback
+        # parse, validation and I/O errors, the report's and the proof-gap
+        # dump's writes included; anything else is a bug and propagates
+        # with its traceback
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    _emit(report, args, t0)
+    if note is not None:
+        print(note, file=sys.stderr)
     return code
 
 

@@ -351,12 +351,13 @@ def lower_bound_witness(k: int, n: int, m: int, pair: str) -> tuple[int, TwoColo
     failure here is a construction bug, not user error.
     """
     if pair not in ("PP", "PC", "CC"):
-        raise ValueError(f"pair must be PP, PC or CC, got {pair!r}")
+        raise ValueError(f"invalid-parameter: pair must be PP, PC or CC, got {pair!r}")
     if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+        raise ValueError(f"invalid-parameter: k must be >= 3, got {k}")
     low_m = 3 if pair == "CC" else 2
     if not n >= m >= low_m:
-        raise ValueError(f"need n >= m >= {low_m} for {pair}, got n={n}, m={m}")
+        raise ValueError(f"invalid-parameter: need n >= m >= {low_m} for {pair}, "
+                         f"got n={n}, m={m}")
 
     if pair == "CC":
         N = cycle_value(k, n, m) - 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .certificates import make_certificate
@@ -40,29 +41,30 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# host-path geometry helpers (3-uniform paths)
+# host positions
 # ---------------------------------------------------------------------------
 
-def _hv(asg: Sequence[int], j: int) -> int:
-    """Host vertex carrying template position j of a path assignment."""
-    return asg[j - 1]
+def _at(asg: Sequence[int], j: int) -> int:
+    """Host vertex carrying template position j (1-based) of an assignment;
+    a cycle's positions wrap around, a path's indices never need to."""
+    return asg[(j - 1) % len(asg)]
+
+
+def _outside(c: TwoColoring, S) -> List[int]:
+    """The host vertices not in S, ascending: the reservoir around S."""
+    return sorted(set(range(1, c.n_vertices + 1)) - S)
 
 
 def _edge_host(asg: Sequence[int], i: int) -> Tuple[int, int, int]:
     """Host vertices of path edge e_i for a 3-uniform path assignment."""
-    return (_hv(asg, 2 * i - 1), _hv(asg, 2 * i), _hv(asg, 2 * i + 1))
-
-
-def _first_of(asg: Sequence[int], i: int) -> int:
-    """The edge's vertex on the path-start side (the designated f_{P,e_i})."""
-    return _hv(asg, 2 * i - 1)
+    return (_at(asg, 2 * i - 1), _at(asg, 2 * i), _at(asg, 2 * i + 1))
 
 
 def _A_host(asg: Sequence[int], j: int) -> Tuple[int, ...]:
     """Entry set A_j: the start vertex for j=1, else e_{j-1} minus its first."""
     if j == 1:
-        return (_hv(asg, 1),)
-    return (_hv(asg, 2 * j - 2), _hv(asg, 2 * j - 1))
+        return (_at(asg, 1),)
+    return (_at(asg, 2 * j - 2), _at(asg, 2 * j - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,11 @@ def _budget_ran_out(c: TwoColoring, color: str, t: LooseTemplate,
     return False
 
 
+def _gap(c: TwoColoring, message: str, **fields) -> ProofGap:
+    """A ProofGap whose instance is the coloring, then `fields` in order."""
+    return ProofGap(message, {"coloring": c.to_json_obj(), **fields})
+
+
 def _verified_cycle(c: TwoColoring, edges: Sequence, color: str,
                     what: str) -> Embedding:
     """The loose cycle through `edges` in order, re-verified against c; a
@@ -101,9 +108,8 @@ def _verified_cycle(c: TwoColoring, edges: Sequence, color: str,
     except ValueError as exc:  # the edges form no loose cycle
         reason = str(exc)
     if reason is not None:
-        raise ProofGap(f"{what} fails verification: {reason}",
-                       instance={"coloring": c.to_json_obj(),
-                                 "edges": [sorted(x) for x in edges]})
+        raise _gap(c, f"{what} fails verification: {reason}",
+                   edges=[sorted(x) for x in edges])
     return emb
 
 
@@ -190,7 +196,7 @@ def validate_good_configuration(c: TwoColoring,
     S = set(cfg.S)
     ei = set(_edge_host(asg, i))
     ei1 = set(_edge_host(asg, i + 1))
-    base = (ei - {_first_of(asg, i)}) | {cfg.u}
+    base = (ei - {_at(asg, 2 * i - 1)}) | {cfg.u}  # e_i minus its first
     # the pool meets e_{i-1} minus its first vertex, which is A_i, in u
     # alone, so S meets it in at most one vertex
     if not any(S <= (base | (ei1 - {v})) for v in _A_host(asg, i + 2)):
@@ -217,7 +223,7 @@ def _iter_good_configurations(c: TwoColoring, P: Embedding, W: frozenset,
     """
     asg = P.assignment
     v2i_1, v2i, v2i1 = _edge_host(asg, i)
-    v2i2, v2i3 = _hv(asg, 2 * i + 2), _hv(asg, 2 * i + 3)
+    v2i2, v2i3 = _at(asg, 2 * i + 2), _at(asg, 2 * i + 3)
     Wl = sorted(W)
 
     def candidates():
@@ -300,10 +306,8 @@ def find_good_configuration(c: TwoColoring, P: Embedding, W, i: int,
     _check_maximal(c, P, W)
     for cfg in _iter_good_configurations(c, P, W, i, u):
         return cfg
-    raise ProofGap(
-        "no good configuration at a valid anchor",
-        instance={"coloring": c.to_json_obj(), "path": P.to_json_obj(),
-                  "W": sorted(W), "i": i, "u": u})
+    raise _gap(c, "no good configuration at a valid anchor",
+               path=P.to_json_obj(), W=sorted(W), i=i, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +367,10 @@ def absorb_blue_path(c: TwoColoring, P: Embedding, W) -> AbsorptionResult:
                 return done
         return None
 
-    chain = dfs(1, frozenset(), _hv(asg, 1), ())
+    chain = dfs(1, frozenset(), _at(asg, 1), ())
     if chain is None:
-        raise ProofGap(
-            "absorption chain could not be completed",
-            instance={"coloring": c.to_json_obj(), "path": P.to_json_obj(),
-                      "W": sorted(W)})
+        raise _gap(c, "absorption chain could not be completed",
+                   path=P.to_json_obj(), W=sorted(W))
     t = len(chain)
     qasg: List[int] = [chain[0].x]
     for cfg in chain:
@@ -376,16 +378,15 @@ def absorb_blue_path(c: TwoColoring, P: Embedding, W) -> AbsorptionResult:
     Q = Embedding(path_template(3, 2 * t), tuple(qasg), "blue")
     res = verify_embedding(c, Q)
     if not res:
-        raise ProofGap(f"assembled blue path fails verification: {res.reason}",
-                       instance={"coloring": c.to_json_obj(),
-                                 "Q": Q.to_json_obj()})
+        raise _gap(c, f"assembled blue path fails verification: {res.reason}",
+                   Q=Q.to_json_obj())
     r = n - 2 * t
     W_used = frozenset([chain[0].x] + [cfg.y for cfg in chain])
     # invariant sweep: the type's equalities plus the tail avoidance
     assert 2 * t == 2 * (len(W_used) - 1) == n - r
-    consumed = {_hv(asg, j) for j in range(1, 4 * t + 2)}
+    consumed = {_at(asg, j) for j in range(1, 4 * t + 2)}
     assert set(qasg) - W_used <= consumed
-    tail = {_hv(asg, 4 * t), _hv(asg, 4 * t + 1)}
+    tail = {_at(asg, 4 * t), _at(asg, 4 * t + 1)}
     avoided = chain[-1].avoided_vertex
     assert avoided in tail and avoided not in set(qasg)
     assert len(W - W_used) <= 1 or 0 <= r <= 1
@@ -425,11 +426,7 @@ def case2_blue_cycle(c: TwoColoring, C: Embedding, W: Sequence[int],
     if bridge is not None:
         raise HypothesisViolation(
             "bridge hypothesis fails: red edge over the cycle", witness=bridge)
-    asg = C.assignment
-
-    def V(j: int) -> int:
-        return asg[(j - 1) % nv]
-
+    V = partial(_at, C.assignment)
     edges: List[Tuple[int, int, int]] = []
     for fi in range(1, m):
         if fi % 2 == 1:
@@ -449,10 +446,9 @@ def _red_bridge(c: TwoColoring, C: Embedding,
                 xs: Sequence[int]) -> Optional[Edge]:
     """The first red bridge {v_{2i-1},v_{2i},z} or {v_{2i},v_{2i+1},z} over
     the 3-uniform cycle C with z in xs, sorted; None when all are blue."""
-    nv = 2 * C.template.n
     asg = C.assignment
-    for j in range(0, nv, 2):
-        w1, w2, w3 = asg[j], asg[j + 1], asg[(j + 2) % nv]
+    for j in range(1, len(asg), 2):
+        w1, w2, w3 = _at(asg, j), _at(asg, j + 1), _at(asg, j + 2)
         for z in xs:
             for e in ((w1, w2, z), (w2, w3, z)):
                 if c.is_red(e):
@@ -488,7 +484,7 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
     if meta is not None:
         meta["budget_exhausted"] = budget_out
 
-    xs = sorted(set(range(1, c.n_vertices + 1)) - C.image)
+    xs = _outside(c, C.image)
     assert len(xs) == (m - 1) // 2 + 2
     if _red_bridge(c, C, xs) is None:
         if meta is not None:
@@ -498,10 +494,8 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
         meta["case"] = 1
     emb = find_embedding(c, "blue", cycle_template(3, m))
     if emb is None:
-        raise ProofGap(
-            "no blue cycle of the target length despite valid hypotheses",
-            instance={"coloring": c.to_json_obj(), "C": C.to_json_obj(),
-                      "n": n, "m": m})
+        raise _gap(c, "no blue cycle of the target length despite valid "
+                   "hypotheses", C=C.to_json_obj(), n=n, m=m)
     return emb
 
 
@@ -567,15 +561,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
         _require_valid(c, C, "red", "cycle")
 
     kk = k - 1
-    nv1, nv2 = n * kk, m * kk
-    a1, a2 = C1.assignment, C2.assignment
-
-    def v(j: int) -> int:
-        return a1[(j - 1) % nv1]
-
-    def u(j: int) -> int:
-        return a2[(j - 1) % nv2]
-
+    v, u = partial(_at, C1.assignment), partial(_at, C2.assignment)
     E, F = C1.edge_images(), C2.edge_images()
 
     def extremal(s: set, i: int, vf, take_max: bool) -> int:
@@ -583,8 +569,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
         through the position map vf (v for C1, u for C2)."""
         idx = [j for j in range((i - 1) * kk + 1, i * kk + 2) if vf(j) in s]
         if not idx:
-            raise ProofGap("banked edge misses the expected cycle edge",
-                           instance={"coloring": c.to_json_obj()})
+            raise _gap(c, "banked edge misses the expected cycle edge")
         return vf(max(idx) if take_max else min(idx))
 
     steps: List[JoinStep] = []
@@ -614,8 +599,7 @@ def join_red_cycles(c: TwoColoring, C1: Embedding, C2: Embedding,
         hi = (set(F[i - 1]) - {u((i - 1) * kk + 1), u(i * kk), u(i * kk + 1)}) \
             | {yi, v(i * kk), v(i * kk + 1)}
         if len(gi) != k or len(hi) != k:
-            raise ProofGap("swap edge has wrong size",
-                           instance={"coloring": c.to_json_obj(), "i": i})
+            raise _gap(c, "swap edge has wrong size", i=i)
         banked = settle(gi, hi)
         if banked is None:
             return finish("red-cycle",
@@ -747,8 +731,7 @@ def adjacent_bichromatic_pair(c: TwoColoring, *,
     while len(e & fb) < k - 1:
         rounds += 1
         if rounds > k:  # impossible: the intersection grows every round
-            raise ProofGap("interpolation failed to converge",
-                           instance={"coloring": c.to_json_obj()})
+            raise _gap(c, "interpolation failed to converge")
         inter = len(e & fb)
         eonly = sorted(e - fb)
         fonly = sorted(fb - e)
@@ -763,8 +746,7 @@ def adjacent_bichromatic_pair(c: TwoColoring, *,
     pair = BichromaticPair(tuple(e), tuple(fb))
     ok, why = pair.validate(c)
     if not ok:
-        raise ProofGap(f"interpolated pair fails validation: {why}",
-                       instance={"coloring": c.to_json_obj()})
+        raise _gap(c, f"interpolated pair fails validation: {why}")
     return pair
 
 
@@ -818,7 +800,7 @@ def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
             "monochromatic coloring cannot satisfy the hypotheses")
 
     pair1 = adjacent_bichromatic_pair(c)
-    Wv = sorted(set(range(1, c.n_vertices + 1)) - pair1.union)
+    Wv = _outside(c, pair1.union)
 
     red, blue = _first_red_and_blue(c, Wv)
 
@@ -839,9 +821,8 @@ def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
         pa, pb = result
         if pa.validate(c)[0] and pb.validate(c)[0] and not (pa.union & pb.union):
             return (pa, pb)
-    raise ProofGap("the reservoir case analysis yielded no two valid disjoint "
-                   "bichromatic pairs",
-                   instance={"coloring": c.to_json_obj(), "t": t})
+    raise _gap(c, "the reservoir case analysis yielded no two valid disjoint "
+               "bichromatic pairs", t=t)
 
 
 def _all_red_reservoir_pairs(c: TwoColoring, t: int, pair1: BichromaticPair,
@@ -915,14 +896,9 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
         raise HypothesisViolation("given embedding is not a 4-cycle")
     _require_valid(c, C4, "blue", "4-cycle")
 
-    nv = 4 * (k - 1)
-    asg = C4.assignment
-
-    def v(j: int) -> int:
-        return asg[(j - 1) % nv]
-
+    v = partial(_at, C4.assignment)
     E1, E2, E3, E4 = map(set, C4.edge_images())
-    W = sorted(set(range(1, c.n_vertices + 1)) - C4.image)
+    W = _outside(c, C4.image)
 
     if i == 5:
         w1 = W[0]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -117,6 +118,8 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     2) that `copy_rank_matrix` answered from memory; a cached spanning
     table a table is lifted from does not count.
 
+    A NaN `max_secs` is refused as `invalid-parameter`, since no time
+    compares past it; a negative one is a budget already spent.
     N and the targets' uniformity are checked by `count_copies`.  A host
     with 2**31 edges or more (`host-too-large`), or 2**31 red and
     blue copies together (`copy-table-too-large`), does not fit the
@@ -124,6 +127,9 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     table too large for the host's memory is refused as
     `copy-table-too-large` before it is allocated.
     """
+    if max_secs is not None and math.isnan(max_secs):
+        raise ValueError("invalid-parameter: max_secs is NaN, want a number "
+                         "of seconds")
     n_red, n_blue = (count_copies(N, k, t) for t in (red_target, blue_target))
     n_vars = host_edges(k, N)
     if n_red + n_blue >= _MAX_EDGES:
@@ -144,14 +150,12 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
         for t in (red_target, blue_target):
             stats["cached_tables"] += embedder._copy_key(N, k, t) in embedder._COPY_CACHE
             tables.append(copy_rank_matrix(N, k, t, deadline=deadline))
+        embedder._check_deadline(deadline)  # past it: build nothing
     except SearchBudgetExceeded:
         stats["enumerate_s"] = time.monotonic() - t0
         return ArrowingVerdict("UNKNOWN", None, stats, budget)
     red_rows, blue_rows = tables
     t1 = time.monotonic()
-    if deadline is not None and t1 >= deadline:  # past it: build nothing
-        stats["enumerate_s"] = t1 - t0
-        return ArrowingVerdict("UNKNOWN", None, stats, budget)
     instance = _kernels.build_instance(n_vars, red_rows, blue_rows)
     sym = swap_pairs(N, k) if symmetry else ()
     t2 = time.monotonic()

@@ -642,6 +642,63 @@ def test_usage_errors(tmp_path, capsys):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["c.json"]
 
 
+def test_extract_on_a_k1_coloring_is_a_usage_error(tmp_path, capsys):
+    # the template refuses k = 1 before the vertex count is divided by k-1
+    cpath = tmp_path / "c.json"
+    TwoColoring.all_red(1, 4).save(cpath)
+    assert main(["extract", "--lemma", "lift", "--coloring", str(cpath),
+                 "--cycle4", "1,2,3,4", "--i", "5",
+                 "--dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "usage error: invalid-parameter: k must be >= 3, got 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["arrow", "--k", "3", "--n-vertices", "6", "--red", "star:3", "--blue", "cycle:3"],
+    ["ramsey", "--k", "3", "--red", "cycle:3", "--blue", "star:3"],
+    ["count", "--k", "3", "--n-vertices", "6", "--target", "star:3"],
+    ["export-cnf", "--k", "3", "--n-vertices", "6", "--red", "star:3",
+     "--blue", "cycle:3"]], ids=lambda argv: argv[0])
+def test_target_kind_is_refused_by_the_template(tmp_path, capsys, argv):
+    assert main(argv + ["--dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: invalid-parameter: kind " \
+        "must be 'path' or 'cycle', got 'star'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nan_max_secs_is_a_usage_error(tmp_path, capsys):
+    # the node budget makes a missed refusal fail fast instead of searching
+    assert main(["arrow", "--k", "3", "--n-vertices", "9", "--red", "cycle:4",
+                 "--blue", "cycle:4", "--max-secs", "nan", "--max-nodes", "100",
+                 "--dir", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error: invalid-parameter: max_secs is NaN" in \
+        capsys.readouterr().err
+
+
+def test_unwritable_report_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["count", "--k", "3", "--n-vertices", "6", "--target", "cycle:3",
+                 "--out", str(out), "--dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_proof_gap_dump_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from ramsey_lab.errors import ProofGap
+
+    def gap(*args, **kwargs):
+        raise ProofGap("no pair", instance={})
+
+    monkeypatch.setattr(cli, "adjacent_bichromatic_pair", gap)
+    cpath = tmp_path / "c.json"
+    TwoColoring.all_red(3, 6).with_edges([(1, 2, 3)], red=False).save(cpath)
+    out = tmp_path / "report.json"
+    assert main(["extract", "--lemma", "adjacent-pair", "--coloring", str(cpath),
+                 "--out", str(out), "--dir", str(cpath / "sub")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_arrow_refuses_copy_table_past_memory(tmp_path, capsys, monkeypatch):
     from ramsey_lab import embedder
 

@@ -268,3 +268,10 @@ def test_lower_bound_witness_pc_m2_vacuous():
 def test_lower_bound_witness_rejects_bad_pair():
     with pytest.raises(ValueError):
         lower_bound_witness(3, 3, 3, "XX")
+
+
+@pytest.mark.parametrize("args", [(3, 3, 3, "XX"), (2, 3, 3, "PP"), (3, 3, 4, "CC")],
+                         ids=["pair", "k", "n-at-least-m"])
+def test_lower_bound_witness_refusals_name_an_invalid_parameter(args):
+    with pytest.raises(ValueError, match="^invalid-parameter: "):
+        lower_bound_witness(*args)

@@ -619,6 +619,89 @@ def test_disjoint_pairs_failed_case_analysis_is_a_proof_gap(monkeypatch):
     assert ei.value.instance == {"coloring": c.to_json_obj(), "t": 5}
 
 
+# ----------------------------------------------------- proof-gap instances
+# Each forced gap's instance holds the coloring first, then the site's own
+# fields.  Two sites stay unreachable: the join's "banked edge misses the
+# expected cycle edge" (a swap edge that passes the size check keeps
+# vertices of the very cycle edge that is scanned) and the interpolation's
+# "failed to converge" (the intersection grows every round, whatever the
+# colours).
+
+
+def test_configuration_gaps_list_their_fields_in_order(monkeypatch):
+    from ramsey_lab import constructive
+
+    monkeypatch.setattr(constructive, "validate_good_configuration",
+                        lambda c, cfg: (False, "no"))
+    c, P, W = final_case_coloring()
+    with pytest.raises(ProofGap, match="no good configuration") as ei:
+        find_good_configuration(c, P, W, 2, 2)
+    assert list(ei.value.instance) == ["coloring", "path", "W", "i", "u"]
+    c, P = absorb_coloring(3, 4, {10, 11, 12, 13})
+    with pytest.raises(ProofGap, match="absorption chain") as ei:
+        absorb_blue_path(c, P, {10, 11, 12, 13})
+    assert list(ei.value.instance) == ["coloring", "path", "W"]
+
+
+def test_refused_absorption_path_is_a_proof_gap(monkeypatch):
+    from ramsey_lab import constructive
+    from ramsey_lab.embedder import VerifyResult
+
+    # the bridges (blue paths of 2 edges) verify; the assembled Q of 4 does not
+    def refuse_q(c, emb):
+        if emb.claimed_color == "blue" and emb.template.n > 2:
+            return VerifyResult(False, "forced")
+        return verify_embedding(c, emb)
+
+    monkeypatch.setattr(constructive, "verify_embedding", refuse_q)
+    W = {10, 11, 12, 13}
+    c, P = absorb_coloring(3, 4, W)
+    with pytest.raises(ProofGap, match="assembled blue path fails "
+                                       "verification: forced") as ei:
+        absorb_blue_path(c, P, W)
+    assert list(ei.value.instance) == ["coloring", "Q"]
+    assert ei.value.instance["Q"]["length"] == 4
+
+
+def test_missing_blue_cycle_is_a_proof_gap(monkeypatch):
+    from ramsey_lab import constructive
+
+    # all red, so the bridges are red (case 1) and only the search is left
+    monkeypatch.setattr(constructive, "find_embedding", lambda *a, **kw: None)
+    c = TwoColoring.all_red(3, 11)
+    C = ident_cycle(3, 4)
+    with pytest.raises(ProofGap, match="no blue cycle of the target length") as ei:
+        blue_cycle_from_red_shorter_cycle(c, C, 5, 3)
+    assert ei.value.instance == {"coloring": c.to_json_obj(),
+                                 "C": C.to_json_obj(), "n": 5, "m": 3}
+    assert list(ei.value.instance) == ["coloring", "C", "n", "m"]
+
+
+def test_join_swap_edge_of_wrong_size_is_a_proof_gap(monkeypatch):
+    from ramsey_lab import constructive
+    from ramsey_lab.embedder import VerifyResult
+
+    # a checker that accepts C1 with v_3 = v_4 lets h_1 collapse to 3 vertices
+    monkeypatch.setattr(constructive, "verify_embedding",
+                        lambda c, emb: VerifyResult(True))
+    c = TwoColoring.all_red(4, 18)
+    C1 = Embedding(cycle_template(4, 3), (1, 2, 3, 3, 5, 6, 7, 8, 9), "red")
+    with pytest.raises(ProofGap, match="swap edge has wrong size") as ei:
+        join_red_cycles(c, C1, ident_cycle(4, 3, 10), 3)
+    assert ei.value.instance == {"coloring": c.to_json_obj(), "i": 1}
+    assert list(ei.value.instance) == ["coloring", "i"]
+
+
+def test_interpolated_pair_refused_by_its_check_is_a_proof_gap(monkeypatch):
+    monkeypatch.setattr(BichromaticPair, "validate",
+                        lambda self, c: (False, "forced"))
+    c = TwoColoring.all_red(3, 6).with_edges([(1, 2, 3)], red=False)
+    with pytest.raises(ProofGap, match="interpolated pair fails validation: "
+                                       "forced") as ei:
+        adjacent_bichromatic_pair(c)
+    assert list(ei.value.instance) == ["coloring"]
+
+
 def test_bichromatic_pair_validate_rejects():
     c = TwoColoring.all_red(3, 6).with_edges([(1, 2, 3)], red=False)
     good = BichromaticPair(red_edge=(1, 2, 4), blue_edge=(1, 2, 3))

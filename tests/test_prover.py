@@ -392,6 +392,23 @@ def test_time_budget_honored():
     assert v.stats["nodes"] < 44588
 
 
+def test_nan_time_budget_is_refused_before_enumeration(monkeypatch):
+    # no clock reading compares past a NaN deadline, so the search would
+    # run to its node budget; a negative budget is one already spent
+    from ramsey_lab import prover
+
+    c4 = cycle_template(3, 4)
+    v = decide_arrowing(3, 9, c4, c4, max_secs=-1.0)
+    assert (v.status, v.stats["nodes"], v.stats["n_clauses"]) == ("UNKNOWN", 0, 0)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("copy table enumerated under a NaN budget")
+
+    monkeypatch.setattr(prover, "copy_rank_matrix", no_table)
+    with pytest.raises(ValueError, match="^invalid-parameter: max_secs is NaN"):
+        decide_arrowing(3, 9, c4, c4, max_secs=float("nan"), max_nodes=100)
+
+
 def test_cached_tables_counts_copy_tables_from_memory(monkeypatch):
     # blue reuses red's table; a cached spanning table (K^3_8 for C^3_4,
     # K^3_6 for C^3_3) that a table is lifted from does not count
