@@ -147,16 +147,12 @@ def _save_witness(args, report: dict, c: TwoColoring, red: LooseTemplate,
 
 def _run_witness(args, report: dict) -> int:
     pair = args.pair.upper()
-    if pair == "PC" and args.m < 3:
-        # the certificate would name a blue cycle of fewer than 3 edges,
-        # which no template decodes; refused before any file is written
-        raise ValueError(f"invalid-parameter: --pair PC needs --m >= 3, "
-                         f"got {args.m}")
+    # the templates refuse a bad k or length before any file is written
+    red, blue = (LooseTemplate("path" if p == "P" else "cycle", args.k, n)
+                 for p, n in zip(pair, (args.n, args.m)))
     t0 = time.monotonic()
     N, c = lower_bound_witness(args.k, args.n, args.m, pair)
     report["timings"]["witness_s"] = time.monotonic() - t0
-    red, blue = (LooseTemplate("path" if p == "P" else "cycle", args.k, n)
-                 for p, n in zip(pair, (args.n, args.m)))
     stem = f"witness-{pair}-k{args.k}-n{args.n}-m{args.m}"
     cpath = _artifact(args, stem + ".coloring.json")
     c.save(cpath, explicit=args.explicit)

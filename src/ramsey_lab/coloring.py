@@ -7,6 +7,8 @@ colorings restrict and extend between host sizes without re-indexing.
 
 `subset_rows` lists the k-subsets of 1..N in colex order; `all_edges`, the
 prover's swap table and the embedder's lifts all read their edges from it.
+`colex_parts` tabulates each label's share of a colex rank as numpy
+int64s, for the swap table and the embedder's rankers and lifts.
 `swap_pairs` tabulates the edge-rank pairs each adjacent vertex swap
 (u, u+1) exchanges, for the prover's symmetry breaking.  `split_counting`
 recognizes a split coloring, whose two sides are also the embedder's twin
@@ -53,7 +55,9 @@ def decoding(what: str):
 
 
 # _COMB[i - 1][a] = C(a - 1, i), the term the i-th smallest label a adds
-# to a colex rank; index 0 of each row is never read.  Grown by
+# to a colex rank; index 0 of each row is never read.  The scalar home of
+# the colex term, beside the numpy `colex_parts`: its Python ints stay
+# exact past int64, which ranks in wide label tables need.  Grown by
 # `_grow_comb` and only ever replaced whole, never changed in place.
 _COMB: list[list[int]] = []
 
@@ -83,6 +87,15 @@ def colex_rank(sorted_edge: Sequence[int]) -> int:
             pass
     rows = _grow_comb(len(sorted_edge), max(sorted_edge))
     return sum(map(getitem, rows, sorted_edge))
+
+
+def colex_parts(N: int, k: int) -> np.ndarray:
+    """part[x, i] = C(x - 1, i + 1), label x's share of the colex rank at
+    0-based position i of a k-subset of 1..N, so v_0 < ... < v_{k-1} ranks
+    at the sum of part[v_i, i]; row 0, and column k, for positions past
+    the subset, are 0."""
+    return np.array([[math.comb(x - 1, i + 1) if x and i < k else 0 for i in range(k + 1)]
+                     for x in range(N + 1)], dtype=np.int64)
 
 
 def edge_rank(e: Iterable[int], N: int, k: int) -> int:
@@ -269,25 +282,23 @@ def swap_pairs(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     # T's labels, one row per position
     cols = subset_rows(max(N - 2, 0), k - 1).T.astype(np.min_scalar_type(N))
-    # comb[x, i] = C(x, i); label t at 0-based position i of T adds
-    # C(t-1, i+1) to the rank below u, and C(t+1, i+2) from u on
-    comb = np.array([[math.comb(x, i) for i in range(k + 1)] for x in range(N + 2)],
-                    dtype=np.int64)
-    t = np.arange(N)
-    below_u = comb[np.maximum(t - 1, 0), 1:k].T
-    part = comb[t + 1, 2:k + 1].T.copy()
+    # label t at 0-based position i of T adds P[t, i] to the rank below u,
+    # and P[t + 2, i + 1] from u on
+    P, t = colex_parts(N + 1, k), np.arange(N)
+    below_u = P[t, :k - 1].T
+    part = P[t + 2, 1:k].T.copy()
     shape = (max(N - 1, 0), cols.shape[1])
     lo, hi = np.empty(shape, rank_dtype(N, k)), np.empty(shape, rank_dtype(N, k))
     for u in range(1, N):
         part[:, u - 1] = below_u[:, u - 1]
-        # u sits at position j + 1 of the edge, j the labels of T below it
+        # u sits at 0-based position j of the edge, j the labels of T below it
         rank, j = np.zeros(shape[1], dtype=np.int64), np.zeros(shape[1], dtype=np.intp)
         for i, col in enumerate(cols):
             rank += part[i].take(col)
             j += col < u
-        rank += comb[u - 1, j + 1]
-        lo[u - 1] = rank
-        rank += comb[u - 1, j]
+        # the swap puts u + 1 where u was
+        lo[u - 1] = rank + P[u, j]
+        rank += P[u + 1, j]
         hi[u - 1] = rank
     lo.flags.writeable = False
     hi.flags.writeable = False
@@ -352,21 +363,19 @@ def lower_bound_witness(k: int, n: int, m: int, pair: str) -> tuple[int, TwoColo
     """
     if pair not in ("PP", "PC", "CC"):
         raise ValueError(f"invalid-parameter: pair must be PP, PC or CC, got {pair!r}")
-    if k < 3:
-        raise ValueError(f"invalid-parameter: k must be >= 3, got {k}")
     low_m = 3 if pair == "CC" else 2
     if not n >= m >= low_m:
         raise ValueError(f"invalid-parameter: need n >= m >= {low_m} for {pair}, "
                          f"got n={n}, m={m}")
+    # the template refuses k < 3
+    red_target = (cycle_template if pair == "CC" else path_template)(k, n)
 
     if pair == "CC":
         N = cycle_value(k, n, m) - 1
         a = (k - 1) * n - 1
-        red_target = cycle_template(k, n)
     else:
         N = path_value(k, n, m) - 1
         a = (k - 1) * n
-        red_target = path_template(k, n)
 
     c = split_coloring(k, N, a)
     # the blue target has m edges; PC with m = 2 leaves B empty, so the

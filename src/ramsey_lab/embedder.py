@@ -41,8 +41,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import (_MAX_EDGES, TwoColoring, colex_rank, rank_dtype, split_counting,
-                       subset_rows)
+from .coloring import (_MAX_EDGES, TwoColoring, colex_parts, colex_rank, rank_dtype,
+                       split_counting, subset_rows)
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
 from .errors import SearchBudgetExceeded
 
@@ -86,9 +86,6 @@ class Embedding:
     def edge_images(self) -> list[Edge]:
         image = (0,) + self.assignment  # 1-based, like template vertices
         return [tuple(sorted(map(image.__getitem__, e))) for e in self.template.edges]
-
-    def vertex_image(self, template_vertex: int) -> int:
-        return self.assignment[template_vertex - 1]
 
     def to_json_obj(self) -> dict:
         return {
@@ -323,14 +320,6 @@ def _memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _colex_parts(N: int, k: int) -> np.ndarray:
-    """part[x, i] = C(x - 1, i + 1), vertex x's share of the colex rank at
-    position i of a k-subset of 1..N, so v_0 < ... < v_{k-1} ranks at the
-    sum of part[v_i, i]; column k, for positions past the subset, is 0."""
-    return np.array([[math.comb(x - 1, i + 1) if x and i < k else 0 for i in range(k + 1)]
-                     for x in range(N + 1)], dtype=np.int64)
-
-
 def _mask_ranker(N: int, k: int):
     """The colex rank of k-subsets of 1..N given as vertex masks, the sums
     of 1 << x over their vertices x, as a function on int64 arrays.
@@ -342,7 +331,7 @@ def _mask_ranker(N: int, k: int):
     Masks fit int64 for N < 63, which every table under 2^31 rows spans.
     Not cached: for k >= 3 each (N, k) builds at most one spanning table.
     """
-    h, part = (N + 1) // 2, _colex_parts(N, k)
+    h, part = (N + 1) // 2, colex_parts(N, k)
     low, count = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)
     for x in range(h):
         low = np.concatenate([low, low + part[x, np.minimum(count, k)]])
@@ -375,7 +364,7 @@ def _lift(span: np.ndarray, v: int, N: int, k: int, t: LooseTemplate):
     subsets = subset_rows(N, v)
     # a share of C(N, k) or more belongs to no k-subset of 1..N; zeroed,
     # the rest fits the narrow dtype, as does every partial sum of a rank
-    part, ranks = _colex_parts(N, k), np.zeros((len(subsets), len(local)), rank_dtype(N, k))
+    part, ranks = colex_parts(N, k), np.zeros((len(subsets), len(local)), rank_dtype(N, k))
     part = np.where(part < math.comb(N, k), part, 0).astype(ranks.dtype)
     # one vertex position at a time, so no index array spans every
     # (subset, edge, position)
@@ -433,7 +422,7 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     (lifted row, new edge) cells, which bounds temporary memory, and only
     the kept cells are written; the deadline is checked before each block.
     """
-    n, total = t.n, _n_copies(N, k, t)
+    n, total = t.n, count_copies(N, k, t)
     if total >= _MAX_EDGES:
         raise ValueError(f"copy-table-too-large: {t} has {total} copies in "
                          f"K^{k}_{N}, at most {_MAX_EDGES - 1} rows are supported")
@@ -508,16 +497,6 @@ def _enumerate_copies(N: int, k: int, t: LooseTemplate,
     return out
 
 
-def _n_copies(N: int, k: int, t: LooseTemplate) -> int:
-    """Copies of t in K^k_N in closed form: N!/((N-v)! |Aut t|), v = t.n_vertices."""
-    f = math.factorial
-    if t.kind == PATH:
-        aut = f(k) if t.n == 1 else 2 * f(k - 1) ** 2 * f(k - 2) ** (t.n - 2)
-    else:
-        aut = 2 * t.n * f(k - 2) ** t.n
-    return math.perm(N, t.n_vertices) // aut
-
-
 def _copy_key(N: int, k: int, t: LooseTemplate) -> tuple:
     """The `_COPY_CACHE` key of the copies of t in K^k_N."""
     return (N, k, t.kind, t.n)
@@ -534,7 +513,8 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     K^3_11 would build in 0.13 s instead of 0.34 s, and peak at 70 MB
     instead of 86).  Its dtype is `coloring.rank_dtype(N, k)`,
     the smallest unsigned one that holds C(N, k) - 1, and it is read-only.
-    Cached in memory; the only caller of `_enumerate_copies`.
+    `count_copies` checks N, k and the template's uniformity, before the
+    cache is read.  Cached in memory; the only caller of `_enumerate_copies`.
     On N = v = t.n_vertices labels, copies extend those of the path with
     one edge fewer by one edge; a larger host's table is lifted from the
     spanning table; both come from this function, so are cached too.  The
@@ -550,8 +530,7 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
     check between enumeration and the sort, and the table is not cached
     (a table it comes from, finished before then, is).
     """
-    if t.k != k:
-        raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")
+    count_copies(N, k, t)
     key = _copy_key(N, k, t)
     hit = _COPY_CACHE.get(key)
     if hit is not None:
@@ -581,12 +560,18 @@ def copy_rank_matrix(N: int, k: int, t: LooseTemplate, *,
 
 def count_copies(N: int, k: int, t: LooseTemplate) -> int:
     """Number of edge-set-distinct copies of t in the complete host K^k_N,
-    in closed form; nothing is enumerated."""
+    in closed form, N!/((N-v)! |Aut t|) with v = t.n_vertices; nothing is
+    enumerated."""
     if not (isinstance(N, int) and N >= 0 and isinstance(k, int) and k >= 2):
         raise ValueError(f"invalid-parameter: N={N}, k={k}")
     if t.k != k:
         raise ValueError(f"invalid-parameter: template k={t.k} but k={k} given")
-    return _n_copies(N, k, t)
+    f = math.factorial
+    if t.kind == PATH:
+        aut = f(k) if t.n == 1 else 2 * f(k - 1) ** 2 * f(k - 2) ** (t.n - 2)
+    else:
+        aut = 2 * t.n * f(k - 2) ** t.n
+    return math.perm(N, t.n_vertices) // aut
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +602,7 @@ def is_maximal_wrt(c: TwoColoring, P: Embedding, W: Iterable[int]) -> bool:
     k = t.k
     longer = path_template(k, t.n + 1)
     L = longer.n_vertices
-    first_v, last_v = P.vertex_image(1), P.vertex_image(t.n_vertices)
+    first_v, last_v = P.assignment[0], P.assignment[-1]
     for Wp in combinations(sorted(W), k - 1):
         pool = P.image | set(Wp)
         for sp, ep in product((1, k), (L, L - k + 1)):

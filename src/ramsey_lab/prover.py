@@ -236,11 +236,13 @@ def export_dimacs(k: int, N: int, red_target: LooseTemplate,
     Variable rank+1 asserts "edge of colex rank is red"; red copies become
     all-negative clauses, blue copies all-positive, in canonical row order.
     A target with more vertices than the host has no copy and adds no
-    clause, as in `decide_arrowing`.  A host with 2**31 edges or more is
+    clause, as in `decide_arrowing`.  N and the targets' uniformity are
+    checked by `count_copies`.  A host with 2**31 edges or more is
     refused as `host-too-large` before anything is built, and a copy table
     of 2**31 rows or more, or one too large for the host's memory, as
     `copy-table-too-large`.
     """
+    n_red, n_blue = (count_copies(N, k, t) for t in (red_target, blue_target))
     E = host_edges(k, N)
     red_rows = copy_rank_matrix(N, k, red_target)
     blue_rows = copy_rank_matrix(N, k, blue_target)
@@ -259,7 +261,7 @@ def export_dimacs(k: int, N: int, red_target: LooseTemplate,
         f"blue {blue_target.kind}_{blue_target.n}",
         "c variable rank+1 true <=> edge at colex rank is red",
         f"c varmap-digest sha256:{digest}",
-        f"p cnf {E} {red_rows.shape[0] + blue_rows.shape[0]}",
+        f"p cnf {E} {n_red + n_blue}",
     ]
     # one token per rank, one block of _DIMACS_BLOCK rows as Python ints
     # at a time: the whole table as nested lists would outweigh its text

@@ -57,8 +57,24 @@ def test_witness_refuses_pc_below_three_blue_edges(tmp_path, capsys):
     code, rep = run(tmp_path, "witness", "--k", "3", "--n", "3", "--m", "2",
                     "--pair", "PC")
     assert code == EXIT_USAGE and rep is None
-    assert "usage error: invalid-parameter: --pair PC needs --m >= 3" in \
+    assert "usage error: invalid-parameter: cycle needs n >= 3 edges, got 2" in \
         capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k,n,m,pair,refusal", [
+    (3, 3, 2, "CC", "cycle needs n >= 3 edges, got 2"),
+    (3, 0, 0, "PP", "path needs n >= 1 edges, got 0"),
+    (3, 0, 3, "PC", "path needs n >= 1 edges, got 0"),
+    (2, 3, 2, "PC", "k must be >= 3, got 2"),
+    (3, 2, 3, "PP", "need n >= m >= 2 for PP, got n=2, m=3")])
+def test_witness_refusals_come_before_any_file(tmp_path, capsys, k, n, m, pair, refusal):
+    # the red and blue templates refuse a bad k or length, red first, then
+    # lower_bound_witness a bad order of n and m
+    code, rep = run(tmp_path, "witness", "--k", str(k), "--n", str(n), "--m", str(m),
+                    "--pair", pair)
+    assert code == EXIT_USAGE and rep is None
+    assert capsys.readouterr().err == f"usage error: invalid-parameter: {refusal}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -651,6 +667,16 @@ def test_extract_on_a_k1_coloring_is_a_usage_error(tmp_path, capsys):
                  "--dir", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err == \
         "usage error: invalid-parameter: k must be >= 3, got 1\n"
+
+
+@pytest.mark.parametrize("subcommand", ["arrow", "count", "export-cnf"])
+def test_negative_host_is_refused_by_count_copies(tmp_path, capsys, subcommand):
+    targets = (["--target", "path:2"] if subcommand == "count"
+               else ["--red", "path:2", "--blue", "path:2"])
+    assert main([subcommand, "--k", "3", "--n-vertices", "-1", *targets,
+                 "--dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: invalid-parameter: N=-1, k=3\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

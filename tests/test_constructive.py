@@ -241,7 +241,9 @@ def test_blue_cycle_excluded_sizes(n, m):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_blue_cycle_randomized_conditioned(seed):
-    # random flips over a Case-2 base; accept any principled outcome
+    # random flips over a Case-2 base; accept a blue m-cycle, a red n-cycle
+    # found by the hypothesis check, or a gap only when that check ran out
+    # of budget
     n, m = 5, 3
     c, W = case2_coloring(n - 1, m)
     rng = np.random.default_rng(seed)
@@ -252,7 +254,14 @@ def test_blue_cycle_randomized_conditioned(seed):
     try:
         emb = blue_cycle_from_red_shorter_cycle(
             c, ident_cycle(3, n - 1, 1), n, m, max_nodes=50_000, meta=meta)
-    except (HypothesisViolation, ProofGap):
+    except HypothesisViolation as exc:
+        w = exc.witness
+        if isinstance(w, Embedding):
+            assert w.template == cycle_template(3, n) and w.claimed_color == "red"
+            assert verify_embedding(c, w).ok
+        return
+    except ProofGap:
+        assert meta["budget_exhausted"]
         return
     assert verify_embedding(c, emb).ok
 

@@ -290,13 +290,16 @@ def test_copy_matrix_frozen_sha256(kind, k, n, N):
 @pytest.mark.parametrize("N,k", [(7, 3), (8, 3), (9, 4), (10, 4), (11, 5), (12, 6), (13, 5)])
 def test_mask_ranker_matches_colex_rank(N, k):
     # the enumerator ranks a new edge by its vertex mask, split into a low
-    # and a high half; every k-subset of 1..N must get its colex rank
-    from ramsey_lab.coloring import colex_rank
+    # and a high half; every k-subset of 1..N must get its colex rank, as
+    # must the sum of its labels' shares in `colex_parts`
+    from ramsey_lab.coloring import colex_parts, colex_rank
     from ramsey_lab.embedder import _mask_ranker
 
     subsets = list(itertools.combinations(range(1, N + 1), k))
     masks = np.array([sum(1 << x for x in e) for e in subsets], dtype=np.int64)
-    assert _mask_ranker(N, k)(masks).tolist() == [colex_rank(e) for e in subsets]
+    ranks = [colex_rank(e) for e in subsets]
+    assert _mask_ranker(N, k)(masks).tolist() == ranks
+    assert colex_parts(N, k)[np.array(subsets), np.arange(k)].sum(axis=1).tolist() == ranks
 
 
 def test_lifted_copy_table_peaks_near_its_size(monkeypatch):
@@ -389,6 +392,23 @@ def test_copy_table_too_large_is_refused():
         copy_rank_matrix(40, 3, cycle_template(3, 5))
 
 
+@pytest.mark.parametrize("N,k,t", [(5, 3.0, path_template(3, 2)),
+                                   (-1, 3, path_template(3, 2)),
+                                   (9, 4, path_template(3, 2))],
+                         ids=["float-k", "negative-N", "other-k"])
+def test_copy_table_inputs_are_checked_by_count_copies(monkeypatch, N, k, t):
+    # the one gate runs before the cache is read: a float k equal to an int
+    # would otherwise find that int's table
+    from ramsey_lab import embedder
+
+    monkeypatch.setattr(embedder, "_COPY_CACHE", {})
+    copy_rank_matrix(5, 3, path_template(3, 2))
+    cached = list(embedder._COPY_CACHE)
+    with pytest.raises(ValueError, match="^invalid-parameter: "):
+        copy_rank_matrix(N, k, t)
+    assert list(embedder._COPY_CACHE) == cached
+
+
 def test_copy_table_past_memory_is_refused(monkeypatch):
     # with 100 MB of memory, the 20.0 MB uint8 table of C^3_5 in K^3_11
     # (a decision peaks near 9 times that) is refused before anything is
@@ -456,7 +476,7 @@ def test_fixed_extension_only():
     t = path_template(3, 2)
     got = find_embedding(c, "red", t, fixed={1: 4, 5: 6})
     assert got is not None
-    assert got.vertex_image(1) == 4 and got.vertex_image(5) == 6
+    assert got.assignment[0] == 4 and got.assignment[4] == 6
 
 
 def test_fully_fixed_edge_is_checked_before_the_search():

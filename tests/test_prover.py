@@ -461,15 +461,17 @@ def test_enumeration_timeout_reports_every_stats_key(monkeypatch):
         {"nodes": 0, "n_vars": 20, "n_clauses": 0}
 
 
-def test_passed_deadline_stops_before_the_instance_build(monkeypatch):
-    # the clock passes the deadline as the blue table returns, after every
-    # check inside copy_rank_matrix: the verdict is UNKNOWN, with the stats
-    # of an enumeration timeout, and no instance is built
+def _fake_clock_decision(monkeypatch, max_secs):
+    """decide_arrowing(3, 7, C^3_3, C^3_3) on a fake clock that the prover
+    and the embedder's deadline check both read, and that each copy table
+    moves on by 1.0 as it returns; the instance build and the search are
+    stubs.  Returns the verdict, the clock readings, the built instances'
+    arguments and the search calls."""
     from types import SimpleNamespace
 
-    from ramsey_lab import prover
+    from ramsey_lab import embedder, prover
 
-    c3, now, reads, built = cycle_template(3, 3), [0.0], [], []
+    c3, now, reads, built, searched = cycle_template(3, 3), [0.0], [], [], []
 
     def monotonic():
         reads.append(now[0])
@@ -480,14 +482,43 @@ def test_passed_deadline_stops_before_the_instance_build(monkeypatch):
         now[0] += 1.0  # the red table returns at 1.0, the blue at 2.0
         return rows
 
-    monkeypatch.setattr(prover, "time", SimpleNamespace(monotonic=monotonic))
+    def search(*args):
+        searched.append(args)
+        return "UNKNOWN", 0, 0, 0, 0, None
+
+    clock = SimpleNamespace(monotonic=monotonic)
+    monkeypatch.setattr(prover, "time", clock)
+    monkeypatch.setattr(embedder, "time", clock)
     monkeypatch.setattr(prover, "copy_rank_matrix", tables)
     monkeypatch.setattr(_kernels, "build_instance", lambda *args: built.append(args))
-    v = decide_arrowing(3, 7, c3, c3, max_secs=1.5)
-    assert v.status == "UNKNOWN" and v.witness is None and built == []
-    assert reads == [0.0, 2.0]
+    monkeypatch.setattr(_kernels, "search", search)
+    v = decide_arrowing(3, 7, c3, c3, max_secs=max_secs)
+    return v, reads, built, searched
+
+
+def test_passed_deadline_stops_before_the_instance_build(monkeypatch):
+    # the clock passes the deadline as the blue table returns, after every
+    # check inside copy_rank_matrix: the verdict is UNKNOWN, with the stats
+    # of an enumeration timeout, and no instance is built
+    v, reads, built, searched = _fake_clock_decision(monkeypatch, 1.5)
+    assert v.status == "UNKNOWN" and v.witness is None and built == searched == []
+    # the start, the deadline check, the enumeration time
+    assert reads == [0.0, 2.0, 2.0]
     assert {key: v.stats[key] for key in ("enumerate_s", "build_s", "nodes", "n_clauses")} \
         == {"enumerate_s": 2.0, "build_s": 0.0, "nodes": 0, "n_clauses": 0}
+
+
+def test_deadline_not_yet_passed_builds_the_instance(monkeypatch):
+    # the tables return at 2.0, before the deadline at 2.5: the instance is
+    # built and searched, and its clauses are counted
+    v, reads, built, searched = _fake_clock_decision(monkeypatch, 2.5)
+    assert len(built) == len(searched) == 1
+    assert searched[0][3] == 2.5  # the search gets the same deadline
+    assert v.status == "UNKNOWN" and v.stats["n_clauses"] == 2 * 840
+    # the start, the deadline check, the build's start and end, the search's end
+    assert reads == [0.0, 2.0, 2.0, 2.0, 2.0]
+    assert {key: v.stats[key] for key in ("enumerate_s", "build_s", "wall_secs")} \
+        == {"enumerate_s": 2.0, "build_s": 0.0, "wall_secs": 0.0}
 
 
 def test_sat_witness_recheck_counts_before_searching(monkeypatch):
