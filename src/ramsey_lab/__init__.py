@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .coloring import TwoColoring, edge_rank, lower_bound_witness, split_coloring
 from .core import LooseTemplate, cycle_template, path_template
 from .embedder import (
-    UNKNOWN,
     Embedding,
     count_copies,
     find_embedding,
@@ -36,7 +35,7 @@ from .constructive import (
     validate_good_configuration,
 )
 from .certificates import Certificate, make_certificate
-from .errors import BlueEdgeEncountered, HypothesisViolation, ProofGap, SearchBudgetExceeded
+from .errors import HypothesisViolation, ProofGap, SearchBudgetExceeded
 from .prover import (
     compute_ramsey,
     decide_arrowing,
@@ -48,7 +47,7 @@ from .prover import (
 __all__ = [
     "LooseTemplate", "path_template", "cycle_template",
     "TwoColoring", "split_coloring", "edge_rank", "lower_bound_witness",
-    "Embedding", "UNKNOWN",
+    "Embedding",
     "find_embedding", "count_copies", "is_maximal_wrt", "verify_embedding",
     "GoodConfiguration", "validate_good_configuration",
     "find_good_configuration", "AbsorptionResult", "absorb_blue_path",
@@ -59,6 +58,5 @@ __all__ = [
     "Certificate", "make_certificate", "to_certificate", "verify_certificate",
     "decide_arrowing", "compute_ramsey", "derive_table", "export_dimacs",
     "HypothesisViolation", "ProofGap", "SearchBudgetExceeded",
-    "BlueEdgeEncountered",
     "__version__",
 ]

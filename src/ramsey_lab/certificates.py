@@ -40,6 +40,8 @@ class Certificate:
             raise ValueError(f"malformed-certificate: unknown type {self.type!r}")
         if not isinstance(self.coloring, TwoColoring):
             raise ValueError("malformed-certificate: coloring missing")
+        if not (isinstance(self.payload, dict) and isinstance(self.meta, dict)):
+            raise ValueError("malformed-certificate: payload and meta must be objects")
 
     def to_json_obj(self, explicit_coloring: bool = False) -> dict:
         return {
@@ -53,7 +55,7 @@ class Certificate:
     def from_json_obj(cls, obj: dict) -> "Certificate":
         with decoding("certificate"):
             return cls(obj["type"], TwoColoring.from_json_obj(obj["coloring"]),
-                       dict(obj["payload"]), dict(obj.get("meta", {})))
+                       obj["payload"], obj.get("meta", {}))
 
     def save(self, path, explicit_coloring: bool = False) -> None:
         """One line of JSON, encoded in full before `path` is touched."""

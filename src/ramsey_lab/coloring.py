@@ -54,6 +54,25 @@ def decoding(what: str):
         raise ValueError(f"malformed-{what}: {exc}") from exc
 
 
+def json_int(x, depth: int = 0):
+    """x as every decoder reads an integer field: a JSON integer, not a
+    bool, float or string, at depth 0; at depth d a JSON list of depth
+    d - 1 values, as a tuple (1 for labels, 2 for edges).  Anything else
+    raises TypeError, which `decoding` reports as malformed."""
+    if not depth:
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not a JSON integer")
+        return x
+    if type(x) is not list:
+        raise TypeError(f"{x!r} is not a JSON list")
+    if depth > 1:
+        return tuple(json_int(v, depth - 1) for v in x)
+    # one set of the labels' types: a third of the time of a call per label
+    if {*map(type, x)} - {int}:
+        raise TypeError(f"{x!r} holds a value that is not a JSON integer")
+    return tuple(x)
+
+
 # _COMB[i - 1][a] = C(a - 1, i), the term the i-th smallest label a adds
 # to a colex rank; index 0 of each row is never read.  The scalar home of
 # the colex term, beside the numpy `colex_parts`: its Python ints stay
@@ -234,13 +253,13 @@ class TwoColoring:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TwoColoring":
         with decoding("coloring"):
-            k = int(obj["k"])
-            N = int(obj["n_vertices"])
-            if obj.get("red_bit", RED) != RED:
+            k = json_int(obj["k"])
+            N = json_int(obj["n_vertices"])
+            if json_int(obj.get("red_bit", RED)) != RED:
                 raise ValueError("unsupported red_bit convention")
             n_edges = math.comb(N, k)
             if "red_edges" in obj:
-                return cls.from_red_edges(k, N, obj["red_edges"])
+                return cls.from_red_edges(k, N, json_int(obj["red_edges"], 2))
             raw = bytes.fromhex(obj["bits"])
             if len(raw) != (n_edges + 7) // 8:
                 raise ValueError(f"bit payload has {len(raw)} bytes, "

@@ -23,12 +23,12 @@ from functools import partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .certificates import make_certificate
-from .coloring import TwoColoring
+from .coloring import TwoColoring, json_int
 from .core import (CYCLE, PATH, Edge, LooseTemplate, cycle_template, cycle_value,
                    path_template)
-from .embedder import (UNKNOWN, Embedding, embedding_from_edge_sequence,
-                       find_embedding, is_maximal_wrt, verify_embedding)
-from .errors import BlueEdgeEncountered, HypothesisViolation, ProofGap
+from .embedder import (Embedding, embedding_from_edge_sequence, find_embedding,
+                       is_maximal_wrt, verify_embedding)
+from .errors import HypothesisViolation, ProofGap, SearchBudgetExceeded
 
 __all__ = [
     "GoodConfiguration", "validate_good_configuration",
@@ -84,8 +84,9 @@ def _budget_ran_out(c: TwoColoring, color: str, t: LooseTemplate,
     """Check under a node budget that c has no `color` copy of t: a copy
     found raises HypothesisViolation with it as the witness; otherwise
     return whether the budget ran out first."""
-    hit = find_embedding(c, color, t, max_nodes=max_nodes)
-    if hit is UNKNOWN:
+    try:
+        hit = find_embedding(c, color, t, max_nodes=max_nodes)
+    except SearchBudgetExceeded:
         return True
     if hit is not None:
         raise HypothesisViolation(f"a {what} is present", witness=hit)
@@ -162,10 +163,9 @@ class GoodConfiguration:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GoodConfiguration":
-        return cls(int(obj["x"]), int(obj["y"]), int(obj["a1"]),
-                   int(obj["a2"]), int(obj["a3"]), int(obj["anchor_i"]),
-                   int(obj["avoided_vertex"]), int(obj["u"]),
-                   tuple(obj["path_assignment"]), frozenset(obj["W"]))
+        return cls(*(json_int(obj[key]) for key in ("x", "y", "a1", "a2", "a3",
+                                                    "anchor_i", "avoided_vertex", "u")),
+                   json_int(obj["path_assignment"], 1), json_int(obj["W"], 1))
 
 
 def validate_good_configuration(c: TwoColoring,
@@ -285,11 +285,7 @@ def _maximal_path_input(c: TwoColoring, P: Embedding, W) -> frozenset:
 
 
 def _check_maximal(c: TwoColoring, P: Embedding, W: frozenset) -> None:
-    try:
-        maximal = is_maximal_wrt(c, P, W)
-    except ValueError as exc:
-        raise HypothesisViolation(str(exc)) from exc
-    if not maximal:
+    if not is_maximal_wrt(c, P, W):
         raise HypothesisViolation(
             "path is not maximal with respect to the reservoir")
 
@@ -470,9 +466,9 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
     if c.k != 3:
         raise ValueError("invalid-parameter: k must be 3")
     if not n >= m >= 3:
-        raise HypothesisViolation("need n >= m >= 3")
+        raise ValueError("invalid-parameter: need n >= m >= 3")
     if (n, m) in ((3, 3), (4, 3), (4, 4)):
-        raise HypothesisViolation(f"(n,m)=({n},{m}) is excluded")
+        raise ValueError(f"invalid-parameter: (n,m)=({n},{m}) is excluded")
     if c.n_vertices != cycle_value(3, n, m):
         raise HypothesisViolation(f"host must have {cycle_value(3, n, m)} vertices")
     if C.template.kind != CYCLE or C.template.k != 3 or C.template.n != n - 1:
@@ -690,7 +686,7 @@ class BichromaticPair:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BichromaticPair":
-        return cls(tuple(obj["red_edge"]), tuple(obj["blue_edge"]))
+        return cls(json_int(obj["red_edge"], 1), json_int(obj["blue_edge"], 1))
 
 
 def _first_red_and_blue(c: TwoColoring, verts: Sequence[int]
@@ -881,9 +877,9 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
 
     The construction rotates connector vertices of the 4-cycle outward and
     plugs reservoir vertices into the listed slots; every listed edge must
-    be red, and the first blue one is raised as BlueEdgeEncountered, a
-    HypothesisViolation with that edge as its witness, so the caller can
-    hunt the blue 3-cycle it implies.
+    be red, and the first blue one is raised as a HypothesisViolation with
+    that edge, sorted, as its witness, so the caller can hunt the blue
+    3-cycle it implies.
     """
     k = c.k
     if k < 3:
@@ -926,8 +922,8 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
 
     for ed in edges:
         if not c.is_red(ed):
-            raise BlueEdgeEncountered(
-                "a listed edge of the lift is blue", edge=tuple(sorted(ed)))
+            raise HypothesisViolation(
+                "a listed edge of the lift is blue", witness=tuple(sorted(ed)))
     return _verified_cycle(c, edges, "red", "lift cycle")
 
 

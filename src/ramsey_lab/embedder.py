@@ -16,7 +16,8 @@ without giving up completeness:
 
 Both prunings affect only which representative of a copy is found, never
 whether one is found, so absence answers remain sound.  An optional node
-budget turns "absent" into the distinct UNKNOWN verdict when exhausted.
+budget raises SearchBudgetExceeded once it runs out, so a budgeted search
+never answers "absent" without having proved it.
 
 `copy_rank_matrix` lists every copy of a template in the complete host
 K^k_N as a row of colex edge ranks, the input of the prover's clauses.  On
@@ -41,25 +42,10 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import (_MAX_EDGES, TwoColoring, colex_parts, colex_rank, rank_dtype,
-                       split_counting, subset_rows)
+from .coloring import (_MAX_EDGES, TwoColoring, colex_parts, colex_rank, json_int,
+                       rank_dtype, split_counting, subset_rows)
 from .core import CYCLE, PATH, Edge, LooseTemplate, is_loose_sequence, path_template
-from .errors import SearchBudgetExceeded
-
-
-class _Unknown:
-    """Budget-exhausted search verdict; deliberately not usable as a bool."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "UNKNOWN"
-
-    def __bool__(self):
-        raise TypeError("UNKNOWN verdict has no truth value; compare with `is UNKNOWN`")
-
-
-UNKNOWN = _Unknown()
+from .errors import HypothesisViolation, SearchBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -98,8 +84,8 @@ class Embedding:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Embedding":
-        t = LooseTemplate(obj["kind"], int(obj["k"]), int(obj["length"]))
-        return cls(t, tuple(obj["assignment"]), obj["claimed_color"])
+        t = LooseTemplate(obj["kind"], json_int(obj["k"]), json_int(obj["length"]))
+        return cls(t, json_int(obj["assignment"], 1), obj["claimed_color"])
 
 
 @dataclass(frozen=True)
@@ -189,8 +175,8 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
                    max_nodes: Optional[int] = None):
     """Search for a monochromatic copy of t; complete unless budgeted.
 
-    Returns an Embedding, or None when provably absent, or the UNKNOWN
-    sentinel when a node budget ran out first.  `fixed` pins template
+    Returns an Embedding, or None when provably absent; past `max_nodes`
+    nodes it raises SearchBudgetExceeded instead.  `fixed` pins template
     vertices to host vertices; only extensions of it are returned.
     `within` restricts the free template vertices to a host subset.
 
@@ -263,7 +249,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
     nodes = 0
 
     def rec(si: int):
-        """The first complete assignment below slot si, UNKNOWN, or None."""
+        """The first complete assignment below slot si, or None."""
         nonlocal nodes
         if si == len(slots):
             return tuple(assign[1:])
@@ -275,7 +261,7 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
                 continue
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                return UNKNOWN
+                raise SearchBudgetExceeded(f"embedding search passed max_nodes={max_nodes}")
             assign[p] = v
             for e in completes:
                 if not edge_ok(e):
@@ -290,8 +276,8 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
         return None
 
     res = rec(0)
-    if res is None or res is UNKNOWN:
-        return res
+    if res is None:
+        return None
     emb = Embedding(t, res, color)
     check = verify_embedding(c, emb)
     if not check:
@@ -588,16 +574,18 @@ def is_maximal_wrt(c: TwoColoring, P: Embedding, W: Iterable[int]) -> bool:
     interchangeable degree-1 slots, so per (k-1)-subset W' one search
     pinning P's ends at slot 1 (private) or k (connector) of the first
     edge and slot L or L-k+1 of the last, L = (n+1)(k-1)+1, decides it.
+    Bad inputs are HypothesisViolations named `precondition-violation:`.
     """
     W = frozenset(int(v) for v in W)
     t = P.template
     if t.kind != PATH:
-        raise ValueError("precondition-violation: maximality is defined for paths")
+        raise HypothesisViolation("precondition-violation: maximality is defined for paths")
     red_ok = verify_embedding(c, replace(P, claimed_color="red"))
     if not red_ok:
-        raise ValueError(f"precondition-violation: path not red-valid ({red_ok.reason})")
+        raise HypothesisViolation(
+            f"precondition-violation: path not red-valid ({red_ok.reason})")
     if W & P.image:
-        raise ValueError("precondition-violation: W intersects the path image")
+        raise HypothesisViolation("precondition-violation: W intersects the path image")
 
     k = t.k
     longer = path_template(k, t.n + 1)

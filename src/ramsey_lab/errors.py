@@ -2,8 +2,9 @@
 
 The CLI maps these onto process exit codes, so constructive operations must
 raise the precise class: bad inputs are ValueError, violated mathematical
-hypotheses are HypothesisViolation (BlueEdgeEncountered among them), and a
-completed search that contradicts a guaranteed existence statement is
+hypotheses are HypothesisViolation (a blue edge where a construction needs
+a red one among them), a budget that runs out is SearchBudgetExceeded, and
+a completed search that contradicts a guaranteed existence statement is
 ProofGap (never silently swallowed).
 """
 
@@ -38,20 +39,10 @@ class ProofGap(RuntimeError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Copy enumeration ran past its deadline.
+    """A search ran out of its budget before it could answer.
 
-    `decide_arrowing` turns this into an UNKNOWN verdict; nothing partial
-    is cached.
+    Two sources raise it: copy enumeration past its deadline, which
+    `decide_arrowing` turns into an UNKNOWN verdict with nothing partial
+    cached, and `find_embedding` past its `max_nodes`, which the lemmas'
+    budgeted absence checks record as `budget_exhausted`.
     """
-
-
-class BlueEdgeEncountered(HypothesisViolation):
-    """An edge required to be red by an explicit construction is blue.
-
-    The offending edge is the witness, also under .edge; the caller may
-    hunt the monochromatic structure that this implies via the embedder.
-    """
-
-    def __init__(self, message: str, edge: Any):
-        super().__init__(message, witness=edge)
-        self.edge = edge

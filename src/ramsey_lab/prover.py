@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels, embedder
 from .coloring import (_MAX_EDGES, TwoColoring, all_edges, colex_rank, decoding,
-                       host_edges, split_counting, swap_pairs)
+                       host_edges, json_int, split_counting, swap_pairs)
 from .core import CYCLE, PATH, LooseTemplate, as_edge, cycle_value, path_value
 from .certificates import Certificate
 from .constructive import BichromaticPair, GoodConfiguration, validate_good_configuration
@@ -364,11 +364,13 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
     Accepts a Certificate object or its JSON dict form and returns (ok,
     report).  Each type decodes its payload fields under
     `decoding("certificate")` before any check, so a missing or ill-typed
-    field raises `malformed-certificate`, and so does a claimed edge that is
-    not a k-set of the host's labels, or an embedding (a join trace's
-    result too) whose template is not k-uniform or whose assignment holds
-    a label outside the host; a claim the coloring does not
-    bear out returns ok=False with machine-readable `report["reasons"]`.
+    field (a number not a JSON integer, read by `coloring.json_int`, or a
+    `disjoint` not a JSON boolean) raises `malformed-certificate`, and so
+    does a claimed edge that is not a k-set of the host's labels, or an
+    embedding (a join trace's result too) whose template is not k-uniform
+    or whose assignment holds a label outside the host; a claim the
+    coloring does not bear out returns ok=False with machine-readable
+    `report["reasons"]`.
     Every field the producers write is required, and a join trace's
     `outcome_kind` must name its result's color; a pair-set needs a pair
     (`no-pairs`), and a `disjoint` one two (`disjoint-needs-two-pairs`),
@@ -391,9 +393,9 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
 
     if cert.type == "witness-coloring":
         with decoding("certificate"):
-            red, blue = (LooseTemplate(p[key]["kind"], c.k, int(p[key]["length"]))
+            red, blue = (LooseTemplate(p[key]["kind"], c.k, json_int(p[key]["length"]))
                          for key in ("red_target", "blue_target"))
-            n_vertices = int(p["n_vertices"])
+            n_vertices = json_int(p["n_vertices"])
         if n_vertices != c.n_vertices:
             reasons.append("host-size-mismatch")
         a, checks = _target_copies(c, red, blue)
@@ -417,7 +419,9 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             for pair in pairs:
                 for e in (pair.red_edge, pair.blue_edge):
                     as_edge(e, k=c.k, n_vertices=c.n_vertices)
-            disjoint = bool(p["disjoint"])
+            disjoint = p["disjoint"]
+            if type(disjoint) is not bool:
+                raise TypeError(f"disjoint {disjoint!r} is not a JSON boolean")
         if not pairs:
             reasons.append("no-pairs")
         if disjoint and len(pairs) < 2:
@@ -431,7 +435,8 @@ def verify_certificate(cert) -> Tuple[bool, dict]:
             reasons.append("pairs-not-disjoint")
     elif cert.type == "join-trace":
         with decoding("certificate"):
-            steps = [(as_edge(s["edge"], k=c.k, n_vertices=c.n_vertices), s["color"])
+            steps = [(as_edge(json_int(s["edge"], 1), k=c.k, n_vertices=c.n_vertices),
+                      s["color"])
                      for s in p["steps"]]
             result = _host_embedding(p["result"], c)
             outcome_kind = p["outcome_kind"]

@@ -754,6 +754,8 @@ def test_arrow_symmetry_at_host_size_k(tmp_path):
     {"k": 3, "n_vertices": 6, "red_edges": [[1, 2, 99]]},
     7,
     {"k": 3, "n_vertices": 200000, "red_edges": []},
+    {"k": 3, "n_vertices": 6, "red_bit": 0, "bits": "000000"},
+    {"k": 3, "n_vertices": 6, "bits": "00"},
 ])
 def test_malformed_coloring_file_is_usage_error(tmp_path, obj):
     cpath = tmp_path / "c.json"
@@ -777,6 +779,7 @@ def test_malformed_coloring_file_is_usage_error(tmp_path, obj):
      "coloring": {"k": 3, "n_vertices": 200000, "red_edges": []}},
     {"type": "join-trace", "payload": {"steps": [], "outcome_kind": "red-cycle"},
      "coloring": TwoColoring.all_red(4, 18).to_json_obj()},
+    {"type": "proof", "payload": {}, "coloring": TwoColoring.all_red(3, 6).to_json_obj()},
 ])
 def test_malformed_certificate_file_is_usage_error(tmp_path, obj):
     cpath = tmp_path / "c.cert.json"
@@ -998,3 +1001,205 @@ def test_cli_imports_no_private_prover_name():
                if isinstance(node, ast.ImportFrom) and node.module == "prover"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _typed_certificate_bases():
+    """One valid certificate per decoder, as JSON objects: an embedding, a
+    witness coloring, a pair set, a join trace, a configuration, and an
+    embedding on an explicit coloring."""
+    from ramsey_lab.coloring import lower_bound_witness
+    from ramsey_lab.constructive import find_good_configuration, to_certificate
+    from ramsey_lab.core import path_template
+
+    host = TwoColoring.all_red(3, 7)
+    emb = Embedding(cycle_template(3, 3), (1, 2, 3, 4, 5, 6), "red")
+    _, split = lower_bound_witness(3, 3, 3, "CC")
+    pair = TwoColoring.all_red(3, 7).with_edges([(1, 2, 4)], red=False)
+    P = Embedding(path_template(3, 4), tuple(range(1, 10)), "red")
+    cfg_host = TwoColoring.from_red_edges(3, 12, P.edge_images() + [(6, 7, 10)])
+    cfg = find_good_configuration(cfg_host, P, {10, 11, 12}, 2, 2)
+    explicit = to_certificate(host, emb, lemma="x").to_json_obj(explicit_coloring=True)
+    return {
+        "embedding": to_certificate(host, emb, lemma="x").to_json_obj(),
+        "witness": {"type": "witness-coloring", "coloring": split.to_json_obj(),
+                    "payload": {"red_target": {"kind": "cycle", "length": 3},
+                                "blue_target": {"kind": "cycle", "length": 3},
+                                "n_vertices": 6}},
+        "pair-set": {"type": "pair-set", "coloring": pair.to_json_obj(),
+                     "payload": {"pairs": [{"red_edge": [1, 2, 3],
+                                            "blue_edge": [1, 2, 4]}],
+                                 "disjoint": False}},
+        "join": _join_certificate_obj()[0],
+        "configuration": to_certificate(cfg_host, cfg, lemma="x").to_json_obj(),
+        "explicit": explicit,
+    }
+
+
+def _as_pairs(obj):
+    """A JSON object as the list of its [key, value] pairs, which dict()
+    would turn back into the object."""
+    return [[key, val] for key, val in obj.items()]
+
+
+# (base, path to the field, ill-typed value or a function of the valid
+# one, refusal); read through int(), bool() or dict(), each of these once
+# passed the checker, and `disjoint: "false"` was read as a true claim
+_ILL_TYPED = [
+    ("embedding", "payload.embedding.assignment", [1.9, 2, 3, 4, 5, "6"], "certificate"),
+    ("embedding", "payload.embedding.assignment", [True, 2, 3, 4, 5, 6], "certificate"),
+    ("embedding", "payload.embedding.length", 3.7, "certificate"),
+    ("embedding", "payload.embedding.k", "3", "certificate"),
+    ("witness", "payload.n_vertices", 6.5, "certificate"),
+    ("witness", "payload.red_target.length", 3.9, "certificate"),
+    ("embedding", "coloring.k", 3.0, "coloring"),
+    ("embedding", "coloring.n_vertices", "7", "coloring"),
+    ("embedding", "coloring.red_bit", True, "coloring"),
+    ("explicit", "coloring.red_edges.0.2", 3.0, "coloring"),
+    ("embedding", "payload", _as_pairs, "certificate"),
+    ("embedding", "meta", [["lemma", "x"]], "certificate"),
+    ("pair-set", "payload.disjoint", "false", "certificate"),
+    ("pair-set", "payload.pairs.0.red_edge", [1, 2, 3.5], "certificate"),
+    ("join", "payload.steps.0.edge.0", 1.0, "certificate"),
+    ("join", "payload.result.assignment.0", float, "certificate"),
+    ("configuration", "payload.configuration.anchor_i", 2.0, "certificate"),
+    ("configuration", "payload.configuration.W", [10, 11, "12"], "certificate"),
+    ("configuration", "payload.configuration.path_assignment.0", True, "certificate"),
+]
+
+
+def test_typed_certificate_bases_pass(tmp_path):
+    for name, obj in _typed_certificate_bases().items():
+        path = tmp_path / f"{name}.cert.json"
+        path.write_text(json.dumps(obj))
+        assert run(tmp_path, "check-cert", "--file", str(path))[0] == EXIT_OK, name
+
+
+@pytest.mark.parametrize("base,field,value,what", _ILL_TYPED,
+                         ids=[f"{b}-{f}-{getattr(v, '__name__', repr(v))}".replace(" ", "")
+                              for b, f, v, _ in _ILL_TYPED])
+def test_check_cert_refuses_ill_typed_numbers(tmp_path, capsys, base, field, value, what):
+    # a field must hold a JSON integer (a label list one of them, `disjoint`
+    # a JSON boolean, payload and meta JSON objects); nothing is converted
+    obj = _typed_certificate_bases()[base]
+    *parents, last = field.split(".")
+    node = obj
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    key = int(last) if isinstance(node, list) else last
+    node[key] = value(node[key]) if callable(value) else value
+    path = tmp_path / "bad.cert.json"
+    path.write_text(json.dumps(obj))
+    code, rep = run(tmp_path, "check-cert", "--file", str(path))
+    assert code == EXIT_USAGE and rep is None
+    assert f"usage error: malformed-{what}: " in capsys.readouterr().err
+
+
+# (coloring, argv, exit code, first line of stderr): each refusal the CLI
+# can reach, a bad parameter exiting 2, a false hypothesis 3
+_C3_10 = ",".join(map(str, range(1, 10)))
+_CLI_REFUSALS = [
+    ("blue4-12", ["extract", "--lemma", "good-configuration", "--path", "1,2,3,4,5,6,7",
+                  "--W", "8,9,10", "--anchor", "1", "--entry", "1"],
+     EXIT_USAGE, "usage error: invalid-parameter: needs a 3-uniform host path"),
+    ("path9-12", ["extract", "--lemma", "good-configuration", "--path", _C3_10,
+                  "--W", "10,11,12", "--anchor", "4", "--entry", "2"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: anchor 4 outside 1..3"),
+    ("path9-12", ["extract", "--lemma", "good-configuration", "--path", _C3_10,
+                  "--W", "10,11,12", "--anchor", "2", "--entry", "1"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: entry vertex 1 not in A_2"),
+    ("path3-6", ["extract", "--lemma", "absorb", "--path", "1,2,3", "--W", "4,5,6"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: path must have at least 2 edges"),
+    ("red4-12", ["extract", "--lemma", "blue-cycle", "--cycle", _C3_10, "--n", "4",
+                 "--m", "3"],
+     EXIT_USAGE, "usage error: invalid-parameter: k must be 3"),
+    ("red3-11", ["extract", "--lemma", "blue-cycle", "--cycle", "1,2,3,4,5,6,7,8",
+                 "--n", "2", "--m", "3"],
+     EXIT_USAGE, "usage error: invalid-parameter: need n >= m >= 3"),
+    ("red3-11", ["extract", "--lemma", "blue-cycle", "--cycle", "1,2,3,4,5,6",
+                 "--n", "4", "--m", "4"],
+     EXIT_USAGE, "usage error: invalid-parameter: (n,m)=(4,4) is excluded"),
+    ("red3-12", ["extract", "--lemma", "blue-cycle", "--cycle", "1,2,3,4,5,6,7,8",
+                 "--n", "5", "--m", "3"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: host must have 11 vertices"),
+    ("red3-11", ["extract", "--lemma", "blue-cycle", "--cycle", "1,2,3,4,5,6",
+                 "--n", "5", "--m", "3"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: given embedding is not a (n-1)-cycle"),
+    ("red3-12", ["extract", "--lemma", "join", "--cycle1", "1,2,3,4,5,6",
+                 "--cycle2", "7,8,9,10,11,12", "--ell", "3"],
+     EXIT_USAGE, "usage error: invalid-parameter: k >= 4 required"),
+    ("red4-21", ["extract", "--lemma", "join", "--cycle1", _C3_10,
+                 "--cycle2", ",".join(map(str, range(10, 22))), "--ell", "3"],
+     EXIT_HYPOTHESIS,
+     "hypothesis-violation: need n >= m >= 3 (pass the longer cycle first)"),
+    ("red4-21", ["extract", "--lemma", "join", "--cycle1", _C3_10,
+                 "--cycle2", ",".join(map(str, range(10, 19))), "--ell", "4"],
+     EXIT_USAGE, "usage error: invalid-parameter: 3 <= ell <= m"),
+    ("red4-17", ["extract", "--lemma", "join", "--cycle1", _C3_10,
+                 "--cycle2", ",".join(map(str, range(10, 19))), "--ell", "3"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: host too small to hold both cycles"),
+    ("red3-3", ["extract", "--lemma", "adjacent-pair"],
+     EXIT_USAGE, "usage error: host-too-small: need at least k+1 vertices"),
+    ("red3-11", ["extract", "--lemma", "disjoint-pairs", "--t", "4"],
+     EXIT_USAGE, "usage error: invalid-parameter: t >= 5"),
+    ("red3-12", ["extract", "--lemma", "disjoint-pairs", "--t", "5"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: host must have 11 vertices"),
+    ("red3-11", ["extract", "--lemma", "disjoint-pairs", "--t", "5", "--max-nodes", "1"],
+     EXIT_HYPOTHESIS,
+     "hypothesis-violation: monochromatic coloring cannot satisfy the hypotheses"),
+    ("red4-17", ["extract", "--lemma", "lift", "--cycle4", ",".join(map(str, range(1, 13))),
+                 "--i", "5"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: host must have 16 vertices"),
+    ("red4-16", ["extract", "--lemma", "lift", "--cycle4", _C3_10, "--i", "5"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: given embedding is not a 4-cycle"),
+    ("red3-11", ["extract", "--lemma", "absorb", "--path", "1,a", "--W", "4,5,6"],
+     EXIT_USAGE, "usage error: invalid-parameter: vertex list '1,a'"),
+    ("red3-11", ["extract", "--lemma", "absorb", "--path", "1,2,3,4", "--W", "5,6,7"],
+     EXIT_USAGE, "usage error: invalid-parameter: 4 vertices is no loose path at k=3"),
+    (None, ["arrow", "--k", "3", "--n-vertices", "6", "--red", "cycle", "--blue", "cycle:3"],
+     EXIT_USAGE, "usage error: invalid-parameter: target 'cycle', want kind:length"),
+    (None, ["table", "--k", "3", "--base", "5"],
+     EXIT_USAGE, "usage error: invalid-parameter: base entry '5', want n,m=value"),
+    (None, ["table", "--k", "3"],
+     EXIT_USAGE, "usage error: invalid-parameter: at least one --base n,m=value required"),
+]
+
+
+def _refusal_coloring(name):
+    """The coloring a refusal case runs on: `red<k>-<N>` is all red,
+    `blue4-12` all blue, `path<v>-<N>` a red path on 1..v, blue elsewhere."""
+    kind, _, N = name.partition("-")
+    if kind.startswith("path"):
+        v = int(kind[4:])
+        return TwoColoring.from_red_edges(3, int(N), [(j, j + 1, j + 2)
+                                                      for j in range(1, v - 1, 2)])
+    build = TwoColoring.all_red if kind.startswith("red") else TwoColoring.all_blue
+    return build(int(kind[-1]), int(N))
+
+
+@pytest.mark.parametrize("coloring,argv,code,first", _CLI_REFUSALS,
+                         ids=[f"{i}-{argv[0]}" for i, (_, argv, _, _) in
+                              enumerate(_CLI_REFUSALS)])
+def test_refusals_reach_their_exit_codes(tmp_path, capsys, coloring, argv, code, first):
+    if coloring is not None:
+        cpath = tmp_path / "c.json"
+        _refusal_coloring(coloring).save(cpath)
+        argv = argv[:1] + ["--coloring", str(cpath)] + argv[1:]
+    assert main(argv + ["--dir", str(tmp_path), "--out", str(tmp_path / "r.json")]) == code
+    assert capsys.readouterr().err.splitlines()[0] == first
+
+
+@pytest.mark.parametrize("payload,reason", [
+    ({"embedding": {"kind": "path", "k": 3, "length": 2, "assignment": [1, 2, 3, 4],
+                    "claimed_color": "red"}}, "wrong-length"),
+    ({"pairs": [{"red_edge": [1, 2, 3], "blue_edge": [1, 2, 4]}], "disjoint": False},
+     "pair-0:blue-edge-not-blue"),
+], ids=["embedding", "pair-set"])
+def test_check_cert_names_a_false_claim_of_shape_or_colour(tmp_path, capsys, payload,
+                                                           reason):
+    path = tmp_path / "c.cert.json"
+    path.write_text(json.dumps({"type": "pair-set" if "pairs" in payload else "embedding",
+                                "coloring": TwoColoring.all_red(3, 7).to_json_obj(),
+                                "payload": payload}))
+    code, rep = run(tmp_path, "check-cert", "--file", str(path))
+    assert code == EXIT_HYPOTHESIS and rep["results"]["check"]["reasons"] == [reason]
+    assert capsys.readouterr().err == f"certificate rejected: {reason}\n"

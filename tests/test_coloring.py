@@ -111,6 +111,33 @@ def test_rank_rejects_bad_edges():
         edge_rank((1, 1, 2), 6, 3)
 
 
+@pytest.mark.parametrize("call,cls,message", [
+    (lambda: TwoColoring(3, 6, np.zeros(5)), ValueError,
+     "need 20 bits for K^3_6, got shape (5,)"),
+    (lambda: TwoColoring(3, 4, [2, 0, 0, 0]), ValueError, "bits must be 0/1"),
+    (lambda: TwoColoring.from_json_obj({"k": 3, "n_vertices": 6, "red_bit": 0,
+                                        "bits": "000000"}),
+     ValueError, "malformed-coloring: unsupported red_bit convention"),
+    (lambda: TwoColoring.from_json_obj({"k": 3, "n_vertices": 6, "bits": "00"}),
+     ValueError, "malformed-coloring: bit payload has 1 bytes, expected 3"),
+    (lambda: TwoColoring.from_json_obj({"k": 3.0, "n_vertices": 6, "bits": "000000"}),
+     ValueError, "malformed-coloring: missing or invalid field 3.0 is not a JSON integer"),
+    (lambda: TwoColoring.from_json_obj({"k": 3, "n_vertices": 4,
+                                        "red_edges": [[1, 2, True]]}),
+     ValueError, "malformed-coloring: missing or invalid field [1, 2, True] holds a value "
+                 "that is not a JSON integer"),
+    (lambda: coloring.json_int([1, [2]], 1), TypeError,
+     "[1, [2]] holds a value that is not a JSON integer"),
+    (lambda: coloring.json_int([[1], 2], 2), TypeError, "2 is not a JSON list"),
+    (lambda: coloring.json_int("12", 1), TypeError, "'12' is not a JSON list"),
+], ids=["bit-count", "bit-value", "red-bit", "payload-bytes", "float-k",
+        "bool-label", "nested-label", "flat-edge", "string-list"])
+def test_coloring_refusals(call, cls, message):
+    with pytest.raises(cls) as ei:
+        call()
+    assert str(ei.value) == message
+
+
 def test_two_coloring_basics():
     c = TwoColoring.all_red(3, 6)
     assert c.n_edges == 20

@@ -235,8 +235,9 @@ def test_blue_cycle_finds_red_long_cycle():
 def test_blue_cycle_excluded_sizes(n, m):
     c = TwoColoring.all_red(3, 2 * n + (m - 1) // 2)
     C = ident_cycle(3, n - 1, 1) if n > 3 else ident_cycle(3, 3, 1)
-    with pytest.raises((HypothesisViolation, ValueError)):
+    with pytest.raises(ValueError, match="^invalid-parameter: ") as ei:
         blue_cycle_from_red_shorter_cycle(c, C, n, m)
+    assert not isinstance(ei.value, HypothesisViolation)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -382,6 +383,34 @@ def test_good_configuration_randomized(seed):
     assert ok, why
 
 
+def _flips_inside(c, keep, groups, rng, rate):
+    """Edges of c outside `keep` that lie inside one of `groups`, each
+    drawn at `rate`: flipped red they leave a red path on one group
+    maximal with respect to a reservoir that is another."""
+    return [e for e in all_edges(c.n_vertices, c.k)
+            if e not in keep and any(set(e) <= g for g in groups) and rng.random() < rate]
+
+
+def test_good_configuration_randomized_reaches_the_body():
+    # the seeds and rate above, with the flips inside V(P) or inside W: at
+    # least half the seeds get past the maximality check, and every other
+    # one stops there
+    reached = 0
+    for seed in range(60):
+        c, P, W = final_case_coloring()
+        flips = _flips_inside(c, set(P.edge_images()), (P.image, W),
+                              np.random.default_rng(seed), 0.06)
+        c2 = c.with_edges(flips, red=True)
+        try:
+            cfg = find_good_configuration(c2, P, W, 2, 2)
+        except HypothesisViolation as exc:
+            assert str(exc) == "path is not maximal with respect to the reservoir", seed
+            continue
+        assert validate_good_configuration(c2, cfg) == (True, "ok"), seed
+        reached += 1
+    assert reached >= 30, reached
+
+
 # ---------------------------------------------------------------- absorption
 
 def absorb_coloring(k, n, W):
@@ -442,6 +471,26 @@ def test_absorb_randomized(seed):
     for cfg in res.configurations:
         ok, why = validate_good_configuration(c2, cfg)
         assert ok, why
+
+
+def test_absorb_randomized_reaches_the_body():
+    # the seeds and rate above, with the flips inside V(P) or inside W
+    n, W = 4, set(range(10, 14))
+    reached = 0
+    for seed in range(30):
+        c, P = absorb_coloring(3, n, W)
+        flips = _flips_inside(c, set(P.edge_images()), (P.image, W),
+                              np.random.default_rng(seed), 0.05)
+        c2 = c.with_edges(flips, red=True)
+        try:
+            res = absorb_blue_path(c2, P, W)
+        except HypothesisViolation as exc:
+            assert str(exc) == "path is not maximal with respect to the reservoir", seed
+            continue
+        assert verify_embedding(c2, res.Q).ok, seed
+        assert all(validate_good_configuration(c2, cfg)[0] for cfg in res.configurations)
+        reached += 1
+    assert reached >= 15, reached
 
 
 # ------------------------------------------------------------ pair extraction
@@ -519,6 +568,31 @@ def test_disjoint_pairs_randomized(seed):
         ok, why = pr.validate(c)
         assert ok, why
     assert not (p1.union & p2.union)
+
+
+def test_disjoint_pairs_randomized_reaches_the_body():
+    # the seeds above with a one-node budget: the host has exactly
+    # R(C^3_5, C^3_3) vertices, so no coloring meets the hypotheses, and
+    # every pair set rests on a check that ran out; the case analysis may
+    # still close a red C^3_5 through the reservoir
+    k, t = 3, 5
+    N = t * (k - 1) + 1
+    reached = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        c = TwoColoring(k, N, (rng.random(len(all_edges(N, k))) < 0.5).astype(np.uint8))
+        meta = {}
+        try:
+            p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=1, meta=meta)
+        except HypothesisViolation as exc:
+            w = exc.witness
+            assert w.template == cycle_template(k, t) and w.claimed_color == "red", seed
+            assert verify_embedding(c, w).ok, seed
+            continue
+        assert meta["budget_exhausted"] is True, seed
+        assert p1.validate(c)[0] and p2.validate(c)[0] and not (p1.union & p2.union), seed
+        reached += 1
+    assert reached >= 20, reached
 
 
 def _dense_red(k, t, p_red, seed):
@@ -626,6 +700,106 @@ def test_disjoint_pairs_failed_case_analysis_is_a_proof_gap(monkeypatch):
     with pytest.raises(ProofGap, match="case analysis") as ei:
         disjoint_bichromatic_pairs(c, 5, max_nodes=1)
     assert ei.value.instance == {"coloring": c.to_json_obj(), "t": 5}
+
+
+# ----------------------------------------------------------- input refusals
+# Every refusal of a lemma's input, by class and message: a bad parameter
+# is a ValueError named `invalid-parameter:` (or the refusal's own name),
+# a false hypothesis a HypothesisViolation.
+
+def _refusal_cases():
+    HV = HypothesisViolation
+    blue4 = ident_cycle(4, 4, 1, color="blue")
+    cfg_c, cfg_P, cfg_W = final_case_coloring()
+    abs_c, abs_P = absorb_coloring(3, 1, {4, 5, 6})
+    c2, W2 = case2_coloring(4, 3)
+    C4 = ident_cycle(3, 4, 1)
+    red3 = TwoColoring.all_red(3, 11)
+    red4 = TwoColoring.all_red(4, 21)
+    return [
+        ("configuration-k4", ValueError, "invalid-parameter: needs a 3-uniform host path",
+         lambda: find_good_configuration(TwoColoring.all_blue(4, 12), ident_path(4, 2),
+                                         {8, 9, 10}, 1, 1)),
+        ("configuration-anchor", HV, "anchor 4 outside 1..3",
+         lambda: find_good_configuration(cfg_c, cfg_P, cfg_W, 4, 2)),
+        ("configuration-entry", HV, "entry vertex 1 not in A_2",
+         lambda: find_good_configuration(cfg_c, cfg_P, cfg_W, 2, 1)),
+        ("absorb-one-edge", HV, "path must have at least 2 edges",
+         lambda: absorb_blue_path(abs_c, abs_P, {4, 5, 6})),
+        ("case2-k4", ValueError, "invalid-parameter: needs a 3-uniform host cycle",
+         lambda: case2_blue_cycle(TwoColoring.all_blue(4, 12), ident_cycle(4, 3), [10, 11], 3)),
+        ("case2-m", ValueError, "invalid-parameter: m >= 3",
+         lambda: case2_blue_cycle(c2, C4, W2, 2)),
+        ("case2-few", HV, "need at least 2 reservoir vertices, got 1",
+         lambda: case2_blue_cycle(c2, C4, W2[:1], 3)),
+        ("case2-repeated", HV, "reservoir vertices must be fresh and distinct",
+         lambda: case2_blue_cycle(c2, C4, [W2[0], W2[0]], 3)),
+        ("case2-on-cycle", HV, "reservoir vertices must be fresh and distinct",
+         lambda: case2_blue_cycle(c2, C4, [1, W2[0]], 3)),
+        ("case2-short", HV, "host cycle too short for the target length",
+         lambda: case2_blue_cycle(TwoColoring.all_blue(3, 12), C4, [9, 10, 11], 6)),
+        ("blue-cycle-k4", ValueError, "invalid-parameter: k must be 3",
+         lambda: blue_cycle_from_red_shorter_cycle(TwoColoring.all_red(4, 12),
+                                                   ident_cycle(4, 3), 4, 3)),
+        ("blue-cycle-m", ValueError, "invalid-parameter: need n >= m >= 3",
+         lambda: blue_cycle_from_red_shorter_cycle(red3, C4, 5, 6)),
+        ("blue-cycle-host", HV, "host must have 11 vertices",
+         lambda: blue_cycle_from_red_shorter_cycle(TwoColoring.all_red(3, 12), C4, 5, 3)),
+        ("blue-cycle-length", HV, "given embedding is not a (n-1)-cycle",
+         lambda: blue_cycle_from_red_shorter_cycle(red3, ident_cycle(3, 3), 5, 3)),
+        ("join-k3", ValueError, "invalid-parameter: k >= 4 required",
+         lambda: join_red_cycles(TwoColoring.all_red(3, 12), ident_cycle(3, 3, 1),
+                                 ident_cycle(3, 3, 7), 3)),
+        ("join-path", HV, "inputs must be k-uniform cycles",
+         lambda: join_red_cycles(red4, ident_path(4, 3, 1), ident_cycle(4, 3, 11), 3)),
+        ("join-order", HV, "need n >= m >= 3 (pass the longer cycle first)",
+         lambda: join_red_cycles(red4, ident_cycle(4, 3, 1), ident_cycle(4, 4, 10), 3)),
+        ("join-ell", ValueError, "invalid-parameter: 3 <= ell <= m",
+         lambda: join_red_cycles(red4, ident_cycle(4, 3, 1), ident_cycle(4, 3, 10), 4)),
+        ("join-host", HV, "host too small to hold both cycles",
+         lambda: join_red_cycles(TwoColoring.all_red(4, 17), ident_cycle(4, 3, 1),
+                                 ident_cycle(4, 3, 10), 3)),
+        ("adjacent-pair-host", ValueError, "host-too-small: need at least k+1 vertices",
+         lambda: adjacent_bichromatic_pair(TwoColoring.all_red(3, 3))),
+        ("disjoint-pairs-t", ValueError, "invalid-parameter: t >= 5",
+         lambda: disjoint_bichromatic_pairs(red3, 4)),
+        ("disjoint-pairs-host", HV, "host must have 11 vertices",
+         lambda: disjoint_bichromatic_pairs(TwoColoring.all_red(3, 10), 5)),
+        ("disjoint-pairs-monochromatic", HV,
+         "monochromatic coloring cannot satisfy the hypotheses",
+         lambda: disjoint_bichromatic_pairs(red3, 5, max_nodes=1)),
+        ("lift-k2", ValueError, "invalid-parameter: k >= 3",
+         lambda: lift_blue_c4(TwoColoring.all_red(2, 10), blue4, 5)),
+        ("lift-host", HV, "host must have 16 vertices",
+         lambda: lift_blue_c4(TwoColoring.all_red(4, 15), blue4, 5)),
+        ("lift-length", HV, "given embedding is not a 4-cycle",
+         lambda: lift_blue_c4(TwoColoring.all_red(4, 16), ident_cycle(4, 3, color="blue"), 5)),
+        ("certificate-type", ValueError, "cannot certify object of type str",
+         lambda: to_certificate(red3, "cycle", lemma="x")),
+        ("certificate-kind", ValueError, "malformed-certificate: unknown type 'proof'",
+         lambda: Certificate("proof", red3, {})),
+        ("certificate-coloring", ValueError, "malformed-certificate: coloring missing",
+         lambda: Certificate("embedding", None, {})),
+        ("certificate-not-one", ValueError, "malformed-certificate: not a certificate",
+         lambda: verify_certificate(5)),
+    ]
+
+
+@pytest.mark.parametrize("case", _refusal_cases(), ids=lambda case: case[0])
+def test_input_refusals(case):
+    _, cls, message, call = case
+    with pytest.raises(cls) as ei:
+        call()
+    assert str(ei.value) == message
+    # a bad parameter is no hypothesis violation, and the reverse
+    assert isinstance(ei.value, HypothesisViolation) == (cls is HypothesisViolation)
+
+
+def test_bichromatic_pair_validate_names_size_and_colour():
+    c = TwoColoring.all_red(3, 6)
+    assert BichromaticPair((1, 2), (1, 3)).validate(c) == (False, "wrong-edge-size")
+    assert BichromaticPair((1, 2, 3), (1, 2, 4)).validate(c) == \
+        (False, "blue-edge-not-blue")
 
 
 # ----------------------------------------------------- proof-gap instances
@@ -779,14 +953,15 @@ def test_lift_rejects_bad_i():
 
 
 def test_lift_reports_blue_obstruction():
-    from ramsey_lab.errors import BlueEdgeEncountered
     k, i = 4, 5
     N = i * (k - 1) + 1
     C4 = ident_cycle(k, 4, 1, color="blue")
     c = TwoColoring.all_blue(k, N)
-    with pytest.raises(BlueEdgeEncountered) as ei:
+    with pytest.raises(HypothesisViolation, match="^a listed edge of the lift is blue$") as ei:
         lift_blue_c4(c, C4, i)
-    assert ei.value.edge is not None
+    # the first listed edge, (E2 - {v_k}) | {v_{4k-4}}, sorted
+    assert type(ei.value) is HypothesisViolation
+    assert ei.value.witness == (5, 6, 7, 12)
 
 
 # --------------------------------------------------------------- certificates

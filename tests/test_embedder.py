@@ -14,7 +14,6 @@ import ramsey_lab
 from ramsey_lab.coloring import TwoColoring, all_edges, split_coloring
 from ramsey_lab.core import cycle_template, path_template
 from ramsey_lab.embedder import (
-    UNKNOWN,
     Embedding,
     VerifyResult,
     copy_rank_matrix,
@@ -24,6 +23,7 @@ from ramsey_lab.embedder import (
     is_maximal_wrt,
     verify_embedding,
 )
+from ramsey_lab.errors import HypothesisViolation, SearchBudgetExceeded
 
 import frozen_values as F
 import oracles as O
@@ -463,12 +463,11 @@ def test_find_none_is_provable_absence():
     assert find_embedding(c, "blue", path_template(3, 1)) is None
 
 
-def test_unknown_sentinel_semantics():
+def test_node_budget_raises_search_budget_exceeded():
+    # a budget that runs out is never read as absence
     c = split_coloring(3, 8, a=5)
-    res = find_embedding(c, "red", path_template(3, 3), max_nodes=1)
-    assert res is UNKNOWN
-    with pytest.raises(TypeError):
-        bool(UNKNOWN)
+    with pytest.raises(SearchBudgetExceeded, match="^embedding search passed max_nodes=1$"):
+        find_embedding(c, "red", path_template(3, 3), max_nodes=1)
 
 
 def test_fixed_extension_only():
@@ -605,6 +604,27 @@ def test_verify_reasons():
     assert bool(VerifyResult(True, "")) is True
 
 
+def test_verify_names_a_wrong_length():
+    c = TwoColoring.all_red(3, 7)
+    r = verify_embedding(c, Embedding(path_template(3, 2), (1, 2, 3, 4), "red"))
+    assert not r.ok and r.reason == "wrong-length"
+
+
+def test_decoders_are_strict_and_constructors_normalise():
+    # a JSON document's integers are read as they are; a library caller's
+    # numpy integers are still normalised by the constructor
+    obj = {"kind": "path", "k": 3, "length": 2, "assignment": [1, 2, 3, 4, 5],
+           "claimed_color": "red"}
+    assert Embedding.from_json_obj(obj).assignment == (1, 2, 3, 4, 5)
+    with pytest.raises(TypeError, match="is not a JSON integer"):
+        Embedding.from_json_obj({**obj, "assignment": [1, 2, 3, 4, 5.0]})
+    with pytest.raises(TypeError, match="is not a JSON list"):
+        Embedding.from_json_obj({**obj, "assignment": (1, 2, 3, 4, 5)})
+    emb = Embedding(path_template(3, 2), np.arange(1, 6), "red")
+    assert emb.assignment == (1, 2, 3, 4, 5)
+    assert all(type(v) is int for v in emb.assignment)
+
+
 def test_embedding_from_edge_sequence():
     emb = embedding_from_edge_sequence([(1, 2, 3), (3, 4, 5)], "path", "red")
     assert emb.template.n == 2
@@ -693,6 +713,24 @@ def test_maximality_precondition_errors():
     c2 = TwoColoring.all_red(k, N)
     with pytest.raises(ValueError, match="precondition-violation"):
         is_maximal_wrt(c2, P, frozenset({5, 6, 7}))
+
+
+@pytest.mark.parametrize("kind,red,W,text", [
+    ("cycle", True, {7, 8}, "maximality is defined for paths"),
+    ("path", False, {6, 7, 8}, "path not red-valid (edge-color-mismatch)"),
+    ("path", True, {5, 6, 7}, "W intersects the path image"),
+])
+def test_maximality_refusals_are_hypothesis_violations(kind, red, W, text):
+    # each refusal is a HypothesisViolation, still a ValueError, with its
+    # text unchanged
+    k, N = 3, 8
+    t = path_template(k, 2) if kind == "path" else cycle_template(k, 3)
+    P = Embedding(t, tuple(range(1, t.n_vertices + 1)), "red")
+    c = (TwoColoring.all_red if red else TwoColoring.all_blue)(k, N)
+    with pytest.raises(HypothesisViolation) as ei:
+        is_maximal_wrt(c, P, frozenset(W))
+    assert str(ei.value) == f"precondition-violation: {text}"
+    assert ei.value.witness is None
 
 
 @pytest.mark.parametrize("k,n,w", [(3, 1, 2), (3, 1, 3), (3, 2, 2), (3, 2, 3),
