@@ -11,8 +11,9 @@ and the constructive validators.  Types:
 * join-trace       — a list of (edge, color) facts plus a result placement;
 * configuration    — a two-edge bridge configuration (see `constructive`).
 
-`meta` carries the producing operation's name, the seed and whether any
-budget was exhausted along the way.
+`meta` carries the producing operation's name and the seed.  The checker
+never reads it, so a certificate whose meta holds more keys, as older
+versions wrote, still checks.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class Certificate:
 
 
 def make_certificate(type_: str, coloring: TwoColoring, payload: dict, *,
-                     lemma: str, seed: Optional[int] = None,
-                     budget_exhausted: bool = False) -> Certificate:
-    meta = {"lemma": lemma, "seed": seed, "budget_exhausted": budget_exhausted}
+                     lemma: str, seed: Optional[int] = None) -> Certificate:
+    meta = {"lemma": lemma, "seed": seed}
     return Certificate(type_, coloring, payload, meta)

@@ -7,10 +7,12 @@ machine-readable JSON report (stdout by default, ``--out`` to a file);
 artifacts such as colorings, certificates and CNF files are written next
 to the invocation under ``--dir``.
 
-Exit codes: 0 success (SAT or claim), 10 UNSAT, 20 UNKNOWN or budget
-exhausted, 2 usage error, 3 hypothesis violation (its witness, when it has
-one, in the report's ``results.witness``), 4 proof gap (the gap's instance
-is written under ``--dir`` as ``<subcommand>.proofgap.json``).
+Exit codes: 0 success (SAT or claim), 10 UNSAT, 20 UNKNOWN (an ``arrow``
+or ``ramsey`` budget exhausted), 2 usage error, 3 hypothesis violation (its
+witness, when it has one, in the report's ``results.witness``), 4 proof gap
+(the gap's instance is written under ``--dir`` as
+``<subcommand>.proofgap.json``).  ``extract`` checks a lemma's hypotheses
+by complete searches, and only to explain a failed construction.
 """
 
 from __future__ import annotations
@@ -224,10 +226,7 @@ def _run_extract(args, report: dict) -> int:
                          + ", ".join(f"--{opt}" for opt in needs))
     c = TwoColoring.load(args.coloring)
     k = c.k
-    meta: dict = {}
     stem = f"extract-{lemma}"
-    # the lemmas' own default budget unless --max-nodes is given
-    budget = {} if args.max_nodes is None else {"max_nodes": args.max_nodes}
 
     if lemma == "good-configuration":
         P = _structure("path", k, _parse_verts(args.path), "red")
@@ -242,8 +241,8 @@ def _run_extract(args, report: dict) -> int:
                              "W_used": sorted(obj.W_used)}
     elif lemma == "blue-cycle":
         C = _structure("cycle", k, _parse_verts(args.cycle), "red")
-        obj = blue_cycle_from_red_shorter_cycle(
-            c, C, args.n, args.m, meta=meta, **budget)
+        meta: dict = {}
+        obj = blue_cycle_from_red_shorter_cycle(c, C, args.n, args.m, meta=meta)
         report["results"] = {"embedding": obj.to_json_obj(), "meta": meta}
     elif lemma == "join":
         C1 = _structure("cycle", k, _parse_verts(args.cycle1), "red")
@@ -257,20 +256,15 @@ def _run_extract(args, report: dict) -> int:
         obj = adjacent_bichromatic_pair(c, stats=stats)
         report["results"] = {"pair": obj.to_json_obj(), "stats": stats}
     elif lemma == "disjoint-pairs":
-        obj = disjoint_bichromatic_pairs(
-            c, args.t, meta=meta, **budget)
-        report["results"] = {"pairs": [p.to_json_obj() for p in obj],
-                             "meta": meta}
+        obj = disjoint_bichromatic_pairs(c, args.t)
+        report["results"] = {"pairs": [p.to_json_obj() for p in obj]}
     elif lemma == "lift":
         C4 = _structure("cycle", k, _parse_verts(args.cycle4), "blue")
         obj = lift_blue_c4(c, C4, args.i)
         report["results"] = {"embedding": obj.to_json_obj()}
 
-    cert = to_certificate(c, obj, lemma=lemma, seed=args.seed,
-                          budget_exhausted=bool(meta.get("budget_exhausted")))
+    cert = to_certificate(c, obj, lemma=lemma, seed=args.seed)
     _save_certificate(cert, args, stem + ".cert.json", report)
-    if meta.get("budget_exhausted"):
-        report["results"]["claim"] = "instance-certified"
     return EXIT_OK
 
 
@@ -399,7 +393,6 @@ def _extract_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=int, help="blue cycle length for join")
     p.add_argument("--t", type=int, help="host parameter for disjoint-pairs")
     p.add_argument("--i", type=int, help="target length for lift")
-    p.add_argument("--max-nodes", type=int, default=None)
 
 
 def _count_args(p: argparse.ArgumentParser) -> None:

@@ -20,15 +20,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from .certificates import make_certificate
 from .coloring import TwoColoring, json_int
-from .core import (CYCLE, PATH, Edge, LooseTemplate, cycle_template, cycle_value,
+from .core import (CYCLE, Edge, LooseTemplate, cycle_template, cycle_value,
                    path_template)
 from .embedder import (Embedding, embedding_from_edge_sequence, find_embedding,
                        is_maximal_wrt, verify_embedding)
-from .errors import HypothesisViolation, ProofGap, SearchBudgetExceeded
+from .errors import HypothesisViolation, ProofGap
 
 __all__ = [
     "GoodConfiguration", "validate_good_configuration",
@@ -79,18 +79,17 @@ def _require_valid(c: TwoColoring, S: Embedding, color: str, what: str) -> None:
         raise HypothesisViolation(f"{what} not {color}-valid: {res.reason}")
 
 
-def _budget_ran_out(c: TwoColoring, color: str, t: LooseTemplate,
-                    max_nodes: int, what: str) -> bool:
-    """Check under a node budget that c has no `color` copy of t: a copy
-    found raises HypothesisViolation with it as the witness; otherwise
-    return whether the budget ran out first."""
-    try:
-        hit = find_embedding(c, color, t, max_nodes=max_nodes)
-    except SearchBudgetExceeded:
-        return True
-    if hit is not None:
-        raise HypothesisViolation(f"a {what} is present", witness=hit)
-    return False
+def _fail(c: TwoColoring, failure: Exception,
+          forbidden: Sequence[Tuple[str, LooseTemplate, str]]) -> NoReturn:
+    """Raise `failure`, unless a complete search finds in c a copy of one
+    of the `forbidden` (color, template, name) structures, in order, that
+    the lemma's hypotheses exclude: then raise HypothesisViolation with
+    that copy as the witness."""
+    for color, t, what in forbidden:
+        hit = find_embedding(c, color, t)
+        if hit is not None:
+            raise HypothesisViolation(f"a {what} is present", witness=hit)
+    raise failure
 
 
 def _gap(c: TwoColoring, message: str, **fields) -> ProofGap:
@@ -275,8 +274,9 @@ def _iter_good_configurations(c: TwoColoring, P: Embedding, W: frozenset,
 
 
 def _maximal_path_input(c: TwoColoring, P: Embedding, W) -> frozenset:
-    """W as a set, once P is a 3-uniform host path and |W| >= 3."""
-    if c.k != 3 or P.template.k != 3 or P.template.kind != PATH:
+    """W as a set, once c and P are 3-uniform and |W| >= 3; that P is a
+    path is `is_maximal_wrt`'s precondition."""
+    if c.k != 3 or P.template.k != 3:
         raise ValueError("invalid-parameter: needs a 3-uniform host path")
     W = frozenset(int(v) for v in W)
     if len(W) < 3:
@@ -453,15 +453,16 @@ def _red_bridge(c: TwoColoring, C: Embedding,
 
 
 def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
-                                      m: int, *, max_nodes: int = 200_000,
+                                      m: int, *,
                                       meta: Optional[dict] = None) -> Embedding:
     """Blue m-cycle from a red (n-1)-cycle in a host with no red n-cycle.
 
     Dispatches to the explicit bridge formulas when every reservoir bridge
-    is blue; otherwise the guaranteed existence is discharged by a complete
-    embedder search, and a miss is surfaced as ProofGap.  The no-red-n-cycle
-    hypothesis is re-checked under a node budget; running out of budget is
-    recorded in `meta` and downgrades the claim, never blocks it.
+    is blue (`meta["case"]` 2); otherwise the guaranteed existence is
+    discharged by a complete embedder search (case 1).  The no-red-n-cycle
+    hypothesis is consulted only when the construction fails: a red
+    n-cycle found by a complete search is a HypothesisViolation carrying
+    it, and only its absence makes the failure a ProofGap.
     """
     if c.k != 3:
         raise ValueError("invalid-parameter: k must be 3")
@@ -475,24 +476,21 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
         raise HypothesisViolation("given embedding is not a (n-1)-cycle")
     _require_valid(c, C, "red", "cycle")
 
-    budget_out = _budget_ran_out(c, "red", cycle_template(3, n), max_nodes,
-                                 "red cycle of full length")
-    if meta is not None:
-        meta["budget_exhausted"] = budget_out
-
     xs = _outside(c, C.image)
     assert len(xs) == (m - 1) // 2 + 2
-    if _red_bridge(c, C, xs) is None:
-        if meta is not None:
-            meta["case"] = 2
-        return case2_blue_cycle(c, C, xs, m)
+    case = 2 if _red_bridge(c, C, xs) is None else 1
     if meta is not None:
-        meta["case"] = 1
-    emb = find_embedding(c, "blue", cycle_template(3, m))
-    if emb is None:
-        raise _gap(c, "no blue cycle of the target length despite valid "
-                   "hypotheses", C=C.to_json_obj(), n=n, m=m)
-    return emb
+        meta["case"] = case
+    try:
+        if case == 2:
+            return case2_blue_cycle(c, C, xs, m)
+        emb = find_embedding(c, "blue", cycle_template(3, m))
+        if emb is None:
+            raise _gap(c, "no blue cycle of the target length despite valid "
+                       "hypotheses", C=C.to_json_obj(), n=n, m=m)
+        return emb
+    except ProofGap as gap:
+        _fail(c, gap, [("red", cycle_template(3, n), "red cycle of full length")])
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +764,7 @@ def _reservoir_cycle(c: TwoColoring, e1_edge: set, mid_edge: set, mid_w: int,
                            "forced red cycle")
 
 
-def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
-                               max_nodes: int = 200_000,
-                               meta: Optional[dict] = None
+def disjoint_bichromatic_pairs(c: TwoColoring, t: int
                                ) -> Tuple[BichromaticPair, BichromaticPair]:
     """Two vertex-disjoint bichromatic pairs, each sharing k-1 vertices.
 
@@ -778,23 +774,31 @@ def disjoint_bichromatic_pairs(c: TwoColoring, t: int, *,
     a bichromatic W yields the second pair inside it, a blue W contradicts
     the hypotheses outright, and an all-red W forces specific star edges to
     be blue (each red exception assembles an explicit red t-cycle witness).
+    The hypotheses are consulted only when the analysis fails, or the host
+    is monochromatic: a red t-cycle or blue 3-cycle found by a complete
+    search is a HypothesisViolation carrying it, and only the absence of
+    both makes a failed analysis a ProofGap.
     """
     k = c.k
     if t < 5:
         raise ValueError("invalid-parameter: t >= 5")
     if c.n_vertices != cycle_value(k, t, 3):
         raise HypothesisViolation(f"host must have {cycle_value(k, t, 3)} vertices")
-
-    budget_out = _budget_ran_out(c, "red", cycle_template(k, t), max_nodes,
-                                 "red cycle of length t")
-    budget_out |= _budget_ran_out(c, "blue", cycle_template(k, 3), max_nodes,
-                                  "blue 3-cycle")
-    if meta is not None:
-        meta["budget_exhausted"] = budget_out
+    forbidden = [("red", cycle_template(k, t), "red cycle of length t"),
+                 ("blue", cycle_template(k, 3), "blue 3-cycle")]
     if c.red_count in (0, c.n_edges):
-        raise HypothesisViolation(
-            "monochromatic coloring cannot satisfy the hypotheses")
+        _fail(c, HypothesisViolation(
+            "monochromatic coloring cannot satisfy the hypotheses"), forbidden)
+    try:
+        return _reservoir_case_analysis(c, t)
+    except ProofGap as gap:
+        _fail(c, gap, forbidden)
 
+
+def _reservoir_case_analysis(c: TwoColoring, t: int
+                             ) -> Tuple[BichromaticPair, BichromaticPair]:
+    """The body of `disjoint_bichromatic_pairs` on a bichromatic host."""
+    k = c.k
     pair1 = adjacent_bichromatic_pair(c)
     Wv = _outside(c, pair1.union)
 
@@ -932,10 +936,9 @@ def lift_blue_c4(c: TwoColoring, C4: Embedding, i: int) -> Embedding:
 # ---------------------------------------------------------------------------
 
 def to_certificate(c: TwoColoring, obj, *, lemma: str,
-                   seed: Optional[int] = None,
-                   budget_exhausted: bool = False):
+                   seed: Optional[int] = None):
     """Wrap an operation output in a self-contained certificate document."""
-    kw = dict(lemma=lemma, seed=seed, budget_exhausted=budget_exhausted)
+    kw = dict(lemma=lemma, seed=seed)
     if isinstance(obj, AbsorptionResult):
         obj = obj.Q
     if isinstance(obj, Embedding):

@@ -15,9 +15,8 @@ without giving up completeness:
   solution).  Other hosts are not pruned this way.
 
 Both prunings affect only which representative of a copy is found, never
-whether one is found, so absence answers remain sound.  An optional node
-budget raises SearchBudgetExceeded once it runs out, so a budgeted search
-never answers "absent" without having proved it.
+whether one is found, so absence answers remain sound.  There is no
+node budget: every answer, "absent" included, is a complete search's.
 
 `copy_rank_matrix` lists every copy of a template in the complete host
 K^k_N as a row of colex edge ranks, the input of the prover's clauses.  On
@@ -171,14 +170,13 @@ def _twin_classes(c: TwoColoring) -> Dict[int, int]:
 
 def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
                    fixed: Optional[Dict[int, int]] = None, *,
-                   within: Optional[Iterable[int]] = None,
-                   max_nodes: Optional[int] = None):
-    """Search for a monochromatic copy of t; complete unless budgeted.
+                   within: Optional[Iterable[int]] = None):
+    """Search, completely, for a monochromatic copy of t.
 
-    Returns an Embedding, or None when provably absent; past `max_nodes`
-    nodes it raises SearchBudgetExceeded instead.  `fixed` pins template
-    vertices to host vertices; only extensions of it are returned.
-    `within` restricts the free template vertices to a host subset.
+    Returns an Embedding, or None when provably absent.  `fixed` pins
+    template vertices to host vertices; only extensions of it are
+    returned.  `within` restricts the free template vertices to a host
+    subset.
 
     The search plan is worked out once, before the search: one slot per
     unfixed template position, in order of first appearance (edge by edge,
@@ -246,11 +244,9 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
             return None
 
     twin = _twin_classes(c)
-    nodes = 0
 
     def rec(si: int):
         """The first complete assignment below slot si, or None."""
-        nonlocal nodes
         if si == len(slots):
             return tuple(assign[1:])
         p, lo_pos, completes = slots[si]
@@ -259,9 +255,6 @@ def find_embedding(c: TwoColoring, color: str, t: LooseTemplate,
         for v in free_hosts:
             if v <= lo or v in used or twin[v] in seen_classes:
                 continue
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise SearchBudgetExceeded(f"embedding search passed max_nodes={max_nodes}")
             assign[p] = v
             for e in completes:
                 if not edge_ok(e):

@@ -3,7 +3,7 @@
 The CLI maps these onto process exit codes, so constructive operations must
 raise the precise class: bad inputs are ValueError, violated mathematical
 hypotheses are HypothesisViolation (a blue edge where a construction needs
-a red one among them), a budget that runs out is SearchBudgetExceeded, and
+a red one among them), a deadline that passes is SearchBudgetExceeded, and
 a completed search that contradicts a guaranteed existence statement is
 ProofGap (never silently swallowed).
 """
@@ -41,8 +41,8 @@ class ProofGap(RuntimeError):
 class SearchBudgetExceeded(RuntimeError):
     """A search ran out of its budget before it could answer.
 
-    Two sources raise it: copy enumeration past its deadline, which
+    One source raises it: copy enumeration past its deadline, which
     `decide_arrowing` turns into an UNKNOWN verdict with nothing partial
-    cached, and `find_embedding` past its `max_nodes`, which the lemmas'
-    budgeted absence checks record as `budget_exhausted`.
+    cached.  The arrowing search's own node and time budgets end in that
+    verdict without it.
     """

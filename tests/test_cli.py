@@ -493,7 +493,7 @@ def test_extract_blue_cycle(tmp_path):
                     "--coloring", str(cpath), "--cycle", "1,2,3,4,5,6,7,8",
                     "--n", "5", "--m", "3")
     assert code == EXIT_OK
-    assert rep["results"]["meta"] == {"budget_exhausted": False, "case": 2}
+    assert rep["results"]["meta"] == {"case": 2}
     emb = Embedding.from_json_obj(rep["results"]["embedding"])
     assert (emb.template.kind, emb.template.n, emb.claimed_color) == \
         ("cycle", 3, "blue")
@@ -519,7 +519,9 @@ def test_extract_lift(tmp_path):
 
 def test_hypothesis_violation_reports_its_witness(tmp_path, capsys):
     # a lift whose listed edge is blue reports that edge, and a red C^3_5
-    # beside the given red C^3_4 is reported as an embedding; both exit 3
+    # beside the given red C^3_4 is reported as an embedding (the case-1
+    # search finds no blue C^3_3, and the red C^3_5 explains it); both
+    # exit 3 and write no proof-gap instance
     lift = TwoColoring.all_blue(4, 16)
     red = TwoColoring.all_red(3, 11)
     for c, argv in [
@@ -539,26 +541,48 @@ def test_hypothesis_violation_reports_its_witness(tmp_path, capsys):
             edge = tuple(res["witness"])
             assert len(edge) == 4 and c.color_of(edge) == "blue"
         else:
+            assert res["detail"] == "a red cycle of full length is present"
             emb = Embedding.from_json_obj(res["witness"])
             assert (emb.template.n, emb.claimed_color) == (5, "red")
             assert verify_embedding(c, emb)
+        assert not (tmp_path / "extract.proofgap.json").exists()
 
 
-def test_extract_max_nodes_zero_is_a_budget(tmp_path):
-    # the full embedding search on this split coloring meets a blue 3-cycle
-    # (exit 3); a budget of 0 nodes must stop it before that, as 1 does
+def test_extract_disjoint_pairs(tmp_path):
+    # red inside {1..6} and inside {7..11}: the case analysis yields one
+    # pair on each side, though the host holds a blue 3-cycle across the
+    # split; the report and the certificate claim nothing about budgets
     k, t = 3, 5
     N = t * (k - 1) + 1
     reds = [e for e in all_edges(N, k) if max(e) <= 6 or min(e) >= 7]
     cpath = tmp_path / "c.json"
     TwoColoring.all_blue(k, N).with_edges(reds, red=True).save(cpath)
-    for budget in ("0", "1"):
-        code, rep = run(tmp_path, "extract", "--lemma", "disjoint-pairs",
-                        "--coloring", str(cpath), "--t", str(t),
-                        "--max-nodes", budget)
-        assert code == EXIT_OK
-        assert rep["inputs"]["max_nodes"] == int(budget)
-        assert rep["results"]["meta"]["budget_exhausted"] is True
+    code, rep = run(tmp_path, "extract", "--lemma", "disjoint-pairs",
+                    "--coloring", str(cpath), "--t", str(t))
+    assert code == EXIT_OK
+    assert rep["results"] == {"pairs": [
+        {"red_edge": [1, 2, 3], "blue_edge": [1, 2, 7]},
+        {"red_edge": [4, 5, 6], "blue_edge": [4, 5, 8]}]}
+    assert rep["certificates"][0]["verified"]
+    with open(rep["certificates"][0]["path"]) as fh:
+        assert json.load(fh)["meta"] == {"lemma": "disjoint-pairs", "seed": 0}
+
+
+def test_extract_has_no_node_budget(tmp_path, capsys):
+    cpath = tmp_path / "c.json"
+    TwoColoring.all_red(3, 11).save(cpath)
+    assert main(["extract", "--lemma", "disjoint-pairs", "--coloring", str(cpath),
+                 "--t", "5", "--max-nodes", "1", "--dir", str(tmp_path)]) == EXIT_USAGE
+    assert "unrecognized arguments: --max-nodes 1" in capsys.readouterr().err
+
+
+def test_every_extract_option_is_read_by_a_lemma():
+    p = argparse.ArgumentParser()
+    cli._extract_args(p)
+    options = {opt[2:] for action in p._actions for opt in action.option_strings
+               if opt.startswith("--")}
+    read = {opt for needs in cli._LEMMA_OPTIONS.values() for opt in needs}
+    assert options - {"help", "lemma", "coloring"} == read
 
 
 def test_extract_hypothesis_violation_exit(tmp_path):
@@ -976,25 +1000,6 @@ def test_check_cert_refuses_an_empty_pair_set(tmp_path, capsys, disjoint):
     assert f"certificate rejected: {';'.join(reasons)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("given,budget", [(None, {}), ("7", {"max_nodes": 7})])
-def test_extract_passes_a_budget_only_when_given(tmp_path, monkeypatch, given,
-                                                 budget):
-    # without --max-nodes the lemma's own default budget applies
-    seen = []
-
-    def lemma(c, t, **kw):
-        seen.append(kw)
-        raise cli.HypothesisViolation("stop")
-
-    monkeypatch.setattr(cli, "disjoint_bichromatic_pairs", lemma)
-    cpath = tmp_path / "c.json"
-    TwoColoring.all_red(3, 11).save(cpath)
-    argv = ["extract", "--lemma", "disjoint-pairs", "--coloring", str(cpath),
-            "--t", "5"] + (["--max-nodes", given] if given else [])
-    assert run(tmp_path, *argv)[0] == EXIT_HYPOTHESIS
-    assert seen == [{"meta": {}, **budget}]
-
-
 def test_cli_imports_no_private_prover_name():
     tree = ast.parse(Path(cli.__file__).read_text())
     private = [alias.name for node in ast.walk(tree)
@@ -1074,6 +1079,23 @@ def test_typed_certificate_bases_pass(tmp_path):
         assert run(tmp_path, "check-cert", "--file", str(path))[0] == EXIT_OK, name
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_check_cert_accepts_an_older_budget_flag(tmp_path, flag):
+    # certificates of older versions carry `budget_exhausted` in their meta,
+    # which the checker never reads: the split K^3_11's disjoint pairs
+    reds = [e for e in all_edges(11, 3) if max(e) <= 6 or min(e) >= 7]
+    obj = {"type": "pair-set",
+           "coloring": TwoColoring.from_red_edges(3, 11, reds).to_json_obj(),
+           "payload": {"pairs": [{"red_edge": [1, 2, 3], "blue_edge": [1, 2, 7]},
+                                 {"red_edge": [4, 5, 6], "blue_edge": [4, 5, 8]}],
+                       "disjoint": True},
+           "meta": {"lemma": "disjoint-pairs", "seed": 0, "budget_exhausted": flag}}
+    path = tmp_path / "old.cert.json"
+    path.write_text(json.dumps(obj))
+    code, rep = run(tmp_path, "check-cert", "--file", str(path))
+    assert code == EXIT_OK and rep["results"]["ok"] is True
+
+
 @pytest.mark.parametrize("base,field,value,what", _ILL_TYPED,
                          ids=[f"{b}-{f}-{getattr(v, '__name__', repr(v))}".replace(" ", "")
                               for b, f, v, _ in _ILL_TYPED])
@@ -1143,9 +1165,8 @@ _CLI_REFUSALS = [
      EXIT_USAGE, "usage error: invalid-parameter: t >= 5"),
     ("red3-12", ["extract", "--lemma", "disjoint-pairs", "--t", "5"],
      EXIT_HYPOTHESIS, "hypothesis-violation: host must have 11 vertices"),
-    ("red3-11", ["extract", "--lemma", "disjoint-pairs", "--t", "5", "--max-nodes", "1"],
-     EXIT_HYPOTHESIS,
-     "hypothesis-violation: monochromatic coloring cannot satisfy the hypotheses"),
+    ("red3-11", ["extract", "--lemma", "disjoint-pairs", "--t", "5"],
+     EXIT_HYPOTHESIS, "hypothesis-violation: a red cycle of length t is present"),
     ("red4-17", ["extract", "--lemma", "lift", "--cycle4", ",".join(map(str, range(1, 13))),
                  "--i", "5"],
      EXIT_HYPOTHESIS, "hypothesis-violation: host must have 16 vertices"),

@@ -224,11 +224,40 @@ def test_blue_cycle_dispatches_case2():
 
 
 def test_blue_cycle_finds_red_long_cycle():
+    # every bridge is red, so case 1 searches for a blue C^3_3 and finds
+    # none; the hypothesis search then finds the red C^3_5 that explains it
     n, m = 5, 3
     N = 2 * n + (m - 1) // 2
     c = TwoColoring.all_red(3, N)
-    with pytest.raises(HypothesisViolation):
-        blue_cycle_from_red_shorter_cycle(c, ident_cycle(3, n - 1, 1), n, m)
+    meta = {}
+    with pytest.raises(HypothesisViolation,
+                       match="^a red cycle of full length is present$") as ei:
+        blue_cycle_from_red_shorter_cycle(c, ident_cycle(3, n - 1, 1), n, m,
+                                          meta=meta)
+    assert meta == {"case": 1}
+    w = ei.value.witness
+    assert w.template == cycle_template(3, n) and w.claimed_color == "red"
+    assert verify_embedding(c, w).ok
+
+
+def test_blue_cycle_gap_only_without_a_red_long_cycle(monkeypatch):
+    # with every search answering "absent", the case-1 miss is a real gap,
+    # with the instance that reproduces it
+    from ramsey_lab import constructive
+
+    searched = []
+    monkeypatch.setattr(constructive, "find_embedding",
+                        lambda c, color, t: searched.append((color, t)))
+    n, m = 5, 3
+    c = TwoColoring.all_red(3, 11)
+    C = ident_cycle(3, n - 1, 1)
+    with pytest.raises(ProofGap, match="^no blue cycle of the target length "
+                       "despite valid hypotheses$") as ei:
+        blue_cycle_from_red_shorter_cycle(c, C, n, m)
+    assert ei.value.instance == {"coloring": c.to_json_obj(),
+                                 "C": C.to_json_obj(), "n": n, "m": m}
+    # the blue target, then the red cycle the hypothesis forbids
+    assert searched == [("blue", cycle_template(3, m)), ("red", cycle_template(3, n))]
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (4, 4)])
@@ -240,31 +269,40 @@ def test_blue_cycle_excluded_sizes(n, m):
     assert not isinstance(ei.value, HypothesisViolation)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_blue_cycle_randomized_conditioned(seed):
-    # random flips over a Case-2 base; accept a blue m-cycle, a red n-cycle
-    # found by the hypothesis check, or a gap only when that check ran out
-    # of budget
-    n, m = 5, 3
+def _flipped_case2(seed, n=5, m=3):
+    """A Case-2 base with a seeded tenth of its reservoir edges made red."""
     c, W = case2_coloring(n - 1, m)
     rng = np.random.default_rng(seed)
     flips = [e for e in all_edges(c.n_vertices, 3)
              if any(x > 8 for x in e) and rng.random() < 0.1]
-    c = c.with_edges(flips, red=True)
+    return c.with_edges(flips, red=True)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_blue_cycle_randomized_conditioned(seed):
+    # random flips over a Case-2 base: the construction runs first, and on
+    # every seed it returns a verified blue m-cycle, though most of these
+    # hosts hold a red n-cycle
+    n, m = 5, 3
+    c = _flipped_case2(seed, n, m)
     meta = {}
-    try:
-        emb = blue_cycle_from_red_shorter_cycle(
-            c, ident_cycle(3, n - 1, 1), n, m, max_nodes=50_000, meta=meta)
-    except HypothesisViolation as exc:
-        w = exc.witness
-        if isinstance(w, Embedding):
-            assert w.template == cycle_template(3, n) and w.claimed_color == "red"
-            assert verify_embedding(c, w).ok
-        return
-    except ProofGap:
-        assert meta["budget_exhausted"]
-        return
+    emb = blue_cycle_from_red_shorter_cycle(c, ident_cycle(3, n - 1, 1), n, m,
+                                            meta=meta)
+    assert emb.template == cycle_template(3, m) and emb.claimed_color == "blue"
     assert verify_embedding(c, emb).ok
+    assert meta["case"] in (1, 2)
+
+
+def test_blue_cycle_randomized_reaches_both_cases():
+    # the seeds above: a red bridge sends 34 of them to the case-1 search,
+    # and 6 keep every bridge blue and take the formulas
+    cases = []
+    for seed in range(40):
+        meta = {}
+        blue_cycle_from_red_shorter_cycle(_flipped_case2(seed), ident_cycle(3, 4, 1),
+                                          5, 3, meta=meta)
+        cases.append(meta["case"])
+    assert (cases.count(1), cases.count(2)) == (34, 6)
 
 
 # ------------------------------------------------------- good configurations
@@ -530,20 +568,14 @@ def test_adjacent_pair_randomized(k, seed):
 
 
 def test_disjoint_pairs_split_instance():
-    # red inside {1..6} and inside {7..11}: the hypothesis check finds the
-    # blue 3-cycle across the split; a budget of one node stops it first,
-    # and the case analysis then yields one pair on each side
+    # red inside {1..6} and inside {7..11}: the host holds a blue 3-cycle
+    # across the split, but the case analysis runs first and yields one
+    # pair on each side
     k, t = 3, 5
     N = t * (k - 1) + 1
     reds = [e for e in all_edges(N, k) if max(e) <= 6 or min(e) >= 7]
     c = TwoColoring.all_blue(k, N).with_edges(reds, red=True)
-    with pytest.raises(HypothesisViolation,
-                       match="a blue 3-cycle is present") as ei:
-        disjoint_bichromatic_pairs(c, t, max_nodes=500)
-    assert verify_embedding(c, ei.value.witness).ok
-    meta = {}
-    p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=1, meta=meta)
-    assert meta["budget_exhausted"] is True
+    p1, p2 = disjoint_bichromatic_pairs(c, t)
     assert (p1.red_edge, p1.blue_edge) == ((1, 2, 3), (1, 2, 7))
     assert (p2.red_edge, p2.blue_edge) == ((4, 5, 6), (4, 5, 8))
     certify_roundtrip(c, (p1, p2), "disjoint-pairs")
@@ -557,7 +589,7 @@ def test_disjoint_pairs_randomized(seed):
     bits = (rng.random(len(all_edges(N, k))) < 0.5).astype(np.uint8)
     c = TwoColoring(k, N, bits)
     try:
-        p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=200)
+        p1, p2 = disjoint_bichromatic_pairs(c, t)
     except HypothesisViolation as exc:
         if isinstance(exc.witness, Embedding):
             assert verify_embedding(c, exc.witness).ok
@@ -571,25 +603,22 @@ def test_disjoint_pairs_randomized(seed):
 
 
 def test_disjoint_pairs_randomized_reaches_the_body():
-    # the seeds above with a one-node budget: the host has exactly
-    # R(C^3_5, C^3_3) vertices, so no coloring meets the hypotheses, and
-    # every pair set rests on a check that ran out; the case analysis may
-    # still close a red C^3_5 through the reservoir
+    # the seeds above: the host has exactly R(C^3_5, C^3_3) vertices, so no
+    # coloring meets the hypotheses, but the case analysis runs first; it
+    # returns pairs or closes a red C^3_5 through the reservoir
     k, t = 3, 5
     N = t * (k - 1) + 1
     reached = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         c = TwoColoring(k, N, (rng.random(len(all_edges(N, k))) < 0.5).astype(np.uint8))
-        meta = {}
         try:
-            p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=1, meta=meta)
+            p1, p2 = disjoint_bichromatic_pairs(c, t)
         except HypothesisViolation as exc:
             w = exc.witness
             assert w.template == cycle_template(k, t) and w.claimed_color == "red", seed
             assert verify_embedding(c, w).ok, seed
             continue
-        assert meta["budget_exhausted"] is True, seed
         assert p1.validate(c)[0] and p2.validate(c)[0] and not (p1.union & p2.union), seed
         reached += 1
     assert reached >= 20, reached
@@ -616,7 +645,7 @@ def test_disjoint_pairs_all_red_reservoir(monkeypatch, k, t, p_red, seed, pairs)
                         lambda *a: calls.append(a) or real(*a))
     c = _dense_red(k, t, p_red, seed)
     if pairs:
-        p1, p2 = disjoint_bichromatic_pairs(c, t, max_nodes=1)
+        p1, p2 = disjoint_bichromatic_pairs(c, t)
         assert p1.validate(c)[0] and p2.validate(c)[0]
         assert not (p1.union & p2.union)
         obj = certify_roundtrip(c, (p1, p2), "disjoint-pairs").to_json_obj()
@@ -627,7 +656,7 @@ def test_disjoint_pairs_all_red_reservoir(monkeypatch, k, t, p_red, seed, pairs)
     else:
         with pytest.raises(HypothesisViolation,
                            match="red t-cycle assembled through the reservoir") as ei:
-            disjoint_bichromatic_pairs(c, t, max_nodes=1)
+            disjoint_bichromatic_pairs(c, t)
         w = ei.value.witness
         assert w.template == cycle_template(k, t) and w.claimed_color == "red"
         assert verify_embedding(c, w).ok
@@ -636,15 +665,12 @@ def test_disjoint_pairs_all_red_reservoir(monkeypatch, k, t, p_red, seed, pairs)
 
 def test_disjoint_pairs_all_blue_reservoir():
     # red iff an edge holds vertex 1: the first pair is (1,2,3)/(2,3,4), and
-    # every edge of the reservoir 5..11 is blue, so a blue 3-cycle sits in
-    # it; a one-node budget leaves the up-front checks undecided
+    # every edge of the reservoir 5..11 is blue, so a blue 3-cycle sits in it
     k, t = 3, 5
     c = TwoColoring.from_red_edges(k, 11, [e for e in all_edges(11, k) if 1 in e])
-    meta = {}
     with pytest.raises(HypothesisViolation,
                        match="blue 3-cycle inside the reservoir") as ei:
-        disjoint_bichromatic_pairs(c, t, max_nodes=1, meta=meta)
-    assert meta["budget_exhausted"] is True
+        disjoint_bichromatic_pairs(c, t)
     w = ei.value.witness
     assert w.template == cycle_template(k, 3) and w.claimed_color == "blue"
     assert verify_embedding(c, w).ok and w.image <= set(range(5, 12))
@@ -693,13 +719,57 @@ def test_all_red_reservoir_closes_a_cycle_through_v1_and_w2():
 def test_disjoint_pairs_failed_case_analysis_is_a_proof_gap(monkeypatch):
     from ramsey_lab import constructive
 
-    # overlapping pairs from the case analysis are a gap, not a reason to search
+    # overlapping pairs from the case analysis, on a host where complete
+    # searches find neither forbidden cycle, are a gap
+    monkeypatch.setattr(constructive, "_all_red_reservoir_pairs",
+                        lambda c, t, pair1, Wv: (pair1, pair1))
+    searched = []
+    monkeypatch.setattr(constructive, "find_embedding",
+                        lambda c, color, t: searched.append((color, t)))
+    c = _dense_red(3, 5, 0.9, 74)
+    with pytest.raises(ProofGap, match="case analysis") as ei:
+        disjoint_bichromatic_pairs(c, 5)
+    assert ei.value.instance == {"coloring": c.to_json_obj(), "t": 5}
+    assert searched == [("red", cycle_template(3, 5)), ("blue", cycle_template(3, 3))]
+
+
+def test_disjoint_pairs_failed_case_analysis_cites_a_forbidden_cycle(monkeypatch):
+    from ramsey_lab import constructive
+
+    # the same failure on a host that holds a red C^3_5 is explained by it
     monkeypatch.setattr(constructive, "_all_red_reservoir_pairs",
                         lambda c, t, pair1, Wv: (pair1, pair1))
     c = _dense_red(3, 5, 0.9, 74)
-    with pytest.raises(ProofGap, match="case analysis") as ei:
-        disjoint_bichromatic_pairs(c, 5, max_nodes=1)
-    assert ei.value.instance == {"coloring": c.to_json_obj(), "t": 5}
+    with pytest.raises(HypothesisViolation,
+                       match="^a red cycle of length t is present$") as ei:
+        disjoint_bichromatic_pairs(c, 5)
+    w = ei.value.witness
+    assert w.template == cycle_template(3, 5) and w.claimed_color == "red"
+    assert verify_embedding(c, w).ok
+
+
+@pytest.mark.parametrize("build,color,length", [
+    (TwoColoring.all_red, "red", 5), (TwoColoring.all_blue, "blue", 3)])
+def test_disjoint_pairs_monochromatic_host_cites_a_forbidden_cycle(build, color,
+                                                                   length):
+    c = build(3, 11)
+    with pytest.raises(HypothesisViolation) as ei:
+        disjoint_bichromatic_pairs(c, 5)
+    w = ei.value.witness
+    assert w.template == cycle_template(3, length) and w.claimed_color == color
+    assert verify_embedding(c, w).ok
+
+
+def test_disjoint_pairs_monochromatic_refusal_without_a_copy(monkeypatch):
+    # no monochromatic host of this size lacks both cycles; with searches
+    # that find nothing, the refusal itself is raised, without a witness
+    from ramsey_lab import constructive
+
+    monkeypatch.setattr(constructive, "find_embedding", lambda c, color, t: None)
+    with pytest.raises(HypothesisViolation, match="^monochromatic coloring "
+                       "cannot satisfy the hypotheses$") as ei:
+        disjoint_bichromatic_pairs(TwoColoring.all_red(3, 11), 5)
+    assert ei.value.witness is None
 
 
 # ----------------------------------------------------------- input refusals
@@ -724,8 +794,13 @@ def _refusal_cases():
          lambda: find_good_configuration(cfg_c, cfg_P, cfg_W, 4, 2)),
         ("configuration-entry", HV, "entry vertex 1 not in A_2",
          lambda: find_good_configuration(cfg_c, cfg_P, cfg_W, 2, 1)),
+        ("configuration-cycle", HV,
+         "precondition-violation: maximality is defined for paths",
+         lambda: find_good_configuration(red3, C4, {9, 10, 11}, 2, 2)),
         ("absorb-one-edge", HV, "path must have at least 2 edges",
          lambda: absorb_blue_path(abs_c, abs_P, {4, 5, 6})),
+        ("absorb-cycle", HV, "precondition-violation: maximality is defined for paths",
+         lambda: absorb_blue_path(red3, C4, {9, 10, 11})),
         ("case2-k4", ValueError, "invalid-parameter: needs a 3-uniform host cycle",
          lambda: case2_blue_cycle(TwoColoring.all_blue(4, 12), ident_cycle(4, 3), [10, 11], 3)),
         ("case2-m", ValueError, "invalid-parameter: m >= 3",
@@ -765,9 +840,10 @@ def _refusal_cases():
          lambda: disjoint_bichromatic_pairs(red3, 4)),
         ("disjoint-pairs-host", HV, "host must have 11 vertices",
          lambda: disjoint_bichromatic_pairs(TwoColoring.all_red(3, 10), 5)),
-        ("disjoint-pairs-monochromatic", HV,
-         "monochromatic coloring cannot satisfy the hypotheses",
-         lambda: disjoint_bichromatic_pairs(red3, 5, max_nodes=1)),
+        ("disjoint-pairs-monochromatic", HV, "a red cycle of length t is present",
+         lambda: disjoint_bichromatic_pairs(red3, 5)),
+        ("disjoint-pairs-all-blue", HV, "a blue 3-cycle is present",
+         lambda: disjoint_bichromatic_pairs(TwoColoring.all_blue(3, 11), 5)),
         ("lift-k2", ValueError, "invalid-parameter: k >= 3",
          lambda: lift_blue_c4(TwoColoring.all_red(2, 10), blue4, 5)),
         ("lift-host", HV, "host must have 16 vertices",
@@ -979,13 +1055,11 @@ def test_certificate_type_dispatch():
     assert to_certificate(cfg_c, cfg, lemma="x").type == "configuration"
 
 
-def test_certificate_meta_budget_flag():
+def test_certificate_meta_names_lemma_and_seed():
     c = TwoColoring.all_red(3, 6).with_edges([(1, 2, 3)], red=False)
     pr = adjacent_bichromatic_pair(c)
-    cert = to_certificate(c, pr, lemma="x", seed=11, budget_exhausted=True)
-    assert cert.meta["budget_exhausted"] is True
-    assert cert.meta["seed"] == 11
-    assert cert.meta["lemma"] == "x"
+    cert = to_certificate(c, pr, lemma="x", seed=11)
+    assert cert.meta == {"lemma": "x", "seed": 11}
 
 
 def _one_certificate_per_type():
