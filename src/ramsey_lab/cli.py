@@ -308,6 +308,10 @@ def _run_table(args, report: dict) -> int:
 # ------------------------------------------------------------- export-cnf
 
 def _run_export_cnf(args, report: dict) -> int:
+    if args.stem is not None and (os.path.basename(args.stem) != args.stem
+                                  or args.stem in ("", ".", "..")):
+        raise ValueError(f"invalid-parameter: --stem {args.stem!r} is not a "
+                         f"file name, and files land in --dir")
     text, sidecar = export_dimacs(args.k, args.n_vertices,
                                   _parse_target(args.red, args.k),
                                   _parse_target(args.blue, args.k))
@@ -413,7 +417,8 @@ def _export_cnf_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-vertices", type=int, required=True)
     p.add_argument("--red", required=True)
     p.add_argument("--blue", required=True)
-    p.add_argument("--stem", default=None, help="output file stem")
+    p.add_argument("--stem", default=None,
+                   help="output file name stem, without a directory")
 
 
 def _check_cert_args(p: argparse.ArgumentParser) -> None:

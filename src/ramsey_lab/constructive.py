@@ -459,10 +459,12 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
 
     Dispatches to the explicit bridge formulas when every reservoir bridge
     is blue (`meta["case"]` 2); otherwise the guaranteed existence is
-    discharged by a complete embedder search (case 1).  The no-red-n-cycle
-    hypothesis is consulted only when the construction fails: a red
-    n-cycle found by a complete search is a HypothesisViolation carrying
-    it, and only its absence makes the failure a ProofGap.
+    discharged by a complete embedder search (case 1).  Case 2 reads only
+    bridges it has checked blue, so a formula cycle that fails
+    verification is a ProofGap whatever else the host holds.  The
+    no-red-n-cycle hypothesis explains only case 1's search miss: a red
+    n-cycle found by a complete search is then a HypothesisViolation
+    carrying it, and only its absence makes the miss a ProofGap.
     """
     if c.k != 3:
         raise ValueError("invalid-parameter: k must be 3")
@@ -481,16 +483,14 @@ def blue_cycle_from_red_shorter_cycle(c: TwoColoring, C: Embedding, n: int,
     case = 2 if _red_bridge(c, C, xs) is None else 1
     if meta is not None:
         meta["case"] = case
-    try:
-        if case == 2:
-            return case2_blue_cycle(c, C, xs, m)
-        emb = find_embedding(c, "blue", cycle_template(3, m))
-        if emb is None:
-            raise _gap(c, "no blue cycle of the target length despite valid "
-                       "hypotheses", C=C.to_json_obj(), n=n, m=m)
-        return emb
-    except ProofGap as gap:
-        _fail(c, gap, [("red", cycle_template(3, n), "red cycle of full length")])
+    if case == 2:
+        return case2_blue_cycle(c, C, xs, m)
+    emb = find_embedding(c, "blue", cycle_template(3, m))
+    if emb is None:
+        _fail(c, _gap(c, "no blue cycle of the target length despite valid "
+                      "hypotheses", C=C.to_json_obj(), n=n, m=m),
+              [("red", cycle_template(3, n), "red cycle of full length")])
+    return emb
 
 
 # ---------------------------------------------------------------------------

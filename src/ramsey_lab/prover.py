@@ -18,11 +18,14 @@ An optional lex-leader restriction under adjacent vertex transpositions
 it is off by default and never changes verdicts, only which witness shows
 up first.  Each transposition reaches the kernel as one row of both
 `coloring.swap_pairs` arrays, built only when symmetry breaking is on.
+
+`hashlib`, which loads OpenSSL's libcrypto (about 3.6 MB resident), is
+imported by `export_dimacs` for its varmap digest, its only use, so no
+other run loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -118,8 +121,9 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     2) that `copy_rank_matrix` answered from memory; a cached spanning
     table a table is lifted from does not count.
 
-    A NaN `max_secs` is refused as `invalid-parameter`, since no time
-    compares past it; a negative one is a budget already spent.
+    A non-finite `max_secs` is refused as `invalid-parameter`: no time
+    compares past a NaN, and an infinite one has no JSON form in the
+    budget a report records; a negative one is a budget already spent.
     N and the targets' uniformity are checked by `count_copies`.  A host
     with 2**31 edges or more (`host-too-large`), or 2**31 red and
     blue copies together (`copy-table-too-large`), does not fit the
@@ -127,9 +131,11 @@ def decide_arrowing(k: int, N: int, red_target: LooseTemplate,
     table too large for the host's memory is refused as
     `copy-table-too-large` before it is allocated.
     """
-    if max_secs is not None and math.isnan(max_secs):
+    if max_secs is not None and not math.isfinite(max_secs):
         raise ValueError("invalid-parameter: max_secs is NaN, want a number "
-                         "of seconds")
+                         "of seconds" if math.isnan(max_secs) else
+                         f"invalid-parameter: max_secs is {max_secs}, want a "
+                         f"finite number of seconds")
     n_red, n_blue = (count_copies(N, k, t) for t in (red_target, blue_target))
     n_vars = host_edges(k, N)
     if n_red + n_blue >= _MAX_EDGES:
@@ -242,6 +248,8 @@ def export_dimacs(k: int, N: int, red_target: LooseTemplate,
     of 2**31 rows or more, or one too large for the host's memory, as
     `copy-table-too-large`.
     """
+    import hashlib  # loads OpenSSL: only an export pays for it
+
     n_red, n_blue = (count_copies(N, k, t) for t in (red_target, blue_target))
     E = host_edges(k, N)
     red_rows = copy_rank_matrix(N, k, red_target)

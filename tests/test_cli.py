@@ -211,6 +211,25 @@ def test_export_cnf(tmp_path):
     assert rep["results"]["clauses"] == 240
 
 
+@pytest.mark.parametrize("stem", ["../escape", "ABSOLUTE", "sub/inst", "", ".",
+                                  ".."])
+def test_export_cnf_stem_is_a_file_name(tmp_path, capsys, monkeypatch, stem):
+    # artifacts land in --dir: a stem with a directory part is refused
+    # before anything is enumerated or written
+    def no_export(*args):
+        raise AssertionError("instance built for a refused stem")
+
+    monkeypatch.setattr(cli, "export_dimacs", no_export)
+    if stem == "ABSOLUTE":
+        stem = str(tmp_path / "escape")
+    assert main(["export-cnf", "--k", "3", "--n-vertices", "6", "--red",
+                 "cycle:3", "--blue", "cycle:3", "--stem", stem,
+                 "--dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: invalid-parameter: " \
+        f"--stem {stem!r} is not a file name, and files land in --dir\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_command_replays_the_run(tmp_path):
     # an argument that equals the subcommand's name is kept
     argv = ["export-cnf", "--k", "3", "--n-vertices", "6", "--red", "cycle:3",
@@ -725,6 +744,78 @@ def test_nan_max_secs_is_a_usage_error(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["arrow", "ramsey"])
+@pytest.mark.parametrize("budget,shown", [
+    (["--max-secs", "inf"], "inf"), (["--max-secs", "1e400"], "inf"),
+    (["--max-secs=-inf"], "-inf")], ids=["inf", "1e400", "-inf"])
+def test_non_finite_max_secs_is_a_usage_error(tmp_path, capsys, subcommand,
+                                              budget, shown):
+    # an infinite budget has no JSON form in the report, so none is
+    # written; the node budget makes a missed refusal fail fast
+    host = ["--n-vertices", "9"] if subcommand == "arrow" else []
+    code, rep = run(tmp_path, subcommand, "--k", "3", *host, "--red", "cycle:4",
+                    "--blue", "cycle:4", *budget, "--max-nodes", "100")
+    assert code == EXIT_USAGE and rep is None
+    assert capsys.readouterr().err == f"usage error: invalid-parameter: " \
+        f"max_secs is {shown}, want a finite number of seconds\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _strict_json(path):
+    """The JSON value in `path`, refusing NaN and Infinity as RFC 8259 does."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_every_file_written_is_strict_json(tmp_path, monkeypatch):
+    # one run of every subcommand, a proof gap and a non-finite budget's
+    # refusal included; every report and JSON artifact parses strictly
+    from ramsey_lab import constructive
+
+    verified_cycle = constructive._verified_cycle
+
+    def planted(c, edges, color, what):  # a fault in case 2's closing edge
+        edges = edges[:-1] + [(1, 2, 3)] if what == "formula cycle" else edges
+        return verified_cycle(c, edges, color, what)
+
+    monkeypatch.setattr(constructive, "_verified_cycle", planted)
+    case2 = tmp_path / "case2.coloring.json"
+    TwoColoring.all_red(3, 11).with_edges(
+        [e for e in all_edges(11, 3) if max(e) > 8], red=False).save(case2)
+    stem = tmp_path / "witness-CC-k3-n3-m3"
+    c33 = ["--red", "cycle:3", "--blue", "cycle:3"]
+    runs = [
+        (WITNESS, EXIT_OK),
+        (["arrow", "--k", "3", "--n-vertices", "6", *c33], EXIT_OK),
+        (["arrow", "--k", "3", "--n-vertices", "7", *c33], EXIT_UNSAT),
+        (["arrow", "--k", "3", "--n-vertices", "8", "--red", "path:3", "--blue",
+          "path:3", "--max-nodes", "2", "--max-secs", "60"], EXIT_UNKNOWN),
+        (["arrow", "--k", "3", "--n-vertices", "9", "--red", "cycle:4", "--blue",
+          "cycle:4", "--max-secs", "inf", "--max-nodes", "100"], EXIT_USAGE),
+        (["ramsey", "--k", "3", *c33], EXIT_OK),
+        (["extract", "--lemma", "adjacent-pair", "--coloring",
+          f"{stem}.coloring.json"], EXIT_OK),
+        (["extract", "--lemma", "blue-cycle", "--coloring", str(case2),
+          "--cycle", "1,2,3,4,5,6,7,8", "--n", "5", "--m", "3"], EXIT_GAP),
+        (["count", "--k", "3", "--n-vertices", "6", "--target", "cycle:3"], EXIT_OK),
+        (["table", "--k", "4", "--base", "3,3=10", "--extend-to", "8"], EXIT_OK),
+        (["export-cnf", "--k", "3", "--n-vertices", "6", *c33], EXIT_OK),
+        (["check-cert", "--file", f"{stem}.cert.json"], EXIT_OK),
+    ]
+    for i, (argv, want) in enumerate(runs):
+        out = tmp_path / f"report-{i}.json"
+        assert main(argv + ["--dir", str(tmp_path), "--out", str(out)]) == want
+        assert out.exists() == (want != EXIT_USAGE)
+    assert {p.name for p in tmp_path.iterdir()} >= {
+        "witness-CC-k3-n3-m3.cert.json", "arrow-k3-N6.vars.json",
+        "extract.proofgap.json", "extract-adjacent-pair.cert.json"}
+    written = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
+    assert len(written) == 11 + 8  # the reports, then the artifacts
+    for path in written:
+        _strict_json(path)
+
+
 def test_unwritable_report_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     assert main(["count", "--k", "3", "--n-vertices", "6", "--target", "cycle:3",
@@ -977,6 +1068,45 @@ def test_module_entry_point_reads_sys_argv(tmp_path):
     here = json.loads((tmp_path / "report.json").read_text())
     spawned.pop("timings"), here.pop("timings")
     assert spawned == here
+
+
+_OPENSSL_PROBE = """
+import json, sys
+from ramsey_lab.cli import main
+d, runs = sys.argv[1], json.loads(sys.argv[2])
+seen = [[argv[0], main(argv + ["--dir", d, "--out", d + "/report.json"]),
+         "_hashlib" in sys.modules] for argv in runs]
+print(json.dumps(seen))
+"""
+
+
+def test_only_export_cnf_loads_openssl(tmp_path):
+    # _hashlib loads OpenSSL's libcrypto, about 3.6 MB resident, which only
+    # export-cnf's varmap digest uses; a fresh interpreter, because this
+    # one imported hashlib long ago
+    c33 = ["--k", "3", "--red", "cycle:3", "--blue", "cycle:3"]
+    stem = str(tmp_path / "witness-CC-k3-n3-m3")
+    runs = [["arrow", "--n-vertices", "6", *c33],
+            ["arrow", "--n-vertices", "7", *c33],
+            ["ramsey", *c33],
+            WITNESS,
+            ["count", "--k", "3", "--n-vertices", "6", "--target", "cycle:3"],
+            ["table", "--k", "4", "--base", "3,3=10"],
+            ["extract", "--lemma", "adjacent-pair", "--coloring",
+             stem + ".coloring.json"],
+            ["check-cert", "--file", stem + ".cert.json"],
+            ["export-cnf", "--n-vertices", "6", *c33]]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _OPENSSL_PROBE, str(tmp_path),
+                           json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["arrow", EXIT_OK, False], ["arrow", EXIT_UNSAT, False],
+        ["ramsey", EXIT_OK, False], ["witness", EXIT_OK, False],
+        ["count", EXIT_OK, False], ["table", EXIT_OK, False],
+        ["extract", EXIT_OK, False], ["check-cert", EXIT_OK, False],
+        ["export-cnf", EXIT_OK, True]]
 
 
 def test_readme_lists_every_subcommand():

@@ -305,6 +305,48 @@ def test_blue_cycle_randomized_reaches_both_cases():
     assert (cases.count(1), cases.count(2)) == (34, 6)
 
 
+def test_blue_cycle_case2_fault_is_a_proof_gap(tmp_path, monkeypatch):
+    # a fault planted in case 2's closing edge (the red cycle edge
+    # {v_1,v_2,v_3}) is a gap on every case-2 seed, though all 6 hosts
+    # hold a red C^3_5: case 2 reads only bridges it checked blue
+    from ramsey_lab import constructive
+    from ramsey_lab.cli import EXIT_GAP, main
+
+    verified_cycle = constructive._verified_cycle
+
+    def planted(c, edges, color, what):
+        if what == "formula cycle":
+            edges = edges[:-1] + [(1, 2, 3)]
+        return verified_cycle(c, edges, color, what)
+
+    monkeypatch.setattr(constructive, "_verified_cycle", planted)
+    C = ident_cycle(3, 4, 1)
+    case2 = []
+    for seed in range(40):
+        c, meta = _flipped_case2(seed), {}
+        try:
+            blue_cycle_from_red_shorter_cycle(c, C, 5, 3, meta=meta)
+        except ProofGap as gap:
+            assert meta["case"] == 2
+            assert gap.instance["edges"][-1] == [1, 2, 3]
+            case2.append((seed, c))
+        else:
+            assert meta["case"] == 1
+    assert len(case2) == 6
+    for seed, c in case2:
+        d = tmp_path / str(seed)
+        d.mkdir()
+        c.save(d / "c.json")
+        assert main(["extract", "--lemma", "blue-cycle", "--coloring",
+                     str(d / "c.json"), "--cycle", "1,2,3,4,5,6,7,8", "--n", "5",
+                     "--m", "3", "--dir", str(d), "--out", str(d / "r.json")]) \
+            == EXIT_GAP
+        rep = json.loads((d / "r.json").read_text())
+        assert rep["results"]["error"] == "proof-gap"
+        dump = json.loads((d / "extract.proofgap.json").read_text())
+        assert dump["coloring"] == c.to_json_obj()
+
+
 # ------------------------------------------------------- good configurations
 
 def final_case_coloring():
